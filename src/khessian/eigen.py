@@ -1,19 +1,24 @@
-"""Principal eigenvalue of the k-Hessian via the monotone iteration.
+"""Principal eigenvalue of the k-Hessian on balls.
 
-The scheme solves S_k(D^2 u_n) = 1 + lam |u_{n-1}|^k with zero boundary
-data starting from u_0 = 0.  Iterates decrease pointwise; they stay
-bounded exactly when lam is below the principal eigenvalue and blow up
-above it, so bisection on that dichotomy brackets lambda_1.  The final
-convergent iterate, extrapolated and normalized, is the eigenfunction
-candidate, and Rayleigh/residual/minimum-principle diagnostics close the
-loop.
+On v = -h >= 0 the map A(v) = -T(v^k), with T the trapezoid
+first-integral solve, is order-preserving and homogeneous of degree 1,
+and the discrete lambda_1 equals mu^(-k) for its Perron eigenvalue mu.
+For every v > 0 at the interior nodes the Collatz-Wielandt quotients
+enclose it, min (v/A(v))^k <= lambda_1 <= max (v/A(v))^k (Lemmens and
+Nussbaum, Nonlinear Perron-Frobenius Theory, 2012), and the power
+iteration v <- A(v) / max A(v) closes that bracket geometrically.
+
+The paper's own characterisation is kept as an independent cross-check:
+the monotone scheme S_k(D^2 u_n) = 1 + lam |u_{n-1}|^k with zero
+boundary data, started from u_0 = 0, stays bounded below lambda_1 and
+blows up above it, so a probe just below the estimate must settle and a
+probe just above it must diverge.  Rayleigh, residual and
+minimum-principle diagnostics close the loop.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,7 +41,6 @@ __all__ = [
     "rayleigh_quotient",
     "minimum_principle_probe",
     "domain_monotonicity_check",
-    "thread_cap",
 ]
 
 
@@ -63,12 +67,12 @@ def _check(N: int, k: int, R: float) -> None:
 
 @dataclass(frozen=True)
 class IterationConfig:
-    """Knobs for the fixed-point iteration and the eigenvalue bisection.
+    """Knobs for the fixed-point iteration and the eigenvalue bracket.
 
     sup_cap defaults to 1e6 times the sup norm of the f = 1 solution on
-    the same ball; n_max exhaustion is classified by the trend of the
-    sup-norm increments (growing means divergent, flattening means a slow
-    converger).  bisect_tol defaults to 1e-3 times the initial bracket.
+    the same ball; a probe that reaches n_max before settling or passing
+    the cap is undecided.  bisect_tol caps the width of the returned
+    bracket and defaults to 1e-10 times its upper end.
     """
 
     sup_cap: Optional[float] = None
@@ -90,7 +94,6 @@ class IterationConfig:
 @dataclass
 class IterationResult:
     converged: bool
-    slow: bool
     reason: str
     n_iter: int
     sup_trace: list
@@ -102,15 +105,6 @@ def default_sup_cap(N: int, k: int, R: float) -> float:
     """1e6 times the sup norm of the source-one solution a(R^2 - r^2)/2."""
     a = (1.0 / math.comb(N, k)) ** (1.0 / k)
     return 1e6 * 0.5 * a * R**2
-
-
-def _classify_tail(sups: list, tol: float) -> str:
-    """'growing' or 'plateau' from the last ten sup-norm increments."""
-    d = np.diff(np.asarray(sups[-11:]))
-    if d.size == 0 or d[-1] <= tol or np.any(d <= 0.0):
-        return "plateau"
-    ratios = d[1:] / d[:-1]
-    return "growing" if float(np.exp(np.mean(np.log(ratios)))) >= 1.0 else "plateau"
 
 
 def iterate_fixed_lambda(lam: float, R: float, N: int, k: int,
@@ -131,7 +125,6 @@ def iterate_fixed_lambda(lam: float, R: float, N: int, k: int,
     r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
     h_prev = np.zeros_like(r)
     sup_trace: list = []
-    keep = None
     for n in range(1, cfg.n_max + 1):
         f_nodes = 1.0 + lam * np.abs(h_prev) ** k
         h, hp, hpp = first_integral_solve(f_nodes, r, N, k, scheme="trapezoid")
@@ -144,10 +137,9 @@ def iterate_fixed_lambda(lam: float, R: float, N: int, k: int,
         diff = float(np.max(h_prev - h))
         sup_trace.append(sup)
         h_prev = h
-        keep = (h, hp, hpp)
         if diff <= cfg.fixed_point_tol:
             profile = RadialProfile(N=N, k=k, r=r, h=h, hp=hp, hpp=hpp, k_convex=True)
-            return IterationResult(True, False, "fixed-point", n, sup_trace, profile, lam)
+            return IterationResult(True, "fixed-point", n, sup_trace, profile, lam)
         if sup > sup_cap:
             tail = np.diff(np.asarray(sup_trace[-10:]))
             if np.any(tail < 0):
@@ -156,12 +148,9 @@ def iterate_fixed_lambda(lam: float, R: float, N: int, k: int,
                     trace={"lam": lam, "n": n, "sup_trace": sup_trace},
                 )
             profile = RadialProfile(N=N, k=k, r=r, h=h, hp=hp, hpp=hpp, k_convex=True)
-            return IterationResult(False, False, "sup-cap", n, sup_trace, profile, lam)
-    h, hp, hpp = keep
+            return IterationResult(False, "sup-cap", n, sup_trace, profile, lam)
     profile = RadialProfile(N=N, k=k, r=r, h=h, hp=hp, hpp=hpp, k_convex=True)
-    if _classify_tail(sup_trace, cfg.fixed_point_tol) == "growing":
-        return IterationResult(False, False, "n-max-growing", cfg.n_max, sup_trace, profile, lam)
-    return IterationResult(True, True, "n-max-plateau", cfg.n_max, sup_trace, profile, lam)
+    return IterationResult(False, "n-max", cfg.n_max, sup_trace, profile, lam)
 
 
 @dataclass
@@ -197,106 +186,67 @@ class SpectralEstimate:
         return out
 
 
-def _continue_iteration(profile: RadialProfile, lam: float, budget: int,
-                        tol: float) -> tuple:
-    """Extra fixed-point sweeps from an existing iterate; returns last three."""
-    r = profile.r
-    N, k = profile.N, profile.k
-    window = [profile.h]
-    h_prev = profile.h
-    for _ in range(budget):
-        f_nodes = 1.0 + lam * np.abs(h_prev) ** k
-        h, hp, hpp = first_integral_solve(f_nodes, r, N, k, scheme="trapezoid")
-        window.append(h)
-        if len(window) > 3:
-            window.pop(0)
-        if float(np.max(h_prev - h)) <= tol:
-            h_prev = h
-            break
-        h_prev = h
-    return window
-
-
-def _aitken(window: list) -> np.ndarray:
-    """Nodewise Aitken delta-squared amplitude correction, guarded."""
-    if len(window) < 3:
-        return window[-1]
-    h0, h1, h2 = window
-    d1 = h1 - h0
-    d2 = h2 - h1
-    denom = d2 - d1
-    scale = 1e-14 * (1.0 + np.max(np.abs(h2)))
-    safe = np.abs(denom) > scale
-    out = h2.copy()
-    out[safe] = h2[safe] - d2[safe] ** 2 / denom[safe]
-    return np.minimum(out, 0.0)
+# Power-iteration solves allowed before an unclosed bracket is an error;
+# the bracket contracts by the spectral gap each step and closes in tens.
+_POWER_MAX_SOLVES = 200
+# Cross-check probes sit at lam_hat (1 - eps) and lam_hat (1 + eps)^k: the
+# blow-up rate per iteration is about (lam / lambda_1)^(1/k), so the k-th
+# power keeps the divergent probe's length independent of k.
+_PROBE_EPS = 0.1
 
 
 def estimate_lambda1(R: float, N: int, k: int,
                      cfg: IterationConfig = IterationConfig(),
                      solver_cfg: SolverConfig = SolverConfig()) -> SpectralEstimate:
-    """Bracket the principal eigenvalue by bisection on the blow-up dichotomy.
+    """Enclose the principal eigenvalue by power iteration, then cross-check.
 
-    The certified bounds seed the bracket; convergence of the iteration at
-    a probe moves the lower edge up, divergence moves the upper edge down.
-    A probe that exhausts n_max while flattening counts as a slow
-    convergence and doubles the effective bisection tolerance (logged in
-    the diagnostics) rather than stalling the search.  The eigenfunction
-    is the last convergent iterate, polished at the final lower edge,
-    Aitken-extrapolated, re-solved once for derivative consistency, and
-    normalized to minimum value -1.
+    Starting from v = R^2 - r^2, each trapezoid solve a = -T(v^k) gives
+    the Collatz-Wielandt bracket [min, max] of (v/a)^k over the interior
+    nodes, and v <- a / max a.  The loop stops once the bracket, widened
+    by a floating-point rounding allowance, is no wider than
+    cfg.bisect_tol (default 1e-10 lambda_hi).  lambda_best is its
+    midpoint and the eigenfunction is the last solve normalized to
+    minimum value -1.  Two fixed-lambda probes then confirm the paper's
+    dichotomy around lambda_best; any other verdict raises
+    InconsistencyError with the probe log.
     """
-    lo = lower_bound(N, k, R)
-    hi = upper_bound(N, k, R)
-    eff_tol = cfg.bisect_tol if cfg.bisect_tol is not None else 1e-3 * (hi - lo)
-    probes = []
-
-    res = iterate_fixed_lambda(lo, R, N, k, cfg, solver_cfg)
-    probes.append({"lam": lo, "reason": res.reason, "n_iter": res.n_iter,
-                   "sup_final": res.sup_trace[-1]})
-    if not res.converged:
+    _check(N, k, R)
+    r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
+    # Each solve is two recursive sums of positive terms, each accurate to
+    # r.size ulps relative, plus a few roundings; (v/a)^k multiplies by k.
+    rounding = k * (2 * r.size + 16) * np.finfo(float).eps
+    v = R**2 - r**2
+    widths = []
+    for n_solves in range(1, _POWER_MAX_SOLVES + 1):
+        h, hp, hpp = first_integral_solve(v**k, r, N, k, scheme="trapezoid")
+        a = -h
+        ratio = (v[:-1] / a[:-1]) ** k
+        lo = float(np.min(ratio)) * (1.0 - rounding)
+        hi = float(np.max(ratio)) * (1.0 + rounding)
+        widths.append(hi - lo)
+        tol = cfg.bisect_tol if cfg.bisect_tol is not None else 1e-10 * hi
+        if hi - lo <= tol:
+            break
+        v = a / np.max(a)
+    else:
         raise InconsistencyError(
-            "iteration diverged at the certified lower bound",
-            trace={"lam": lo, "sup_trace": res.sup_trace},
+            f"power-iteration bracket still wider than {tol:.3e} after "
+            f"{_POWER_MAX_SOLVES} solves",
+            trace={"widths": widths},
         )
-    best = res
-
-    res = iterate_fixed_lambda(hi, R, N, k, cfg, solver_cfg)
-    probes.append({"lam": hi, "reason": res.reason, "n_iter": res.n_iter,
-                   "sup_final": res.sup_trace[-1]})
-    if res.converged:
-        raise InconsistencyError(
-            "iteration converged at the certified upper bound",
-            trace={"lam": hi, "sup_trace": res.sup_trace},
-        )
-
-    slow_events = 0
-    while hi - lo > eff_tol:
-        mid = 0.5 * (lo + hi)
-        res = iterate_fixed_lambda(mid, R, N, k, cfg, solver_cfg)
-        probes.append({"lam": mid, "reason": res.reason, "n_iter": res.n_iter,
-                       "sup_final": res.sup_trace[-1]})
-        if res.converged:
-            lo = mid
-            best = res
-            if res.slow:
-                slow_events += 1
-                eff_tol *= 2.0
-        else:
-            hi = mid
-
     lam_best = 0.5 * (lo + hi)
 
-    # polish the best iterate at the settled lower edge, then extrapolate
-    window = _continue_iteration(best.profile, best.lam, 4 * cfg.n_max,
-                                 cfg.fixed_point_tol)
-    h_star = _aitken(window)
-    f_nodes = 1.0 + best.lam * np.abs(h_star) ** k
-    r = best.profile.r
-    h, hp, hpp = first_integral_solve(f_nodes, r, N, k, scheme="trapezoid")
-    s = float(np.max(np.abs(h)))
-    if s == 0.0:
-        raise InconsistencyError("eigenfunction candidate vanished", trace={})
+    probes = []
+    for lam in (lam_best * (1.0 - _PROBE_EPS), lam_best * (1.0 + _PROBE_EPS) ** k):
+        res = iterate_fixed_lambda(lam, R, N, k, cfg, solver_cfg)
+        probes.append({"lam": lam, "reason": res.reason, "n_iter": res.n_iter})
+    if [p["reason"] for p in probes] != ["fixed-point", "sup-cap"]:
+        raise InconsistencyError(
+            "fixed-lambda iteration disagrees with the power-iteration bracket",
+            trace={"lambda_lo": lo, "lambda_hi": hi, "probes": probes},
+        )
+
+    s = float(np.max(a))
     w = RadialProfile(N=N, k=k, r=r, h=h / s, hp=hp / s, hpp=hpp / s, k_convex=True)
 
     sk = s_k_on_profile(w)
@@ -320,9 +270,8 @@ def estimate_lambda1(R: float, N: int, k: int,
         holder=holder,
         diagnostics={
             "probes": probes,
-            "slow_events": slow_events,
-            "effective_bisect_tol": eff_tol,
-            "polish_lambda": best.lam,
+            "power_solves": n_solves,
+            "effective_bisect_tol": hi - lo,
             "normalization": s,
         },
     )
@@ -393,40 +342,21 @@ def minimum_principle_probe(profile: RadialProfile, lam: float,
     }
 
 
-def thread_cap() -> int:
-    """Worker cap from KHESS_THREADS, defaulting to the core count."""
-    raw = os.environ.get("KHESS_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"KHESS_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise DomainError("KHESS_THREADS must be at least 1")
-    return cap
-
-
 def domain_monotonicity_check(N: int, k: int, R1: float, R2: float,
                               cfg: IterationConfig = IterationConfig(),
                               solver_cfg: SolverConfig = SolverConfig()) -> dict:
     """Estimates on nested balls must order: bigger ball, smaller eigenvalue.
 
-    Runs the two estimates (in parallel when the thread cap allows) and
-    checks lambda_best(R_big) <= lambda_best(R_small) + 2 * bisect slack.
+    Runs the two estimates and checks lambda_best(R_big) <=
+    lambda_best(R_small) + slack, with slack twice the wider bracket.
     """
     if R1 <= 0 or R2 <= 0 or R1 == R2:
         raise DomainError("need two distinct positive radii")
     r_small, r_big = min(R1, R2), max(R1, R2)
-    with ThreadPoolExecutor(max_workers=min(2, thread_cap())) as pool:
-        fut_small = pool.submit(estimate_lambda1, r_small, N, k, cfg, solver_cfg)
-        fut_big = pool.submit(estimate_lambda1, r_big, N, k, cfg, solver_cfg)
-        est_small = fut_small.result()
-        est_big = fut_big.result()
-    slack = 2.0 * max(
-        est_small.diagnostics["effective_bisect_tol"],
-        est_big.diagnostics["effective_bisect_tol"],
-    )
+    est_small = estimate_lambda1(r_small, N, k, cfg, solver_cfg)
+    est_big = estimate_lambda1(r_big, N, k, cfg, solver_cfg)
+    slack = 2.0 * max(est_small.lambda_hi - est_small.lambda_lo,
+                      est_big.lambda_hi - est_big.lambda_lo)
     passed = est_big.lambda_best <= est_small.lambda_best + slack
     return {
         "R_small": r_small,

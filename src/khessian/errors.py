@@ -28,8 +28,9 @@ class SearchError(KHessianError):
 class InconsistencyError(KHessianError):
     """Computed quantities contradict a structural guarantee.
 
-    Raised e.g. when the fixed-point iteration loses monotonicity or the
-    bisection predicate flips the wrong way; carries a trace for forensics.
+    Raised e.g. when the fixed-point iteration loses monotonicity or its
+    verdict contradicts the eigenvalue bracket; carries a trace for
+    forensics.
     """
 
     def __init__(self, message, trace=None):

@@ -115,16 +115,12 @@ class RadialProfile:
 
     @classmethod
     def load_csv(cls, path, N: int, k: int, k_convex: bool = False) -> "RadialProfile":
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        return cls(
-            N=N,
-            k=k,
-            r=data["r"],
-            h=data["h"],
-            hp=data["hp"],
-            hpp=data["hpp"],
-            k_convex=k_convex,
-        )
+        try:
+            data = np.genfromtxt(path, delimiter=",", names=True)
+            columns = {name: np.atleast_1d(data[name]) for name in ("r", "h", "hp", "hpp")}
+        except (OSError, ValueError, IndexError) as exc:
+            raise DomainError(f"profile file {path} needs columns r,h,hp,hpp: {exc}") from exc
+        return cls(N=N, k=k, k_convex=k_convex, **columns)
 
 
 @dataclass(frozen=True)

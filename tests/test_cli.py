@@ -1,7 +1,7 @@
 """End-to-end CLI runs, exit codes, manifests, and byte determinism.
 
-Everything goes through main(argv) in process; coarse grids and loose
-bisection keep each invocation well under a second.
+Everything goes through main(argv) in process; coarse grids and a loose
+bracket tolerance keep each invocation well under a second.
 """
 
 import json
@@ -149,6 +149,18 @@ def test_verify_minprinciple_quartic(capsys):
     assert run(["verify", "minprinciple", "--quartic", "--dim", "3",
                 "--order", "2", "--radius", "1", "--grid", "128"]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_minprinciple_bad_profile_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a,b\n1,2\n3,4\n")
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    for path in (bad, empty, tmp_path / "missing.csv"):
+        assert run(["verify", "minprinciple", "--dim", "2", "--order", "1",
+                    "--radius", "1", "--profile", path]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "r,h,hp,hpp" in err
 
 
 def test_verify_barrier_exp(capsys):

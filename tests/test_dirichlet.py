@@ -9,8 +9,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import cumulative_trapezoid, quad, solve_ivp
 
+import khessian.dirichlet as dirichlet
 from khessian.dirichlet import (
     SolverConfig,
     SourceTerm,
@@ -68,6 +69,12 @@ def test_make_grid():
     assert np.diff(gg)[-1] < np.diff(gg)[0]
     ga = make_grid(2.0, 64, r_inner=0.5)
     assert ga[0] == 0.5 and ga[-1] == 2.0
+    # a graded grid either ascends strictly or is refused, never repeats nodes
+    for n in (256, 512, 1024):
+        try:
+            assert np.all(np.diff(make_grid(1.0, n, graded=True)) > 0)
+        except DomainError:
+            pass
 
 
 def test_paraboloid_exact():
@@ -210,6 +217,36 @@ def test_holder_seminorm_closed_forms():
         holder_seminorm(p, 0.0)
     with pytest.raises(DomainError):
         holder_seminorm(p, 1.5)
+
+
+def test_holder_seminorm_blocked_matches_dense():
+    # 257 nodes: one full row block and a one-row remainder
+    r = make_grid(1.0, 256)
+    h = np.cumsum(np.random.default_rng(257).normal(size=r.size))
+    prof = RadialProfile(N=3, k=2, r=r, h=h, hp=np.zeros_like(r), hpp=np.zeros_like(r))
+    dh = np.abs(h[:, None] - h[None, :])
+    dr = np.abs(r[:, None] - r[None, :])
+    mask = dr > 0
+    for alpha in (0.25, 0.5, 1.0):
+        dense = float(np.max(dh[mask] / dr[mask] ** alpha))
+        assert holder_seminorm(prof, alpha) == dense
+
+
+def test_trapezoid_cumsum_matches_scipy(monkeypatch):
+    # the default grid has dyadic spacing, where any summation order is
+    # exact; the R = 0.9 grid is not, so it pins the operation order
+    cases = [(R, N, k) for R in (1.0, 0.9) for N, k in [(2, 1), (3, 2), (5, 3)]]
+
+    def solve(R, N, k):
+        r = make_grid(R, 512)
+        return first_integral_solve(1.0 + (R**2 - r**2) ** k, r, N, k, scheme="trapezoid")
+
+    new = [solve(*case) for case in cases]
+    monkeypatch.setattr(dirichlet, "_cumulative",
+                        lambda y, x, scheme: cumulative_trapezoid(y, x, initial=0.0))
+    for case, got in zip(cases, new):
+        for a, b in zip(got, solve(*case)):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_holder_grid_stability():

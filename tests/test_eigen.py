@@ -7,6 +7,7 @@ frozen here with their derivations.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,7 +22,6 @@ from khessian.eigen import (
     minimum_principle_probe,
     rayleigh_quotient,
     sphere_area,
-    thread_cap,
     upper_bound,
 )
 from khessian.errors import DomainError, InconsistencyError
@@ -213,19 +213,6 @@ def test_domain_monotonicity():
         domain_monotonicity_check(2, 1, 1.5, 1.5)
 
 
-def test_thread_cap(monkeypatch):
-    monkeypatch.setenv("KHESS_THREADS", "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv("KHESS_THREADS", "abc")
-    with pytest.raises(DomainError):
-        thread_cap()
-    monkeypatch.setenv("KHESS_THREADS", "0")
-    with pytest.raises(DomainError):
-        thread_cap()
-    monkeypatch.delenv("KHESS_THREADS")
-    assert thread_cap() >= 1
-
-
 def test_sphere_area_values():
     assert sphere_area(2) == pytest.approx(2.0 * math.pi)
     assert sphere_area(3) == pytest.approx(4.0 * math.pi)
@@ -237,3 +224,42 @@ def test_estimate_diagnostics_structure(est21):
     assert len(d["probes"]) >= 2
     assert d["effective_bisect_tol"] > 0
     assert est21.lambda_hi - est21.lambda_lo <= d["effective_bisect_tol"] * 1.0001
+
+
+# shooting-oracle value of lambda_1 for (N, k) = (5, 3) on the unit ball
+LAMBDA_53_SHOOTING = 405.5232
+
+
+def test_bracket_encloses_oracle_53():
+    est = estimate_lambda1(1.0, 5, 3)
+    assert est.lambda_lo <= LAMBDA_53_SHOOTING * (1 + 1e-4)
+    assert est.lambda_hi >= LAMBDA_53_SHOOTING * (1 - 1e-4)
+
+
+def test_bessel_zero_at_fine_grid():
+    exact = float(mpmath.besseljzero(0, 1)) ** 2
+    est = estimate_lambda1(1.0, 2, 1, solver_cfg=SolverConfig(grid_size=2048))
+    assert abs(est.lambda_best - exact) / exact <= 1e-6
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 3), (5, 5), (6, 4)])
+def test_dichotomy_probes_and_tight_bracket(n, k):
+    est = estimate_lambda1(1.0, n, k)
+    reasons = [p["reason"] for p in est.diagnostics["probes"]]
+    assert reasons == ["fixed-point", "sup-cap"]
+    assert 0.0 < est.lambda_hi - est.lambda_lo <= 1e-9 * est.lambda_hi
+
+
+def test_bisect_tol_caps_bracket_and_encloses(est21):
+    loose = estimate_lambda1(1.0, 2, 1, IterationConfig(bisect_tol=1e-3))
+    assert 0.0 < loose.lambda_hi - loose.lambda_lo <= 1e-3
+    # an early Collatz-Wielandt bracket still contains the converged value
+    assert loose.lambda_lo <= est21.lambda_best <= loose.lambda_hi
+    assert loose.diagnostics["power_solves"] < est21.diagnostics["power_solves"]
+
+
+def test_n_max_is_undecided_and_fails_the_cross_check():
+    res = iterate_fixed_lambda(5.0, 1.0, 2, 1, IterationConfig(n_max=10))
+    assert not res.converged and res.reason == "n-max" and res.n_iter == 10
+    with pytest.raises(InconsistencyError):
+        estimate_lambda1(1.0, 2, 1, IterationConfig(n_max=10))
