@@ -151,12 +151,18 @@ class SolverConfig:
             raise DomainError("refine_max must be nonnegative")
 
 
+# last-to-first width ratio of a graded grid, fixed whatever the node count
+_GRADED_WIDTH_RATIO = 1e-2
+
+
 def make_grid(R: float, grid_size: int, graded: bool = False,
               r_inner: float = 0.0) -> np.ndarray:
     """Radial grid on [r_inner, R]: uniform, or geometrically boundary-graded.
 
-    Graded spacing shrinks by the fixed ratio 0.9 toward r = R, which
-    resolves the boundary layer Holder studies care about.
+    Graded widths shrink geometrically toward r = R, the last one 1e-2
+    times the first, so neighbouring widths differ by the factor
+    1e-2^(1/(grid_size-1)) and the grading stays bounded as the grid is
+    refined.  That resolves the boundary layer Holder studies care about.
     """
     if not 0 <= r_inner < R:
         raise DomainError("need 0 <= r_inner < R")
@@ -164,7 +170,7 @@ def make_grid(R: float, grid_size: int, graded: bool = False,
         raise DomainError("grid needs at least two intervals")
     if not graded:
         return np.linspace(r_inner, R, grid_size + 1)
-    widths = 0.9 ** np.arange(grid_size)
+    widths = np.geomspace(1.0, _GRADED_WIDTH_RATIO, grid_size)
     widths *= (R - r_inner) / widths.sum()
     grid = np.concatenate([[r_inner], r_inner + np.cumsum(widths)])
     grid[-1] = R

@@ -6,7 +6,8 @@ neighborhood.  Near the boundary the Hessian of the distance function has
 eigenvalues -kappa_i / (1 - kappa_i d) plus a zero in the normal
 direction, so compositions g(d) reduce to symmetric-function algebra on
 those values.  The two verifiers certify the exponential and logarithmic
-boundary barriers sample by sample.
+boundary barriers on every sample x depth cell of the collar, all cells
+in one batched sigma_all call.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SearchError
-from .symfun import in_gamma_k, sigma_all, sigma_k
+from .symfun import sigma_all, sigma_k
 
 __all__ = [
     "CurvatureField",
@@ -108,17 +109,17 @@ def strictly_km1_convex(field: CurvatureField, k: int) -> bool:
         raise DomainError("strict (k-1)-convexity needs k >= 2")
     if k - 1 > field.ambient_dim - 1:
         raise DomainError("order k exceeds the boundary dimension + 1")
-    for kap in field.kappas:
-        if not in_gamma_k(kap, k - 1, strict=True):
-            return False
-    return True
+    sig = sigma_all(field.kappas)
+    return bool(np.all(sig[:, 1:k] > 0))
+
+
+def _augmented_sigma(field: CurvatureField, R: float) -> np.ndarray:
+    """sigma_0..sigma_N of (kappa(y), R) at every sample, shape (S, N+1)."""
+    return sigma_all(np.column_stack([field.kappas, np.full(field.n_samples, R)]))
 
 
 def _augmented_ok(field: CurvatureField, k: int, R: float) -> bool:
-    for kap in field.kappas:
-        if not in_gamma_k(np.append(kap, R), k, strict=True):
-            return False
-    return True
+    return bool(np.all(_augmented_sigma(field, R)[:, 1 : k + 1] > 0))
 
 
 def augment_r(field: CurvatureField, k: int, r_max: float = None) -> float:
@@ -141,11 +142,7 @@ def augment_r(field: CurvatureField, k: int, r_max: float = None) -> float:
     while not _augmented_ok(field, k, r):
         r *= 2.0
         if r > r_max:
-            worst = min(
-                sigma_k(np.append(kap, r_max), j)
-                for kap in field.kappas
-                for j in range(1, k + 1)
-            )
+            worst = float(np.min(_augmented_sigma(field, r_max)[:, 1 : k + 1]))
             raise SearchError(
                 f"no augmentation R <= {r_max:.3g} reaches the k={k} cone",
                 diagnostics={"r_max": r_max, "worst_sigma": worst},
@@ -190,7 +187,8 @@ def s_j_composition(gp: float, gpp: float, kappa, d: float, j: int) -> float:
     return sigma_k(vec, j)
 
 
-def _tube_guard(field: CurvatureField, d0: float) -> None:
+def _collar_depths(field: CurvatureField, d0: float, n_depth: int) -> np.ndarray:
+    """The sampled depths d0 i / n_depth, i = 1..n_depth, inside the tube."""
     if d0 <= 0:
         raise DomainError("collar width d0 must be positive")
     mu = field.mu
@@ -198,6 +196,23 @@ def _tube_guard(field: CurvatureField, d0: float) -> None:
         raise DomainError(
             f"collar width d0={d0:.6g} exceeds the tube bound 1/(2 mu)={1/(2*mu):.6g}"
         )
+    if n_depth < 1:
+        raise DomainError("the collar needs at least one depth node")
+    return np.linspace(0.0, d0, n_depth + 1)[1:]
+
+
+def _collar_sigma(field: CurvatureField, depths: np.ndarray, normal) -> np.ndarray:
+    """sigma_0..sigma_N of (kappa_i/(1 - kappa_i d), normal) at every cell.
+
+    Cells are sample x depth; normal is one value or one per depth.  The
+    result has shape (S, D, N+1), computed by one batched sigma_all.
+    """
+    kap = field.kappas[:, None, :]
+    tangential = kap / (1.0 - kap * depths[:, None])
+    normal = np.broadcast_to(np.asarray(normal, dtype=float)[..., None],
+                             tangential.shape[:2] + (1,))
+    cells = np.concatenate([tangential, normal], axis=-1)
+    return sigma_all(cells.reshape(-1, cells.shape[-1])).reshape(cells.shape[:2] + (-1,))
 
 
 def verify_exp_boundary_barrier(field: CurvatureField, k: int, lam: float,
@@ -214,21 +229,14 @@ def verify_exp_boundary_barrier(field: CurvatureField, k: int, lam: float,
         raise DomainError("order k out of range")
     if t <= 0 or lam < 0:
         raise DomainError("need a positive rate t and nonnegative lam")
-    _tube_guard(field, d0)
-    depths = np.linspace(0.0, d0, n_depth + 1)[1:]
-    min_sj = math.inf
-    worst_margin = math.inf
-    for kap in field.kappas:
-        for d in depths:
-            denom = 1.0 - kap * d
-            vec = np.append(kap / denom, t)
-            sig = sigma_all(vec)
-            phi = math.exp(-t * d) - 1.0
-            for j in range(1, k + 1):
-                sj = t**j * math.exp(-j * t * d) * sig[j]
-                min_sj = min(min_sj, sj)
-                if j == k:
-                    worst_margin = min(worst_margin, sj - lam * abs(phi) ** k)
+    depths = _collar_depths(field, d0, n_depth)
+    sig = _collar_sigma(field, depths, t)[:, :, 1 : k + 1]
+    j = np.arange(1, k + 1)
+    # S_j at every (sample, depth, j), shape (S, D, k)
+    sj = t**j * np.exp(-j * t * depths[:, None]) * sig
+    phi = np.exp(-t * depths) - 1.0
+    min_sj = float(np.min(sj))
+    worst_margin = float(np.min(sj[:, :, -1] - lam * np.abs(phi) ** k))
     report = {
         "kind": "exp-barrier",
         "k": k,
@@ -262,38 +270,27 @@ def verify_log_boundary_barrier(field: CurvatureField, k: int, fsup: float,
         raise DomainError("order k out of range")
     if t <= 0 or fsup < 0 or usup < 0:
         raise DomainError("need t > 0 and nonnegative bounds fsup, usup")
-    _tube_guard(field, d0)
-    depths = np.linspace(0.0, d0, n_depth + 1)[1:]
-    beta = math.inf
-    for kap in field.kappas:
-        for d in depths:
-            denom = 1.0 - kap * d
-            vec = np.append(kap / denom, t / (1.0 + t * d))
-            sig = sigma_all(vec)
-            beta = min(beta, float(np.min(sig[1 : k + 1])))
+    depths = _collar_depths(field, d0, n_depth)
+    sig = _collar_sigma(field, depths, t / (1.0 + t * depths))[:, :, 1 : k + 1]
+    beta = float(np.min(sig))
     if not beta > 0:
         raise SearchError(
             "log barrier infeasible: augmented sigma_j not positive on the collar",
             diagnostics={"beta": beta, "t": t, "d0": d0},
         )
     beta_eff = 0.5 * beta
+    log_d0 = math.log1p(t * d0)
     m_pde = ((1.0 + t * d0) / t) * (fsup / beta_eff) ** (1.0 / k) if fsup > 0 else 0.0
-    m_bc = usup / math.log1p(t * d0) if usup > 0 else 0.0
+    m_bc = usup / log_d0 if usup > 0 else 0.0
     M = max(m_pde, m_bc, 1.0 if fsup == 0 and usup == 0 else 0.0)
+    # usup / log_d0 is rounded, and the product can land an ulp below usup
+    while M * log_d0 < usup:
+        M = math.nextafter(M, math.inf)
 
-    min_sj = math.inf
-    worst_margin = math.inf
-    for kap in field.kappas:
-        for d in depths:
-            denom = 1.0 - kap * d
-            vec = np.append(kap / denom, t / (1.0 + t * d))
-            sig = sigma_all(vec)
-            amp = M * t / (1.0 + t * d)
-            for j in range(1, k + 1):
-                sj = amp**j * sig[j]
-                min_sj = min(min_sj, sj)
-                if j == k:
-                    worst_margin = min(worst_margin, sj - fsup)
+    amp = M * t / (1.0 + t * depths)
+    sj = (amp[:, None] ** np.arange(1, k + 1)) * sig
+    min_sj = float(np.min(sj))
+    worst_margin = float(np.min(sj[:, :, -1] - fsup))
     report = {
         "kind": "log-barrier",
         "k": k,
@@ -308,9 +305,9 @@ def verify_log_boundary_barrier(field: CurvatureField, k: int, fsup: float,
         "M": float(M),
         "min_sj": float(min_sj),
         "worst_margin": float(worst_margin),
-        "boundary_match": bool(M * math.log1p(t * d0) >= usup),
+        "boundary_match": bool(M * log_d0 >= usup),
         "admissible": bool(min_sj > 0),
-        "passed": bool(min_sj > 0 and worst_margin >= 0 and M * math.log1p(t * d0) >= usup),
+        "passed": bool(min_sj > 0 and worst_margin >= 0 and M * log_d0 >= usup),
     }
     return M, report
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -86,9 +86,6 @@ class RadialProfile:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.h)))
 
-    def with_flag(self, k_convex: bool) -> "RadialProfile":
-        return replace(self, k_convex=k_convex)
-
     def save_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -125,27 +122,19 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class BarrierParams:
-    """Free parameters of the boundary barriers.
+    """Free parameters of the annulus barrier in exp_barrier_profile.
 
-    Amplitudes C0..C3 and M, decay rates m and t, and the geometric widths
-    delta (interior sphere radius), d0 (boundary collar width) and rho.
-    Only the fields a given construction consumes need to be set; rate and
-    width positivity is checked where they are used.  C0 is signed: the
-    annulus barrier C0*(exp(-m*delta) - exp(-m*r)) is a negative strict
-    supersolution for C0 > 0, which is the reading every harness here
-    uses, but the amplitude may be flipped to study the reflected object.
+    Amplitude C0, decay rate m and the interior sphere radius delta; their
+    positivity and the rate floor are checked where they are used.  C0 is
+    signed: the annulus barrier C0*(exp(-m*delta) - exp(-m*r)) is a
+    negative strict supersolution for C0 > 0, which is the reading every
+    harness here uses, but the amplitude may be flipped to study the
+    reflected object.
     """
 
     C0: float = 1.0
-    C1: float = 0.0
-    C2: float = 0.0
-    C3: float = 0.0
-    M: float = 0.0
     m: float = 0.0
-    t: float = 0.0
     delta: float = 0.0
-    d0: float = 0.0
-    rho: float = 0.0
 
 
 def radial_hessian_spectrum(hp: float, hpp: float, r: float, N: int) -> np.ndarray:

@@ -3,7 +3,10 @@
 Everything here operates on a spectrum: a finite real vector, by convention
 handled in ascending order.  sigma_all evaluates every elementary symmetric
 polynomial of the vector in one O(N^2) recurrence pass, and the cone
-predicates are built on top of it.
+predicates are built on top of it.  sigma_all also takes an (M, N) array,
+one spectrum per row, and returns (M, N+1) from the same recurrence run
+along the rows, so a batch of spectra costs N vectorized steps rather
+than M Python-level calls.
 """
 
 from __future__ import annotations
@@ -48,18 +51,27 @@ def sigma_all(values) -> np.ndarray:
     Expands prod_i (x + lam_i) by the stable coefficient recurrence: each
     entry multiplies in as e_j += lam_i * e_{j-1}, descending in j so the
     update never reads an already-updated slot.  sigma_0 = 1 by convention.
+
+    A 1-d vector of N entries gives N+1 values.  An (M, N) array holds one
+    spectrum per row and gives (M, N+1): the recurrence runs along the last
+    axis, so each row is bit-identical to the 1-d call on that row.
     """
-    lam = np.asarray(values, dtype=float).ravel()
+    lam = np.asarray(values, dtype=float)
+    if lam.ndim != 2:
+        lam = lam.ravel()
     if not np.all(np.isfinite(lam)):
         raise DomainError("spectrum entries must be finite")
-    n = lam.size
-    e = np.zeros(n + 1)
+    # cols[i] is entry i of every spectrum: a scalar for one vector, a row
+    # of M values for a batch, which broadcasts across the slots of e
+    cols = lam.T
+    n = cols.shape[0]
+    e = np.zeros((n + 1,) + cols.shape[1:])
     e[0] = 1.0
     for i in range(n):
-        # e[1:i+2] reads the pre-update e[0:i+1]; numpy evaluates the RHS
-        # before assignment, so the recurrence never consumes a fresh slot
-        e[1 : i + 2] = e[1 : i + 2] + lam[i] * e[0 : i + 1]
-    return e
+        # the product is formed from the pre-update e[0:i+1] before the
+        # in-place add, so the recurrence never consumes a fresh slot
+        e[1 : i + 2] += cols[i] * e[0 : i + 1]
+    return e.T
 
 
 def sigma_k(values, k: int) -> float:

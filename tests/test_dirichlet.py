@@ -69,12 +69,13 @@ def test_make_grid():
     assert np.diff(gg)[-1] < np.diff(gg)[0]
     ga = make_grid(2.0, 64, r_inner=0.5)
     assert ga[0] == 0.5 and ga[-1] == 2.0
-    # a graded grid either ascends strictly or is refused, never repeats nodes
+    # graded widths keep a fixed last-to-first ratio, so every size ascends
     for n in (256, 512, 1024):
-        try:
-            assert np.all(np.diff(make_grid(1.0, n, graded=True)) > 0)
-        except DomainError:
-            pass
+        widths = np.diff(make_grid(1.0, n, graded=True))
+        assert np.all(widths > 0)
+        np.testing.assert_allclose(widths[-1] / widths[0], 1e-2, rtol=1e-9)
+        np.testing.assert_allclose(widths[1:] / widths[:-1], 1e-2 ** (1.0 / (n - 1)),
+                                   rtol=1e-9)
 
 
 def test_paraboloid_exact():
@@ -99,6 +100,17 @@ def test_paraboloid_exact():
     cfg = SolverConfig(grid_size=512, quadrature="trapezoid", tol_residual=1.0)
     p = solve_radial_dirichlet(SourceTerm.constant(3.0), 1.0, 3, 2, cfg)
     assert np.max(np.abs(p.h - (p.r**2 - 1.0) / 2.0)) <= 2e-5
+
+
+def test_graded_paraboloid_at_default_size():
+    # const:1 gives h = a (r^2 - R^2)/2 with C(N,k) a^k = 1 on any grid, so
+    # the graded default grid must reproduce it to rounding
+    for n, k in [(2, 1), (3, 2), (5, 3)]:
+        p = solve_radial_dirichlet(SourceTerm.constant(1), 1.0, n, k,
+                                   SolverConfig(graded=True))
+        assert p.r.size == SolverConfig().grid_size + 1
+        a = math.comb(n, k) ** (-1.0 / k)
+        assert np.max(np.abs(p.h - a * (p.r**2 - 1.0) / 2.0)) <= 1e-14
 
 
 def test_zero_source():

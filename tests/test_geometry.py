@@ -6,9 +6,14 @@ parallel a / (b sqrt(b^2 cos^2 u + a^2 sin^2 u)) for semi-axes (a,b,b)),
 and the collar operators against directly assembled diagonal Hessians.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import khessian.geometry as geometry
 from khessian.cones import s_k_op
 from khessian.errors import DomainError, SearchError
 from khessian.geometry import (
@@ -25,6 +30,7 @@ from khessian.geometry import (
     verify_exp_boundary_barrier,
     verify_log_boundary_barrier,
 )
+from khessian.symfun import in_gamma_k, sigma_all, sigma_k
 
 
 def test_sphere_field_curvatures():
@@ -209,3 +215,185 @@ def test_strict_convexity_orders():
     assert not strictly_km1_convex(field, 4)  # sigma_3 = -0.1
     with pytest.raises(DomainError):
         strictly_km1_convex(field, 1)
+
+
+def test_log_barrier_boundary_match_at_rounding_edge():
+    # usup / log1p(t d0) rounds so that M log1p(t d0) lands 2.8e-17 below
+    # usup; the amplitude must be stepped up until the match holds
+    usup, t, d0 = 0.24239879652572363, 1.0155581006666958, 0.12308503070177838
+    assert usup / math.log1p(t * d0) * math.log1p(t * d0) < usup
+    # semi-axes s (1, 0.8, 0.6) give largest curvature mu = 1 / (0.36 s); the
+    # data follow the barrier-field scaling t = 0.5 mu, d0 = 0.25 / mu
+    scale = 1.0 / (0.36 * 2.0 * t)
+    field = ellipsoid_field([scale, 0.8 * scale, 0.6 * scale], n_samples=16)
+    m_amp, report = verify_log_boundary_barrier(field, 2, 1.0, usup, t, d0)
+    assert m_amp * math.log1p(t * d0) >= usup
+    assert m_amp <= math.nextafter(usup / math.log1p(t * d0), math.inf)
+    assert report["boundary_match"]
+    assert report["passed"]
+
+
+@given(st.floats(1e-6, 1e6), st.floats(1e-3, 50.0), st.floats(1e-4, 0.5))
+@settings(max_examples=300, deadline=None)
+def test_log_barrier_boundary_term_always_matches(usup, t, d0):
+    # fsup = 0 leaves the boundary term in charge of M
+    field = sphere_field(1.0, 3, n_samples=4)
+    m_amp, report = verify_log_boundary_barrier(field, 2, 0.0, usup, t, d0, n_depth=4)
+    assert m_amp * math.log1p(t * d0) >= usup
+    assert report["boundary_match"]
+    assert report["passed"]
+
+
+# Per-cell reference: the verifiers and convexity checks as they were
+# before they were batched, one sigma_all call per sample x depth cell.
+
+def _ref_exp(field, k, lam, t, d0, n_depth):
+    depths = np.linspace(0.0, d0, n_depth + 1)[1:]
+    min_sj = math.inf
+    worst_margin = math.inf
+    for kap in field.kappas:
+        for d in depths:
+            denom = 1.0 - kap * d
+            vec = np.append(kap / denom, t)
+            sig = sigma_all(vec)
+            phi = math.exp(-t * d) - 1.0
+            for j in range(1, k + 1):
+                sj = t**j * math.exp(-j * t * d) * sig[j]
+                min_sj = min(min_sj, sj)
+                if j == k:
+                    worst_margin = min(worst_margin, sj - lam * abs(phi) ** k)
+    return {"min_sj": min_sj, "worst_margin": worst_margin,
+            "admissible": min_sj > 0, "passed": min_sj > 0 and worst_margin > 0}
+
+
+def _ref_log(field, k, fsup, usup, t, d0, n_depth):
+    depths = np.linspace(0.0, d0, n_depth + 1)[1:]
+    beta = math.inf
+    for kap in field.kappas:
+        for d in depths:
+            denom = 1.0 - kap * d
+            vec = np.append(kap / denom, t / (1.0 + t * d))
+            sig = sigma_all(vec)
+            beta = min(beta, float(np.min(sig[1 : k + 1])))
+    if not beta > 0:
+        return None
+    beta_eff = 0.5 * beta
+    m_pde = ((1.0 + t * d0) / t) * (fsup / beta_eff) ** (1.0 / k) if fsup > 0 else 0.0
+    m_bc = usup / math.log1p(t * d0) if usup > 0 else 0.0
+    M = max(m_pde, m_bc, 1.0 if fsup == 0 and usup == 0 else 0.0)
+    while M * math.log1p(t * d0) < usup:
+        M = math.nextafter(M, math.inf)
+    min_sj = math.inf
+    worst_margin = math.inf
+    for kap in field.kappas:
+        for d in depths:
+            denom = 1.0 - kap * d
+            vec = np.append(kap / denom, t / (1.0 + t * d))
+            sig = sigma_all(vec)
+            amp = M * t / (1.0 + t * d)
+            for j in range(1, k + 1):
+                sj = amp**j * sig[j]
+                min_sj = min(min_sj, sj)
+                if j == k:
+                    worst_margin = min(worst_margin, sj - fsup)
+    match = M * math.log1p(t * d0) >= usup
+    return {"beta": beta, "M": M, "min_sj": min_sj, "worst_margin": worst_margin,
+            "boundary_match": match, "admissible": min_sj > 0,
+            "passed": min_sj > 0 and worst_margin >= 0 and match}
+
+
+def _ref_strictly_km1_convex(field, k):
+    return all(in_gamma_k(kap, k - 1, strict=True) for kap in field.kappas)
+
+
+def _ref_augmented_ok(field, k, R):
+    return all(in_gamma_k(np.append(kap, R), k, strict=True) for kap in field.kappas)
+
+
+def _reference_fields():
+    saddle = CurvatureField(
+        points=np.zeros((2, 3)), kappas=np.array([[-5.0, -5.0], [-5.0, -4.0]])
+    )
+    return [
+        ellipsoid_field([1.3, 0.7], n_samples=32),
+        ellipsoid_field([1.0, 0.8, 0.6], n_samples=24),
+        sphere_field(1.2, 3, n_samples=12),
+        sphere_field(0.9, 4, n_samples=8),
+        sphere_field(1.1, 5, n_samples=6),
+        saddle,
+    ]
+
+
+def _assert_report_matches(got, ref):
+    for key, value in ref.items():
+        if isinstance(value, bool):
+            assert got[key] == value, key
+        else:
+            np.testing.assert_allclose(got[key], value, rtol=1e-14, atol=0, err_msg=key)
+
+
+def test_batched_verifiers_match_per_cell_reference():
+    for field in _reference_fields():
+        mu = field.mu
+        for k in range(1, field.ambient_dim + 1):
+            for rate, collar in ((0.5, 0.25), (3.0, 0.1)):
+                t, d0 = rate * mu, collar / mu
+                lam = 0.05 * mu ** (2 * k)
+                got = verify_exp_boundary_barrier(field, k, lam, t, d0, n_depth=32)
+                _assert_report_matches(got, _ref_exp(field, k, lam, t, d0, 32))
+                usup = 1.0 / mu**2
+                ref = _ref_log(field, k, 1.0, usup, t, d0, 32)
+                if ref is None:
+                    with pytest.raises(SearchError):
+                        verify_log_boundary_barrier(field, k, 1.0, usup, t, d0, n_depth=32)
+                    continue
+                m_amp, got = verify_log_boundary_barrier(field, k, 1.0, usup, t, d0,
+                                                         n_depth=32)
+                _assert_report_matches(got, ref)
+                assert m_amp == got["M"]
+
+
+def test_batched_convexity_matches_per_cell_reference(monkeypatch):
+    # random boundaries with mixed-sign curvatures, kept strictly
+    # (k-1)-convex so augment_r has a nontrivial threshold to find
+    rng = np.random.default_rng(83)
+    raw = rng.uniform(-0.4, 1.5, (200, 3))
+    fields = _reference_fields()
+    for k in (2, 3):
+        rows = raw[[in_gamma_k(kap, k - 1) for kap in raw]]
+        fields.append(CurvatureField(points=np.zeros((rows.shape[0], 4)), kappas=rows))
+    results = []
+    for field in fields:
+        for k in range(2, field.ambient_dim + 1):
+            verdict = strictly_km1_convex(field, k)
+            assert verdict == _ref_strictly_km1_convex(field, k)
+            for R in (1e-6, 0.1, 0.37, 1.0, 10.0):
+                assert geometry._augmented_ok(field, k, R) == _ref_augmented_ok(field, k, R)
+            if verdict:
+                results.append((field, k, augment_r(field, k)))
+    assert any(r > 1e-3 for _, _, r in results)  # some searches leave the seed
+    monkeypatch.setattr(geometry, "_augmented_ok", _ref_augmented_ok)
+    for field, k, r_cert in results:
+        assert augment_r(field, k) == r_cert
+
+
+def test_augment_r_worst_sigma_matches_reference():
+    field = CurvatureField(
+        points=np.zeros((2, 4)), kappas=np.array([[1.0, 1.0, -0.1], [2.0, 1.0, -0.5]])
+    )
+    r_max = 0.01
+    with pytest.raises(SearchError) as info:
+        augment_r(field, 3, r_max=r_max)
+    ref = min(
+        sigma_k(np.append(kap, r_max), j) for kap in field.kappas for j in range(1, 4)
+    )
+    assert info.value.diagnostics["worst_sigma"] == ref
+
+
+def test_collar_needs_a_depth_node():
+    field = sphere_field(1.0, 3)
+    for n_depth in (0, -3):
+        with pytest.raises(DomainError):
+            verify_exp_boundary_barrier(field, 2, 1.0, 3.0, 0.1, n_depth=n_depth)
+        with pytest.raises(DomainError):
+            verify_log_boundary_barrier(field, 2, 1.0, 1.0, 3.0, 0.1, n_depth=n_depth)

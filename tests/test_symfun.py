@@ -170,3 +170,26 @@ def test_garding_roots_annihilate_sigma():
         scale = 1.0 + np.max(np.abs(sigma_all(lam)))
         for t in roots.real:
             assert abs(sigma_k(lam + t, k)) < 1e-6 * scale
+
+
+def test_batched_rows_match_single_calls():
+    # an (M, n) batch runs the same recurrence along each row, so every row
+    # equals the 1-d call on it exactly, not just to rounding
+    rng = np.random.default_rng(71)
+    for n in range(1, 7):
+        rows = rng.standard_normal((257, n)) * 10.0 ** rng.integers(-2, 3, (257, 1))
+        batched = sigma_all(rows)
+        assert batched.shape == (257, n + 1)
+        np.testing.assert_array_equal(batched, np.stack([sigma_all(row) for row in rows]))
+    one_row = rng.standard_normal((1, 4))
+    np.testing.assert_array_equal(sigma_all(one_row)[0], sigma_all(one_row[0]))
+
+
+def test_batched_non_finite_raises():
+    rows = np.ones((5, 3))
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in range(rows.shape[0]):
+            poisoned = rows.copy()
+            poisoned[i, i % 3] = bad
+            with pytest.raises(DomainError):
+                sigma_all(poisoned)
