@@ -4,45 +4,15 @@ Cone algebra for elementary symmetric polynomials, matrix admissibility,
 radial calculus with exact-quadrature Dirichlet solves, boundary-barrier
 verification near curved boundaries, and a power-iteration enclosure of
 the principal eigenvalue cross-checked by the monotone iteration.
+
+The package root re-exports only the library entry points, the types
+they take or return, and the error classes; everything else is imported
+from its module (khessian.symfun, .cones, .radial, .dirichlet, .eigen,
+.geometry).
 """
 
-from .cones import (
-    AdmissibleJet,
-    as_symmetric,
-    classical_subsolution_at,
-    classical_supersolution_at,
-    eigenvalues,
-    in_dual_sigma_k,
-    in_sigma_k,
-    load_matrix_json,
-    membership_slack,
-    s_k_op,
-    save_matrix_json,
-)
-from .dirichlet import (
-    SolverConfig,
-    SourceTerm,
-    classical_comparison_check,
-    fd_witness_residual,
-    first_integral_solve,
-    holder_seminorm,
-    make_grid,
-    solution_residual,
-    solve_radial_dirichlet,
-    verify_boundary_growth,
-)
-from .eigen import (
-    IterationConfig,
-    IterationResult,
-    SpectralEstimate,
-    domain_monotonicity_check,
-    estimate_lambda1,
-    iterate_fixed_lambda,
-    lower_bound,
-    minimum_principle_probe,
-    rayleigh_quotient,
-    upper_bound,
-)
+from .dirichlet import SolverConfig, SourceTerm, solve_radial_dirichlet
+from .eigen import IterationConfig, SpectralEstimate, estimate_lambda1
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -50,114 +20,23 @@ from .errors import (
     KHessianError,
     SearchError,
 )
-from .geometry import (
-    CurvatureField,
-    TubeSpec,
-    augment_r,
-    ellipsoid_field,
-    hess_dist_spectrum,
-    load_field_json,
-    s_j_composition,
-    save_field_json,
-    sphere_field,
-    strictly_km1_convex,
-    verify_exp_boundary_barrier,
-    verify_log_boundary_barrier,
-)
-from .radial import (
-    BarrierParams,
-    RadialProfile,
-    exp_barrier_profile,
-    exp_barrier_rate_floor,
-    hopf_linear_bound,
-    quartic_test_profile,
-    radial_hessian_spectrum,
-    residual_scale,
-    s_j_radial_power,
-    s_k_on_profile,
-    s_k_radial,
-    s_k_radial_origin,
-    s_k_radial_split,
-    two_path_agreement,
-)
-from .symfun import (
-    garding_poly_coeffs,
-    garding_roots_real,
-    in_gamma_k,
-    in_gamma_k_korevaar,
-    sigma_all,
-    sigma_k,
-)
+from .radial import RadialProfile
+from .symfun import sigma_all
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibleJet",
-    "BarrierParams",
     "ConvergenceError",
-    "CurvatureField",
     "DomainError",
     "InconsistencyError",
     "IterationConfig",
-    "IterationResult",
     "KHessianError",
     "RadialProfile",
     "SearchError",
     "SolverConfig",
     "SourceTerm",
     "SpectralEstimate",
-    "TubeSpec",
-    "as_symmetric",
-    "augment_r",
-    "classical_comparison_check",
-    "classical_subsolution_at",
-    "classical_supersolution_at",
-    "domain_monotonicity_check",
-    "eigenvalues",
-    "ellipsoid_field",
     "estimate_lambda1",
-    "fd_witness_residual",
-    "exp_barrier_profile",
-    "exp_barrier_rate_floor",
-    "first_integral_solve",
-    "garding_poly_coeffs",
-    "garding_roots_real",
-    "hess_dist_spectrum",
-    "holder_seminorm",
-    "hopf_linear_bound",
-    "in_dual_sigma_k",
-    "in_gamma_k",
-    "in_gamma_k_korevaar",
-    "in_sigma_k",
-    "iterate_fixed_lambda",
-    "load_field_json",
-    "load_matrix_json",
-    "lower_bound",
-    "make_grid",
-    "membership_slack",
-    "minimum_principle_probe",
-    "quartic_test_profile",
-    "radial_hessian_spectrum",
-    "rayleigh_quotient",
-    "residual_scale",
-    "s_j_composition",
-    "s_j_radial_power",
-    "s_k_on_profile",
-    "s_k_op",
-    "s_k_radial",
-    "s_k_radial_origin",
-    "s_k_radial_split",
-    "save_field_json",
-    "save_matrix_json",
     "sigma_all",
-    "sigma_k",
-    "solution_residual",
     "solve_radial_dirichlet",
-    "sphere_field",
-    "strictly_km1_convex",
-    "two_path_agreement",
-    "upper_bound",
-    "verify_boundary_growth",
-    "verify_exp_boundary_barrier",
-    "verify_log_boundary_barrier",
 ]

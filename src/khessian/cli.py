@@ -147,7 +147,10 @@ def write_manifest(out_dir: Path, command: str, parameters: dict,
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DomainError(f"cannot use {out} as the output directory: {exc}") from exc
     return out
 
 

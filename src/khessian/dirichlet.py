@@ -164,8 +164,8 @@ def make_grid(R: float, grid_size: int, graded: bool = False,
     1e-2^(1/(grid_size-1)) and the grading stays bounded as the grid is
     refined.  That resolves the boundary layer Holder studies care about.
     """
-    if not 0 <= r_inner < R:
-        raise DomainError("need 0 <= r_inner < R")
+    if not 0 <= r_inner < R < math.inf:
+        raise DomainError("need 0 <= r_inner < R with R finite")
     if grid_size < 2:
         raise DomainError("grid needs at least two intervals")
     if not graded:
@@ -247,6 +247,50 @@ def _weighted_moment_cumulative(f_nodes: np.ndarray, r: np.ndarray, N: int) -> n
     return out
 
 
+def _scaled_moment(f_nodes: np.ndarray, r: np.ndarray, N: int, k: int,
+                   scheme: str) -> np.ndarray:
+    """g = (k / C(N-1,k-1)) * max(int_{r_0}^r s^(N-1) f ds, 0), so r^(N-k) h'^k = g."""
+    if scheme == "simpson":
+        moment = _weighted_moment_cumulative(f_nodes, r, N)
+    else:
+        moment = _cumulative(r ** (N - 1) * f_nodes, r, scheme)
+    return (k / math.comb(N - 1, k - 1)) * np.maximum(moment, 0.0)
+
+
+def _radial_power(r: np.ndarray, N: int, k: int) -> np.ndarray:
+    """r^((k-N)/k) at r > 0, and 0 at the origin.
+
+    The moment vanishes at the origin one order faster than r^(N-k), so
+    h'(0) = 0; the 0 stands in for the infinite power there.
+    """
+    return np.power(r, (k - N) / k, out=np.zeros_like(r), where=r > 0)
+
+
+def _profile_from_moment(g: np.ndarray, rpow: np.ndarray, r: np.ndarray, k: int,
+                         scheme: str) -> tuple:
+    """(h, h') from h' = g^(1/k) r^((k-N)/k), rpow = _radial_power(r, N, k), h(R) = 0."""
+    hp = g ** (1.0 / k) * rpow
+    if scheme == "trapezoid":
+        return -_reverse_cumulative_trapezoid(hp, r), hp
+    integral = _cumulative(hp, r, scheme)
+    return integral - integral[-1], hp
+
+
+def _recover_hpp(hp: np.ndarray, f_nodes: np.ndarray, r: np.ndarray, N: int,
+                 k: int) -> np.ndarray:
+    """h'' from d/dr of the first integral; exact wherever h' > 0."""
+    hpp = np.empty_like(hp)
+    pos = hp > 0
+    rp = r[pos]
+    hpp[pos] = ((k - N) / k) * hp[pos] / rp + (
+        rp ** (k - 1) * f_nodes[pos] / (math.comb(N - 1, k - 1) * hp[pos] ** (k - 1))
+    )
+    # where h' = 0 the profile is locally isotropic: D^2 u = h''(r) I
+    iso = ~pos
+    hpp[iso] = (f_nodes[iso] / math.comb(N, k)) ** (1.0 / k)
+    return hpp
+
+
 def first_integral_solve(f_nodes: np.ndarray, r: np.ndarray, N: int, k: int,
                          scheme: str = "simpson") -> tuple:
     """Core inversion on a fixed grid; returns (h, hp, hpp) node arrays.
@@ -255,33 +299,9 @@ def first_integral_solve(f_nodes: np.ndarray, r: np.ndarray, N: int, k: int,
     nodewise implies h_f <= h_g nodewise exactly in floating point; the
     fixed-point iteration depends on that and always passes 'trapezoid'.
     """
-    c_km1 = math.comb(N - 1, k - 1)
-    if scheme == "simpson":
-        moment = _weighted_moment_cumulative(f_nodes, r, N)
-    else:
-        moment = _cumulative(r ** (N - 1) * f_nodes, r, scheme)
-    moment = np.maximum(moment, 0.0)
-    # (h')^k = (k / C(N-1,k-1)) * r^(k-N) * moment; the moment vanishes at
-    # the origin one order faster than r^(N-k), so h'(0) = 0
-    hp = np.zeros_like(r)
-    mask = moment > 0
-    hp[mask] = ((k / c_km1) * moment[mask]) ** (1.0 / k) * r[mask] ** ((k - N) / k)
-    if scheme == "trapezoid":
-        h = -_reverse_cumulative_trapezoid(hp, r)
-    else:
-        integral = _cumulative(hp, r, scheme)
-        h = integral - integral[-1]
-    # h'' from d/dr of the first integral; exact wherever h' > 0
-    hpp = np.empty_like(hp)
-    pos = hp > 0
-    rp = r[pos]
-    hpp[pos] = ((k - N) / k) * hp[pos] / rp + (
-        rp ** (k - 1) * f_nodes[pos] / (c_km1 * hp[pos] ** (k - 1))
-    )
-    # where h' = 0 the profile is locally isotropic: D^2 u = h''(r) I
-    iso = ~pos
-    hpp[iso] = (f_nodes[iso] / math.comb(N, k)) ** (1.0 / k)
-    return h, hp, hpp
+    g = _scaled_moment(f_nodes, r, N, k, scheme)
+    h, hp = _profile_from_moment(g, _radial_power(r, N, k), r, k, scheme)
+    return h, hp, _recover_hpp(hp, f_nodes, r, N, k)
 
 
 def _stored_residual(hp: np.ndarray, hpp: np.ndarray, r: np.ndarray,
@@ -308,13 +328,10 @@ def fd_witness_residual(profile: RadialProfile, f: SourceTerm,
     r, hp = profile.r, profile.hp
     f_nodes = f.evaluate(r)
     hpp_fd = np.gradient(hp, r, edge_order=2)
-    n, k = profile.N, profile.k
-    c_km1 = math.comb(n - 1, k - 1)
     lo = 1 + skip
     if lo >= r.size - 1:
         raise DomainError("skip leaves no interior nodes")
-    q = hp[lo:-1] / r[lo:-1]
-    sk = c_km1 * q ** (k - 1) * (hpp_fd[lo:-1] + q * (n - k) / k)
+    sk = s_k_radial(hp[lo:-1], hpp_fd[lo:-1], r[lo:-1], profile.N, profile.k)
     return float(np.max(np.abs(sk - f_nodes[lo:-1]) / (1.0 + np.abs(f_nodes[lo:-1]))))
 
 
@@ -360,26 +377,19 @@ def solve_radial_dirichlet(f: SourceTerm, R: float, N: int, k: int,
 
 
 def _annulus_solve(f_nodes, r, N, k, scheme, inner_value):
-    """First integral with a free constant, matched to h(r_inner)."""
-    c_km1 = math.comb(N - 1, k - 1)
-    if scheme == "simpson":
-        moment = _weighted_moment_cumulative(f_nodes, r, N)
-    else:
-        moment = _cumulative(r ** (N - 1) * f_nodes, r, scheme)
-    base = (k / c_km1) * np.maximum(moment, 0.0)
+    """First integral with a free constant c0, matched to h(r_inner).
+
+    r^(N-k) h'^k = g + c0; the moment g and the power of r do not depend
+    on c0, so each search step only re-assembles h' and h.
+    """
+    base = _scaled_moment(f_nodes, r, N, k, scheme)
+    rpow = _radial_power(r, N, k)
 
     def assemble(c0):
-        g = np.maximum(base + c0, 0.0) * r ** (k - N)
-        hp = g ** (1.0 / k)
-        if scheme == "trapezoid":
-            h = -_reverse_cumulative_trapezoid(hp, r)
-        else:
-            integral = _cumulative(hp, r, scheme)
-            h = integral - integral[-1]
-        return h, hp
+        return _profile_from_moment(np.maximum(base + c0, 0.0), rpow, r, k, scheme)
 
     tol = 1e-12 * (1.0 + abs(inner_value))
-    h0, hp0 = assemble(0.0)
+    h0, _ = assemble(0.0)
     if inner_value > h0[0] + tol:
         raise DomainError(
             f"inner value {inner_value:.6g} unreachable; k-convex branch "
@@ -399,16 +409,8 @@ def _annulus_solve(f_nodes, r, N, k, scheme, inner_value):
             hi = mid
         if hi - lo <= 1e-15 * (1.0 + hi):
             break
-    c0 = 0.5 * (lo + hi)
-    h, hp = assemble(c0)
-    hpp = np.empty_like(hp)
-    pos = hp > 0
-    rp = r[pos]
-    hpp[pos] = ((k - N) / k) * hp[pos] / rp + (
-        rp ** (k - 1) * f_nodes[pos] / (c_km1 * hp[pos] ** (k - 1))
-    )
-    hpp[~pos] = (f_nodes[~pos] / math.comb(N, k)) ** (1.0 / k)
-    return h, hp, hpp
+    h, hp = assemble(0.5 * (lo + hi))
+    return h, hp, _recover_hpp(hp, f_nodes, r, N, k)
 
 
 def solution_residual(profile: RadialProfile, f: SourceTerm) -> float:

@@ -25,10 +25,10 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import simpson
 
-from .cones import AdmissibleJet, classical_supersolution_at
 from .dirichlet import SolverConfig, first_integral_solve, holder_seminorm, make_grid
 from .errors import DomainError, InconsistencyError
 from .radial import RadialProfile, s_k_on_profile
+from .symfun import sigma_all
 
 __all__ = [
     "IterationConfig",
@@ -61,8 +61,8 @@ def _check(N: int, k: int, R: float) -> None:
         raise DomainError("N and k must be integers")
     if k < 1 or k > N:
         raise DomainError("need 1 <= k <= N")
-    if R <= 0:
-        raise DomainError("radius must be positive")
+    if not 0 < R < math.inf:
+        raise DomainError("radius must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -308,24 +308,26 @@ def minimum_principle_probe(profile: RadialProfile, lam: float,
     interior minimum witnesses a minimum-principle failure, which is how
     an upper bound for the principal eigenvalue is demonstrated: below
     the eigenvalue such a function could not exist.
+
+    A node passes when S_k(D^2 u) + lam u |u|^(k-1) <= rhs or its Hessian
+    leaves the closed cone Sigma_k (a non-admissible Hessian is never
+    touched from below by an admissible test function).  The radial
+    Hessian is diagonal with spectrum h'' and h'/r repeated N-1 times,
+    h'' repeated N times at the origin, so one batched sigma_all over the
+    sorted spectra decides every node.  Cone membership allows the slack
+    1e-10 (1 + |spectrum|_2)^k, the Frobenius norm of that Hessian, as in
+    cones.membership_slack.
     """
+    if lam < 0:
+        raise DomainError("lam must be nonnegative")
     N, k = profile.N, profile.k
-    ok = np.empty(profile.r.size, dtype=bool)
-    for i, (rr, hh, pp, qq) in enumerate(
-        zip(profile.r, profile.h, profile.hp, profile.hpp)
-    ):
-        if rr == 0.0:
-            hess = qq * np.eye(N)
-        else:
-            vals = np.full(N, pp / rr)
-            vals[0] = qq
-            hess = np.diag(vals)
-        point = np.zeros(N)
-        point[0] = rr
-        grad = np.zeros(N)
-        grad[0] = pp
-        jet = AdmissibleJet(point=point, value=float(hh), gradient=grad, hessian=hess)
-        ok[i] = classical_supersolution_at(jet, k, lam, rhs)
+    r, h, hpp = profile.r, profile.h, profile.hpp
+    tangential = np.divide(profile.hp, r, out=hpp.copy(), where=r > 0)
+    spectra = np.column_stack([hpp] + [tangential] * (N - 1))
+    slack = 1e-10 * (1.0 + np.linalg.norm(spectra, axis=1)) ** k
+    sig = sigma_all(np.sort(spectra, axis=1))
+    admissible = np.all(sig[:, 1 : k + 1] >= -slack[:, None], axis=1)
+    ok = (sig[:, k] + lam * h * np.abs(h) ** (k - 1) <= rhs) | ~admissible
     interior = profile.r < profile.R
     interior_min = float(np.min(profile.h[interior]))
     argmin = int(np.argmin(profile.h))

@@ -264,7 +264,8 @@ def verify_log_boundary_barrier(field: CurvatureField, k: int, fsup: float,
     safety factor 0.5, sizes M so that S_k(D^2 v) >= fsup throughout the
     collar while M log(1 + t d0) >= usup matches the interior bound.
     Returns (M, report); raises SearchError when the collar data cannot
-    support a positive beta.
+    support a positive beta, and DomainError when log(1 + t d0) rounds to
+    0 or M overflows, where no finite amplitude certifies anything.
     """
     if k < 1 or k > field.ambient_dim:
         raise DomainError("order k out of range")
@@ -280,12 +281,16 @@ def verify_log_boundary_barrier(field: CurvatureField, k: int, fsup: float,
         )
     beta_eff = 0.5 * beta
     log_d0 = math.log1p(t * d0)
+    if log_d0 == 0.0:
+        raise DomainError(f"log(1 + t d0) underflows to 0 at t = {t!r}, d0 = {d0!r}")
     m_pde = ((1.0 + t * d0) / t) * (fsup / beta_eff) ** (1.0 / k) if fsup > 0 else 0.0
     m_bc = usup / log_d0 if usup > 0 else 0.0
     M = max(m_pde, m_bc, 1.0 if fsup == 0 and usup == 0 else 0.0)
     # usup / log_d0 is rounded, and the product can land an ulp below usup
     while M * log_d0 < usup:
         M = math.nextafter(M, math.inf)
+    if not math.isfinite(M):
+        raise DomainError(f"barrier amplitude overflows at t = {t!r}, d0 = {d0!r}")
 
     amp = M * t / (1.0 + t * depths)
     sj = (amp[:, None] ** np.arange(1, k + 1)) * sig

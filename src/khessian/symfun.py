@@ -18,7 +18,6 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "ascending",
     "sigma_k",
     "sigma_all",
     "in_gamma_k",
@@ -26,16 +25,6 @@ __all__ = [
     "garding_roots_real",
     "garding_poly_coeffs",
 ]
-
-
-def ascending(values) -> np.ndarray:
-    """Validate a spectrum: finite real entries, returned sorted ascending."""
-    lam = np.asarray(values, dtype=float).ravel()
-    if lam.size == 0:
-        raise DomainError("spectrum must be non-empty")
-    if not np.all(np.isfinite(lam)):
-        raise DomainError("spectrum entries must be finite")
-    return np.sort(lam)
 
 
 def _check_order(n: int, k: int) -> None:

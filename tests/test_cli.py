@@ -200,6 +200,39 @@ def test_verify_barrier_log_infeasible(tmp_path):
                 "--t", "3.0", "--d0", "0.1"]) == 2
 
 
+@pytest.mark.parametrize("t, d0", [
+    ("1e-200", "1e-200"),  # t d0 underflows to 0: log(1 + t d0) == 0
+    ("1e-170", "1e-150"),  # t d0 subnormal: usup / log(1 + t d0) overflows
+])
+def test_verify_barrier_log_degenerate_collar_is_input_error(t, d0, capsys):
+    assert run(["verify", "barrier-log", "--dim", "3", "--order", "2",
+                "--fsup", "1", "--usup", "1", "--sphere", "1",
+                "--t", t, "--d0", d0]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert "Traceback" not in captured.err and "error:" in captured.err
+
+
+def test_out_naming_a_file_is_input_error(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert run(["eigen", "--dim", "2", "--order", "1", "--radius", "1",
+                "--out", afile] + FAST) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "output directory" in err
+    assert afile.read_text() == ""
+
+
+def test_non_finite_radius_is_input_error(tmp_path, capsys):
+    for radius in ("inf", "nan"):
+        for argv in (["eigen"], ["solve", "--source", "const:1"]):
+            assert run(argv + ["--dim", "2", "--order", "1", "--radius", radius,
+                               "--out", tmp_path / "r"] + FAST[:2]) == 1
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and "finite" in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_config_file(tmp_path):
     cfg = tmp_path / "khess.cfg"
     cfg.write_text("# coarse run\ngrid_size = 64\nbisect_tol = 0.1\n")

@@ -328,10 +328,13 @@ def test_annulus_validation():
     assert abs(p.h[0] + 2.0) <= 1e-9
 
 
-def test_annulus_nonzero_source_consistency():
+@pytest.mark.parametrize("scheme", ["simpson", "trapezoid"])
+@pytest.mark.parametrize("n, k", [(3, 2), (2, 1), (4, 3), (5, 2)])
+def test_annulus_nonzero_source_consistency(n, k, scheme):
     # stored arrays satisfy the equation on the annulus too
     src = SourceTerm.constant(2.0)
-    p = solve_radial_dirichlet(src, 1.0, 3, 2, r_inner=0.3, inner_value=-0.4)
+    p = solve_radial_dirichlet(src, 1.0, n, k, SolverConfig(quadrature=scheme),
+                               r_inner=0.3, inner_value=-0.4)
     assert solution_residual(p, src) <= 1e-10
     assert abs(p.h[0] + 0.4) <= 1e-9
 

@@ -11,6 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from khessian.cones import AdmissibleJet, classical_supersolution_at
 from khessian.dirichlet import SolverConfig, SourceTerm, solve_radial_dirichlet
 from khessian.eigen import (
     IterationConfig,
@@ -25,7 +26,7 @@ from khessian.eigen import (
     upper_bound,
 )
 from khessian.errors import DomainError, InconsistencyError
-from khessian.radial import quartic_test_profile
+from khessian.radial import RadialProfile, quartic_test_profile
 
 # h'' + h'/r = lambda |h| on (0,1), h'(0) = 0, h(1) = 0: the first
 # eigenvalue is the squared Bessel zero j_{0,1}^2, reproduced to 2e-12
@@ -200,6 +201,100 @@ def test_minimum_principle_sharp_constant_three_two():
     rep_sharp = minimum_principle_probe(prof_sharp, sharp + 1e-9)
     assert rep_sharp["supersolution_everywhere"]
     assert rep_sharp["violates_minimum_principle"]
+
+
+def jet_loop_probe(profile, lam, rhs=0.0):
+    """The probe written out node by node on N x N jets, as a reference.
+
+    Each node builds the diagonal radial Hessian as a matrix and asks
+    cones.classical_supersolution_at, which takes its spectrum with
+    eigvalsh; minimum_principle_probe must return the same report.
+    """
+    N, k = profile.N, profile.k
+    ok = np.empty(profile.r.size, dtype=bool)
+    for i, (rr, hh, pp, qq) in enumerate(
+        zip(profile.r, profile.h, profile.hp, profile.hpp)
+    ):
+        if rr == 0.0:
+            hess = qq * np.eye(N)
+        else:
+            vals = np.full(N, pp / rr)
+            vals[0] = qq
+            hess = np.diag(vals)
+        point = np.zeros(N)
+        point[0] = rr
+        grad = np.zeros(N)
+        grad[0] = pp
+        jet = AdmissibleJet(point=point, value=float(hh), gradient=grad, hessian=hess)
+        ok[i] = classical_supersolution_at(jet, k, lam, rhs)
+    interior_min = float(np.min(profile.h[profile.r < profile.R]))
+    failed = np.flatnonzero(~ok)
+    return {
+        "lam": float(lam),
+        "supersolution_everywhere": bool(ok.all()),
+        "n_failed_nodes": int(failed.size),
+        "first_failed_r": float(profile.r[failed[0]]) if failed.size else None,
+        "interior_min": interior_min,
+        "argmin_r": float(profile.r[int(np.argmin(profile.h))]),
+        "negative_interior_min": bool(interior_min < 0),
+        "violates_minimum_principle": bool(ok.all() and interior_min < 0),
+    }
+
+
+def quartic_sharp_constant(n, k, R):
+    """Smallest lam for which the quartic is a supersolution on B_R."""
+    return (4.0**k * math.comb(n - 1, k - 1)
+            * max(n / k, (2.0 / k) * ((n + 2 * k) / (2.0 * (k + 1))) ** (k + 1))
+            * R ** (-2 * k))
+
+
+def test_minimum_principle_probe_matches_jet_loop_on_quartics():
+    # N = 1..6, every k, three radii; lam = 0 fails wherever S_k > 0, the
+    # upper bound is exactly sharp for N <= 2 (a tie at the origin) and
+    # too small for N >= 3, and just above the sharp constant every node
+    # passes
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for R in (0.5, 1.0, 2.0):
+                prof = quartic_test_profile(R, n, k, 64)
+                for lam in (0.0, upper_bound(n, k, R),
+                            1.000001 * quartic_sharp_constant(n, k, R)):
+                    assert minimum_principle_probe(prof, lam) == jet_loop_probe(prof, lam)
+    # the 513-node runs of khess verify minprinciple, and a nonzero rhs
+    for n, k, lam in ((2, 2, upper_bound(2, 2, 1.0)),
+                      (3, 2, 1.000001 * quartic_sharp_constant(3, 2, 1.0))):
+        prof = quartic_test_profile(1.0, n, k, 512)
+        assert minimum_principle_probe(prof, lam) == jet_loop_probe(prof, lam)
+        assert minimum_principle_probe(prof, lam, -1.0) == jet_loop_probe(prof, lam, -1.0)
+
+
+def test_minimum_principle_probe_matches_jet_loop_on_eigenfunctions(est21, est22):
+    for est in (est21, est22, estimate_lambda1(1.0, 3, 2, solver_cfg=SolverConfig(grid_size=64))):
+        w = est.eigenfunction
+        for lam in (est.lambda_lo, est.lambda_hi, est.bounds["upper"]):
+            assert minimum_principle_probe(w, lam) == jet_loop_probe(w, lam)
+    with pytest.raises(DomainError):
+        minimum_principle_probe(w, -1.0)
+
+
+def test_minimum_principle_probe_matches_jet_loop_at_the_cone_boundary():
+    # spectra (h'', q, ..., q) with sigma_k = C(N-1,k-1) q^(k-1) eps just
+    # inside or outside the closed cone, eps = c times the membership
+    # slack; with rhs = -1 every admissible node fails, so the report
+    # counts exactly the nodes the slack lets in
+    rng = np.random.default_rng(5)
+    r = np.linspace(0.0, 1.0, 65)
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            q = rng.uniform(0.5, 2.0, r.size)
+            hpp = -q * (n - k) / k
+            norm = np.sqrt(hpp**2 + (n - 1) * q**2)
+            c = np.resize([-3.0, -1.5, -0.9, -0.5, 0.5], r.size)
+            eps = c * 1e-10 * (1.0 + norm) ** k / (math.comb(n - 1, k - 1) * q ** (k - 1))
+            prof = RadialProfile(N=n, k=k, r=r, h=r**2 - 1.0, hp=q * r, hpp=hpp + eps)
+            rep = minimum_principle_probe(prof, 0.0, -1.0)
+            assert rep == jet_loop_probe(prof, 0.0, -1.0)
+            assert 0 < rep["n_failed_nodes"] < r.size
 
 
 def test_domain_monotonicity():

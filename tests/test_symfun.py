@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from khessian.errors import DomainError
 from khessian.symfun import (
-    ascending,
     garding_poly_coeffs,
     garding_roots_real,
     in_gamma_k,
@@ -53,12 +52,7 @@ def test_matches_enumeration():
             )
 
 
-def test_ascending_and_validation():
-    np.testing.assert_array_equal(ascending([3.0, 1.0, 2.0]), [1.0, 2.0, 3.0])
-    with pytest.raises(DomainError):
-        ascending([])
-    with pytest.raises(DomainError):
-        ascending([1.0, np.nan])
+def test_sigma_k_order_validation():
     with pytest.raises(DomainError):
         sigma_k([1.0, 2.0], 3)
     with pytest.raises(DomainError):
