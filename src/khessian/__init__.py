@@ -3,7 +3,7 @@
 Cone algebra for elementary symmetric polynomials, matrix admissibility,
 radial calculus with exact-quadrature Dirichlet solves, boundary-barrier
 verification near curved boundaries, and a power-iteration enclosure of
-the principal eigenvalue cross-checked by the monotone iteration.
+the discrete principal eigenvalue cross-checked by the monotone iteration.
 
 The package root re-exports only the library entry points, the types
 they take or return, and the error classes; everything else is imported

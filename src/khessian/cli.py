@@ -145,19 +145,24 @@ def write_manifest(out_dir: Path, command: str, parameters: dict,
     return path
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
+def _out_dir(path: str) -> tuple:
+    """Create the output directory.
+
+    Returns it and the directories this call made, deepest first.
+    """
+    out = Path(path)
+    made = [p for p in (out, *out.parents) if not p.exists()]
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DomainError(f"cannot use {out} as the output directory: {exc}") from exc
-    return out
+    return out, made
 
 
 def cmd_eigen(args, t0: float) -> int:
     solver_cfg, iter_cfg = resolve_configs(args)
     est = estimate_lambda1(args.radius, args.dim, args.order, iter_cfg, solver_cfg)
-    out = _out_dir(args)
+    out = args.out
     if args.format == "json":
         profile_name = "eigenfunction.json"
         est.eigenfunction.save_json(out / profile_name)
@@ -188,7 +193,7 @@ def cmd_solve(args, t0: float) -> int:
     profile = solve_radial_dirichlet(src, args.radius, args.dim, args.order,
                                      solver_cfg)
     residual = solution_residual(profile, src)
-    out = _out_dir(args)
+    out = args.out
     profile_path = out / "profile.csv"
     profile.save_csv(profile_path)
     report_path = out / "solve.json"
@@ -248,7 +253,7 @@ def cmd_cone(args, t0: float) -> int:
     for name, verdict in verdicts.items():
         print(f"{name}: {bool(verdict)}")
     if args.out is not None:
-        out = _out_dir(args)
+        out = args.out
         report_path = out / "cone.json"
         _write_json(report_path, {
             "k": k,
@@ -274,7 +279,7 @@ def _finish_verify(args, t0, check: str, params: dict, report: dict,
                    passed: bool) -> int:
     print(f"{check}: {'PASS' if passed else 'FAIL'}")
     if args.out is not None:
-        out = _out_dir(args)
+        out = args.out
         report_path = out / "report.json"
         _write_json(report_path, report)
         manifest = write_manifest(out, f"verify {check}", params, {},
@@ -433,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(v)
     _add_config_flags(v)
     _add_iter_flags(v)
-    v.add_argument("--out", default=None)
     v.set_defaults(func=cmd_verify)
 
     v = vsub.add_parser("monotone", help="domain monotonicity on nested balls")
@@ -442,13 +446,11 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--r2", type=float, required=True)
     _add_config_flags(v)
     _add_iter_flags(v)
-    v.add_argument("--out", default=None)
     v.set_defaults(func=cmd_verify)
 
     v = vsub.add_parser("hopf", help="linear boundary decay of the f=1 solve")
     _add_problem_flags(v)
     _add_config_flags(v)
-    v.add_argument("--out", default=None)
     v.set_defaults(func=cmd_verify)
 
     v = vsub.add_parser("minprinciple",
@@ -460,13 +462,12 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--profile", default=None, help="profile CSV to probe")
     v.add_argument("--lam", type=float, default=None,
                    help="eigenvalue candidate (default: certified upper bound)")
-    v.set_defaults(func=cmd_verify, out=None)
+    v.set_defaults(func=cmd_verify)
 
     v = vsub.add_parser("barrier-exp", help="exponential boundary barrier")
     _add_problem_flags(v, radius=False)
     v.add_argument("--lam", type=float, required=True)
     _add_field_flags(v)
-    v.add_argument("--out", default=None)
     v.set_defaults(func=cmd_verify)
 
     v = vsub.add_parser("barrier-log", help="logarithmic boundary barrier")
@@ -474,8 +475,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--fsup", type=float, required=True)
     v.add_argument("--usup", type=float, required=True)
     _add_field_flags(v)
-    v.add_argument("--out", default=None)
     v.set_defaults(func=cmd_verify)
+
+    for v in vsub.choices.values():
+        v.add_argument("--out", default=None, help="optional output directory")
 
     return parser
 
@@ -487,21 +490,33 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     t0 = time.perf_counter()
+    made = []
     try:
+        # resolve the output directory before any computation, so a bad
+        # --out costs no run
+        if args.out is not None:
+            args.out, made = _out_dir(args.out)
         return args.func(args, t0)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
     except (InconsistencyError, SearchError) as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         detail = getattr(exc, "trace", None) or getattr(exc, "diagnostics", None)
         if detail:
             print(json.dumps(detail, sort_keys=True, default=_jsonable),
                   file=sys.stderr)
-        return 2
+        code = 2
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    # a run that fails leaves no empty directory of its own behind
+    for d in made:
+        try:
+            d.rmdir()
+        except OSError:
+            break
+    return code
 
 
 if __name__ == "__main__":

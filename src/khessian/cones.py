@@ -2,31 +2,25 @@
 
 A matrix A is k-admissible when its eigenvalue vector lies in the closed
 k-th Garding cone; the Dirichlet dual cone is the complement of the
-negated interior.  Sub/supersolution predicates for the eigenvalue
-operator S_k(D^2 u) + lam * u * |u|^{k-1} are evaluated on pointwise jets.
+negated interior.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .symfun import in_gamma_k, sigma_k
+from .symfun import in_gamma_k
 
 __all__ = [
     "SYMMETRY_RTOL",
-    "AdmissibleJet",
     "as_symmetric",
     "eigenvalues",
-    "s_k_op",
     "membership_slack",
     "in_sigma_k",
     "in_dual_sigma_k",
-    "classical_subsolution_at",
-    "classical_supersolution_at",
     "load_matrix_json",
     "save_matrix_json",
 ]
@@ -60,11 +54,6 @@ def eigenvalues(matrix) -> np.ndarray:
     return np.linalg.eigvalsh(as_symmetric(matrix))
 
 
-def s_k_op(matrix, k: int) -> float:
-    """S_k(A) = sigma_k of the spectrum; S_1 = trace, S_N = det."""
-    return sigma_k(eigenvalues(matrix), k)
-
-
 def membership_slack(matrix, k: int) -> float:
     """Homogeneity-aware tolerance for closed-cone tests on computed data.
 
@@ -91,55 +80,6 @@ def in_dual_sigma_k(matrix, k: int) -> bool:
     """
     a = as_symmetric(matrix)
     return not in_sigma_k(-a, k, strict=True)
-
-
-@dataclass(frozen=True)
-class AdmissibleJet:
-    """Second-order data of a test function at one point."""
-
-    point: np.ndarray
-    value: float
-    gradient: np.ndarray
-    hessian: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", np.asarray(self.point, dtype=float))
-        object.__setattr__(self, "gradient", np.asarray(self.gradient, dtype=float))
-        object.__setattr__(self, "hessian", as_symmetric(self.hessian))
-        n = self.point.size
-        if self.gradient.size != n or self.hessian.shape != (n, n):
-            raise DomainError("jet components disagree on the dimension")
-        if not np.isfinite(self.value):
-            raise DomainError("jet value must be finite")
-
-
-def _operator_value(jet: AdmissibleJet, k: int, lam: float) -> float:
-    v = jet.value
-    return s_k_op(jet.hessian, k) + lam * v * abs(v) ** (k - 1)
-
-
-def classical_subsolution_at(jet: AdmissibleJet, k: int, lam: float, rhs: float = 0.0) -> bool:
-    """Pointwise classical subsolution test for the eigenvalue operator.
-
-    Requires both the differential inequality >= rhs and k-admissibility
-    of the Hessian (closed cone); the operator is only monotone on that
-    cone, so admissibility is part of being a subsolution.
-    """
-    if lam < 0:
-        raise DomainError("lam must be nonnegative")
-    return _operator_value(jet, k, lam) >= rhs and in_sigma_k(jet.hessian, k, strict=False)
-
-
-def classical_supersolution_at(jet: AdmissibleJet, k: int, lam: float, rhs: float = 0.0) -> bool:
-    """Pointwise classical supersolution test (disjunctive form).
-
-    A point passes when the inequality <= rhs holds or the Hessian leaves
-    the admissibility cone: a non-admissible Hessian can never be touched
-    from below by an admissible test function, so it counts vacuously.
-    """
-    if lam < 0:
-        raise DomainError("lam must be nonnegative")
-    return _operator_value(jet, k, lam) <= rhs or not in_sigma_k(jet.hessian, k, strict=False)
 
 
 def load_matrix_json(path) -> np.ndarray:

@@ -8,22 +8,20 @@ so h' is a k-th root of a cumulative quadrature and h follows by a second
 cumulative pass anchored at h(R) = 0.  No stepping scheme, no stability
 constraint; the only error is quadrature error.  h'' is recovered by
 differentiating the first integral, so the stored triple satisfies the
-equation node-wise by construction; that identity is the residual gate,
-while fd_witness_residual measures the independent finite-difference
-defect for diagnostics and tests.
+equation node-wise by construction; that identity is the residual gate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .errors import ConvergenceError, DomainError
-from .radial import RadialProfile, s_k_on_profile, s_k_radial
+from .radial import RadialProfile, read_csv_columns, s_k_on_profile, s_k_radial
 
 __all__ = [
     "SourceTerm",
@@ -32,10 +30,7 @@ __all__ = [
     "first_integral_solve",
     "solve_radial_dirichlet",
     "solution_residual",
-    "fd_witness_residual",
     "holder_seminorm",
-    "verify_boundary_growth",
-    "classical_comparison_check",
 ]
 
 
@@ -96,11 +91,8 @@ class SourceTerm:
             return cls.polynomial(coeffs)
         if text.startswith("file:"):
             text = text[5:]
-        try:
-            data = np.genfromtxt(text, delimiter=",", names=True)
-            return cls.from_samples(np.atleast_1d(data["r"]), np.atleast_1d(data["f"]))
-        except (OSError, KeyError, ValueError) as exc:
-            raise DomainError(f"source file {text} needs columns r,f: {exc}") from exc
+        columns = read_csv_columns(text, ("r", "f"), "source file")
+        return cls.from_samples(columns["r"], columns["f"])
 
     @property
     def closed_form(self) -> bool:
@@ -130,8 +122,8 @@ class SolverConfig:
 
     grid_size counts intervals (>= 64); simpson is fourth order on smooth
     data, trapezoid second order with nonnegative weights.  The residual
-    gate compares S_k built from a finite-difference h'' witness against f
-    and refines the grid (doubling) up to refine_max times.
+    gate compares S_k of the stored (h', h'') against f at the interior
+    nodes and refines the grid (doubling) up to refine_max times.
     """
 
     grid_size: int = 512
@@ -311,30 +303,6 @@ def _stored_residual(hp: np.ndarray, hpp: np.ndarray, r: np.ndarray,
     return float(np.max(np.abs(sk - f_nodes[1:-1]) / (1.0 + np.abs(f_nodes[1:-1]))))
 
 
-def fd_witness_residual(profile: RadialProfile, f: SourceTerm,
-                        skip: int = 0) -> float:
-    """True pointwise PDE defect with h'' re-derived by finite differences.
-
-    Unlike the stored h'', which comes from differentiating the first
-    integral and satisfies the equation by construction, the
-    finite-difference second derivative is an independent witness of how
-    well the discrete h' actually solves the equation.  The cumulative
-    quadrature has a startup layer at the origin where the moment is tiny
-    and its relative error does not refine away; `skip` drops that many
-    innermost interior nodes so the witness can measure the rest.
-    """
-    if skip < 0:
-        raise DomainError("skip must be nonnegative")
-    r, hp = profile.r, profile.hp
-    f_nodes = f.evaluate(r)
-    hpp_fd = np.gradient(hp, r, edge_order=2)
-    lo = 1 + skip
-    if lo >= r.size - 1:
-        raise DomainError("skip leaves no interior nodes")
-    sk = s_k_radial(hp[lo:-1], hpp_fd[lo:-1], r[lo:-1], profile.N, profile.k)
-    return float(np.max(np.abs(sk - f_nodes[lo:-1]) / (1.0 + np.abs(f_nodes[lo:-1]))))
-
-
 def solve_radial_dirichlet(f: SourceTerm, R: float, N: int, k: int,
                            cfg: SolverConfig = SolverConfig(),
                            r_inner: float = 0.0,
@@ -443,43 +411,3 @@ def holder_seminorm(profile: RadialProfile, alpha: float) -> float:
 
     return float(np.max([block_max(i) for i in range(0, r.size, _HOLDER_BLOCK)]))
 
-
-def verify_boundary_growth(profile: RadialProfile, C3: float, d0: float) -> dict:
-    """Check h(r) >= -C3 (R - r) on the collar 0 < R - r < d0."""
-    if C3 < 0 or d0 <= 0:
-        raise DomainError("need C3 >= 0 and d0 > 0")
-    R = profile.R
-    dist = R - profile.r
-    collar = (dist > 0) & (dist < d0)
-    if not np.any(collar):
-        raise DomainError("no grid nodes inside the boundary collar")
-    margins = profile.h[collar] + C3 * dist[collar]
-    worst = float(np.min(margins))
-    return {
-        "C3": float(C3),
-        "d0": float(d0),
-        "collar_nodes": int(np.count_nonzero(collar)),
-        "worst_margin": worst,
-        "passed": bool(worst >= -1e-12 * (1.0 + C3 * R)),
-    }
-
-
-def classical_comparison_check(sub: RadialProfile, sup: RadialProfile,
-                               c: float) -> bool:
-    """Literal comparison-principle implication on shared node data.
-
-    Given profiles on the same grid, evaluates: (sub <= sup at r = R)
-    implies (sub <= sup at every node).  Callers supply a strict
-    subsolution (S_k > c, k-convex) and a supersolution (S_k <= c); with
-    corrupted inputs the implication may fail, which is exactly the
-    negative control the harness wants.  c is recorded for the report
-    only; both profiles are compared as given.
-    """
-    if sub.r.shape != sup.r.shape or not np.allclose(sub.r, sup.r, rtol=0, atol=0):
-        raise DomainError("comparison needs identical grids")
-    if sub.N != sup.N or sub.k != sup.k:
-        raise DomainError("comparison needs matching dimension and order")
-    slack = 1e-12 * (1.0 + max(sub.sup_norm, sup.sup_norm))
-    premise = sub.h[-1] <= sup.h[-1] + slack
-    conclusion = bool(np.all(sub.h <= sup.h + slack))
-    return (not premise) or conclusion

@@ -19,15 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SearchError
-from .symfun import sigma_all, sigma_k
+from .symfun import sigma_all
 
 __all__ = [
     "CurvatureField",
-    "TubeSpec",
     "strictly_km1_convex",
     "augment_r",
-    "hess_dist_spectrum",
-    "s_j_composition",
     "verify_exp_boundary_barrier",
     "verify_log_boundary_barrier",
     "sphere_field",
@@ -74,29 +71,6 @@ class CurvatureField:
     def mu(self) -> float:
         """Curvature bound max |kappa| over the field."""
         return float(np.max(np.abs(self.kappas)))
-
-
-@dataclass(frozen=True)
-class TubeSpec:
-    """Regular tube data: 0 < d0 <= delta, mu >= max|kappa|, d0 <= 1/(2 mu)."""
-
-    delta: float
-    d0: float
-    mu: float
-
-    def __post_init__(self):
-        if not 0 < self.d0 <= self.delta:
-            raise DomainError("tube needs 0 < d0 <= delta")
-        if self.mu < 0:
-            raise DomainError("curvature bound mu must be nonnegative")
-        if self.mu > 0 and self.d0 > 1.0 / (2.0 * self.mu):
-            raise DomainError("tube width d0 must not exceed 1/(2 mu)")
-
-    @classmethod
-    def for_field(cls, field: CurvatureField, delta: float) -> "TubeSpec":
-        mu = field.mu
-        d0 = min(delta, 1.0 / (2.0 * mu)) if mu > 0 else delta
-        return cls(delta=delta, d0=d0, mu=mu)
 
 
 def strictly_km1_convex(field: CurvatureField, k: int) -> bool:
@@ -158,33 +132,6 @@ def augment_r(field: CurvatureField, k: int, r_max: float = None) -> float:
     if not _augmented_ok(field, k, hi):
         raise SearchError("augmentation certification failed", {"candidate": hi})
     return hi
-
-
-def hess_dist_spectrum(kappa, d: float) -> np.ndarray:
-    """Eigenvalues of D^2(dist) at depth d: -kappa_i/(1 - kappa_i d) and 0."""
-    kap = np.asarray(kappa, dtype=float).ravel()
-    if d < 0:
-        raise DomainError("depth d must be nonnegative")
-    denom = 1.0 - kap * d
-    if np.any(denom <= 0):
-        raise DomainError("depth d reaches the focal radius: 1 - kappa*d <= 0")
-    return np.sort(np.append(-kap / denom, 0.0))
-
-
-def s_j_composition(gp: float, gpp: float, kappa, d: float, j: int) -> float:
-    """S_j(D^2 (g o dist)) from g'(d), g''(d) and the curvatures at depth d.
-
-    The tangential eigenvalues are -kappa_i g'(d) / (1 - kappa_i d) and the
-    normal one is g''(d); S_j is sigma_j of that assembled vector.
-    """
-    kap = np.asarray(kappa, dtype=float).ravel()
-    if d < 0:
-        raise DomainError("depth d must be nonnegative")
-    denom = 1.0 - kap * d
-    if np.any(denom <= 0):
-        raise DomainError("depth d reaches the focal radius: 1 - kappa*d <= 0")
-    vec = np.append(-kap * gp / denom, gpp)
-    return sigma_k(vec, j)
 
 
 def _collar_depths(field: CurvatureField, d0: float, n_depth: int) -> np.ndarray:

@@ -3,8 +3,8 @@
 For w(x) = h(|x|) the Hessian spectrum at radius r > 0 is h'(r)/r with
 multiplicity N-1 together with h''(r), so S_k(D^2 w) collapses to a one
 dimensional expression.  This module carries the radial profiles used
-throughout: the quartic test function, the exponential annulus barrier,
-pure-power profiles, and profile serialization.
+throughout: the quartic test function, the Hopf boundary estimate, and
+profile serialization.
 """
 
 from __future__ import annotations
@@ -18,22 +18,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .symfun import sigma_k
 
 __all__ = [
     "RadialProfile",
-    "BarrierParams",
-    "radial_hessian_spectrum",
     "s_k_radial",
-    "s_k_radial_split",
     "s_k_radial_origin",
     "s_k_on_profile",
-    "s_j_radial_power",
     "quartic_test_profile",
-    "exp_barrier_profile",
-    "exp_barrier_rate_floor",
     "hopf_linear_bound",
-    "residual_scale",
 ]
 
 
@@ -112,44 +104,27 @@ class RadialProfile:
 
     @classmethod
     def load_csv(cls, path, N: int, k: int, k_convex: bool = False) -> "RadialProfile":
-        try:
-            data = np.genfromtxt(path, delimiter=",", names=True)
-            columns = {name: np.atleast_1d(data[name]) for name in ("r", "h", "hp", "hpp")}
-        except (OSError, ValueError, IndexError) as exc:
-            raise DomainError(f"profile file {path} needs columns r,h,hp,hpp: {exc}") from exc
+        columns = read_csv_columns(path, ("r", "h", "hp", "hpp"), "profile file")
         return cls(N=N, k=k, k_convex=k_convex, **columns)
 
 
-@dataclass(frozen=True)
-class BarrierParams:
-    """Free parameters of the annulus barrier in exp_barrier_profile.
+def read_csv_columns(path, names, what: str) -> dict:
+    """The named columns of a CSV file with a header row, as 1-d arrays.
 
-    Amplitude C0, decay rate m and the interior sphere radius delta; their
-    positivity and the rate floor are checked where they are used.  C0 is
-    signed: the annulus barrier C0*(exp(-m*delta) - exp(-m*r)) is a
-    negative strict supersolution for C0 > 0, which is the reading every
-    harness here uses, but the amplitude may be flipped to study the
-    reflected object.
+    A missing, empty or unparsable file, or one without every named
+    column, raises DomainError naming `what` and the columns it needs.
     """
-
-    C0: float = 1.0
-    m: float = 0.0
-    delta: float = 0.0
-
-
-def radial_hessian_spectrum(hp: float, hpp: float, r: float, N: int) -> np.ndarray:
-    """Hessian eigenvalues of a radial function at radius r > 0, ascending.
-
-    h'(r)/r carries multiplicity N-1 (tangential) and h''(r) multiplicity
-    one (radial).  At the origin the tangential value degenerates to
-    h''(0); evaluate that limit through s_k_radial_origin instead.
-    """
-    _check_dim_order(N, 1)
-    if r <= 0:
-        raise DomainError("radial spectrum needs r > 0; use the origin limit path")
-    vals = np.full(N, hp / r)
-    vals[0] = hpp
-    return np.sort(vals)
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+        # genfromtxt only warns on a file without data lines, then fails
+        if not any(line.split("#", 1)[0].strip() for line in lines):
+            raise ValueError("the file is empty")
+        data = np.genfromtxt(lines, delimiter=",", names=True)
+        return {name: np.atleast_1d(data[name]) for name in names}
+    except (OSError, KeyError, ValueError, IndexError) as exc:
+        need = ",".join(names)
+        raise DomainError(f"{what} {path} needs columns {need}: {exc}") from exc
 
 
 def s_k_radial(hp, hpp, r, N: int, k: int):
@@ -166,25 +141,6 @@ def s_k_radial(hp, hpp, r, N: int, k: int):
     out = math.comb(N - 1, k - 1) * q ** (k - 1) * (
         np.asarray(hpp, dtype=float) + q * (N - k) / k
     )
-    return out if out.ndim else float(out)
-
-
-def s_k_radial_split(hp, hpp, r, N: int, k: int):
-    """Same operator as s_k_radial, written as the two-term expansion.
-
-    hpp * sigma_{k-1}(tangential) + sigma_k(tangential) with the tangential
-    eigenvalue hp/r repeated N-1 times.  Kept as an independent code path;
-    the two must agree identically.
-    """
-    _check_dim_order(N, k)
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise DomainError("s_k_radial_split needs r > 0")
-    q = np.asarray(hp, dtype=float) / r
-    hpp = np.asarray(hpp, dtype=float)
-    out = math.comb(N - 1, k - 1) * q ** (k - 1) * hpp
-    if k <= N - 1:
-        out = out + math.comb(N - 1, k) * q**k
     return out if out.ndim else float(out)
 
 
@@ -207,29 +163,6 @@ def s_k_on_profile(profile: RadialProfile, k: Optional[int] = None) -> np.ndarra
     return out
 
 
-def s_j_radial_power(c: float, alpha: float, r, N: int, j: int):
-    """S_j of the pure power profile w = c * r^alpha.
-
-    Equals (c*alpha*r^(alpha-2))^j * (N-1)! / (j! (N-j)!) * ((alpha-2)j + N);
-    the bracket vanishes exactly at alpha = 2 - N/j, which is how the
-    fundamental-solution exponent annihilates S_k.
-    """
-    _check_dim_order(N, j)
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise DomainError("power profiles are evaluated away from the origin")
-    coef = math.factorial(N - 1) / (math.factorial(j) * math.factorial(N - j))
-    out = (c * alpha * r ** (alpha - 2.0)) ** j * coef * ((alpha - 2.0) * j + N)
-    return out if out.ndim else float(out)
-
-
-def residual_scale(hp, hpp, r, k: int) -> np.ndarray:
-    """Local magnitude (1 + |hp/r| + |hpp|)^k used to scale S_k tolerances."""
-    r = np.asarray(r, dtype=float)
-    q = np.where(r > 0, np.asarray(hp, dtype=float) / np.where(r > 0, r, 1.0), 0.0)
-    return (1.0 + np.abs(q) + np.abs(np.asarray(hpp, dtype=float))) ** k
-
-
 def quartic_test_profile(R: float, N: int, k: int, grid_size: int) -> RadialProfile:
     """The quartic h(r) = -(R^2 - r^2)^2 / 4 with analytic derivatives.
 
@@ -245,43 +178,6 @@ def quartic_test_profile(R: float, N: int, k: int, grid_size: int) -> RadialProf
     h = -0.25 * (R**2 - r**2) ** 2
     hp = r * (R**2 - r**2)
     hpp = R**2 - 3.0 * r**2
-    return RadialProfile(N=N, k=k, r=r, h=h, hp=hp, hpp=hpp, k_convex=False)
-
-
-def exp_barrier_rate_floor(N: int, k: int, delta: float) -> float:
-    """Smallest admissible decay rate for the annulus barrier: 2(N-k)/(k*delta)."""
-    _check_dim_order(N, k)
-    if delta <= 0:
-        raise DomainError("delta must be positive")
-    return 2.0 * (N - k) / (k * delta)
-
-
-def exp_barrier_profile(params: BarrierParams, N: int, k: int, grid_size: int) -> RadialProfile:
-    """Exponential barrier w = C0 (e^{-m delta} - e^{-m r}) on [delta/2, delta].
-
-    With m above the rate floor the bracket hpp + (hp/r)(N-k)/k is strictly
-    negative on the annulus, so for C0 > 0 the barrier is a strict
-    supersolution of S_k = 0 there: S_k(D^2 w) < 0 at every node.  It
-    vanishes on the outer sphere and is negative inside, which is what a
-    Hopf-type boundary estimate needs.
-    """
-    _check_dim_order(N, k)
-    if params.delta <= 0:
-        raise DomainError("barrier needs delta > 0")
-    if params.C0 == 0.0:
-        raise DomainError("barrier needs a nonzero amplitude C0")
-    floor = exp_barrier_rate_floor(N, k, params.delta)
-    if params.m <= floor:
-        raise DomainError(
-            f"barrier rate m={params.m} must exceed 2(N-k)/(k*delta) = {floor:.6g}"
-        )
-    if grid_size < 2:
-        raise DomainError("need at least two grid intervals")
-    r = np.linspace(0.5 * params.delta, params.delta, grid_size + 1)
-    decay = np.exp(-params.m * r)
-    h = params.C0 * (math.exp(-params.m * params.delta) - decay)
-    hp = params.C0 * params.m * decay
-    hpp = -params.C0 * params.m**2 * decay
     return RadialProfile(N=N, k=k, r=r, h=h, hp=hp, hpp=hpp, k_convex=False)
 
 
@@ -331,16 +227,3 @@ def hopf_linear_bound(profile: RadialProfile, r_in: Optional[float] = None,
         "passed": bool(worst >= -1e-12 * (1.0 + abs(C1) * R)),
     }
 
-
-def two_path_agreement(profile: RadialProfile) -> float:
-    """Max discrepancy between the two S_k code paths on a profile grid."""
-    mask = profile.r > 0
-    a = s_k_radial(profile.hp[mask], profile.hpp[mask], profile.r[mask], profile.N, profile.k)
-    b = s_k_radial_split(profile.hp[mask], profile.hpp[mask], profile.r[mask], profile.N, profile.k)
-    return float(np.max(np.abs(a - b)))
-
-
-def spectrum_matrix(hp: float, hpp: float, r: float, N: int) -> np.ndarray:
-    """Assembled diagonal Hessian with the radial spectrum, for jet building."""
-    vals = radial_hessian_spectrum(hp, hpp, r, N)
-    return np.diag(vals)

@@ -11,8 +11,6 @@ than M Python-level calls.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DomainError
@@ -21,9 +19,6 @@ __all__ = [
     "sigma_k",
     "sigma_all",
     "in_gamma_k",
-    "in_gamma_k_korevaar",
-    "garding_roots_real",
-    "garding_poly_coeffs",
 ]
 
 
@@ -89,73 +84,3 @@ def in_gamma_k(values, k: int, strict: bool = True, slack: float = 0.0) -> bool:
         return bool(np.all(sig > slack))
     return bool(np.all(sig >= -slack))
 
-
-def in_gamma_k_korevaar(values, k: int) -> bool:
-    """Garding cone membership via iterated partial derivatives of sigma_k.
-
-    The interior of the cone is characterized by sigma_k > 0 together with
-    positivity of every iterated partial of sigma_k up to order k-1.  A
-    partial with respect to distinct slots i_1..i_m equals sigma_{k-m} of
-    the vector with those entries deleted, so the check enumerates index
-    subsets and evaluates complements.  Exponential in k; meant as an
-    independent cross-check, not a production path.
-    """
-    from itertools import combinations
-
-    lam = np.asarray(values, dtype=float).ravel()
-    n = lam.size
-    _check_order(n, k)
-    if k == 0:
-        return True
-    if sigma_k(lam, k) <= 0.0:
-        return False
-    for m in range(1, k):
-        for subset in combinations(range(n), m):
-            rest = np.delete(lam, subset)
-            if sigma_k(rest, k - m) <= 0.0:
-                return False
-    return True
-
-
-def garding_poly_coeffs(values, k: int) -> np.ndarray:
-    """Coefficients of t -> sigma_k(t*ones + lam), highest power first.
-
-    The coefficient of t^{k-m} is C(N-m, k-m) * sigma_m(lam): a k-subset
-    containing a fixed m-subset can be completed in C(N-m, k-m) ways.
-    """
-    lam = np.asarray(values, dtype=float).ravel()
-    n = lam.size
-    _check_order(n, k)
-    sig = sigma_all(lam)
-    return np.array([math.comb(n - m, k - m) * sig[m] for m in range(k + 1)])
-
-
-def garding_roots_real(values, k: int, trials: int = 3) -> bool:
-    """Check hyperbolicity in the direction of ones: k real roots.
-
-    Roots of the degree-k polynomial t -> sigma_k(t*ones + lam) are computed
-    from its coefficients; a root counts as real when its imaginary part is
-    below 1e-9 * (1 + |lam|).  On root-finder failure the coefficients are
-    nudged by a tiny deterministic relative perturbation and retried up to
-    `trials` times before giving up.
-    """
-    lam = np.asarray(values, dtype=float).ravel()
-    _check_order(lam.size, k)
-    if k == 0:
-        return True
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    coeffs = garding_poly_coeffs(lam, k)
-    tol = 1e-9 * (1.0 + float(np.linalg.norm(lam)))
-    scale = np.max(np.abs(coeffs))
-    last_exc = None
-    for attempt in range(trials):
-        bumped = coeffs + (attempt * 1e-14 * scale)
-        try:
-            roots = np.roots(bumped)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-            last_exc = exc
-            continue
-        if roots.size == k and np.all(np.isfinite(roots)):
-            return bool(np.all(np.abs(roots.imag) <= tol))
-    raise DomainError(f"root finder failed after {trials} trials: {last_exc}")

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from khessian.cones import eigenvalues, in_sigma_k, s_k_op
+from khessian.cones import eigenvalues, in_sigma_k
 from khessian.dirichlet import (
     SolverConfig,
     SourceTerm,
@@ -26,8 +26,9 @@ from khessian.eigen import (
     minimum_principle_probe,
     upper_bound,
 )
-from khessian.radial import quartic_test_profile, residual_scale, s_k_radial
-from khessian.symfun import in_gamma_k, in_gamma_k_korevaar, sigma_all
+from khessian.radial import quartic_test_profile, s_k_radial
+from khessian.symfun import in_gamma_k, sigma_all
+from reference import in_gamma_k_korevaar, residual_scale, s_k_op
 
 PAIRS = [(2, 1), (2, 2), (3, 2), (3, 3), (4, 3)]
 

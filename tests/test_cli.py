@@ -5,10 +5,12 @@ bracket tolerance keep each invocation well under a second.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+import khessian.cli as cli
 from khessian.cli import main
 from khessian.cones import save_matrix_json
 from khessian.geometry import CurvatureField, save_field_json
@@ -151,16 +153,36 @@ def test_verify_minprinciple_quartic(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_minprinciple_writes_report_and_manifest(tmp_path, capsys):
+    out = tmp_path / "mp"
+    assert run(["verify", "minprinciple", "--quartic", "--dim", "2",
+                "--order", "2", "--radius", "1", "--grid", "128",
+                "--out", out]) == 0
+    capsys.readouterr()
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["violates_minimum_principle"] is True
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "verify minprinciple"
+    assert manifest["outputs"] == [str(out / "report.json")]
+
+
 def test_verify_minprinciple_bad_profile_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n3,4\n")
     empty = tmp_path / "empty.csv"
     empty.write_text("")
-    for path in (bad, empty, tmp_path / "missing.csv"):
-        assert run(["verify", "minprinciple", "--dim", "2", "--order", "1",
-                    "--radius", "1", "--profile", path]) == 1
+    blank = tmp_path / "blank.csv"
+    blank.write_text("\n  \n# r,h,hp,hpp\n")
+    for path in (bad, empty, blank, tmp_path / "missing.csv"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["verify", "minprinciple", "--dim", "2", "--order", "1",
+                        "--radius", "1", "--profile", path]) == 1
+        assert caught == []
         err = capsys.readouterr().err
-        assert "Traceback" not in err and "r,h,hp,hpp" in err
+        # one line, the error message, and nothing else
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "r,h,hp,hpp" in err
 
 
 def test_verify_barrier_exp(capsys):
@@ -213,14 +235,22 @@ def test_verify_barrier_log_degenerate_collar_is_input_error(t, d0, capsys):
     assert "Traceback" not in captured.err and "error:" in captured.err
 
 
-def test_out_naming_a_file_is_input_error(tmp_path, capsys):
+def test_out_naming_a_file_is_input_error(tmp_path, capsys, monkeypatch):
+    # the output directory is refused before any computation starts
+    def never(*args, **kwargs):
+        raise AssertionError("computed before --out was checked")
+
+    monkeypatch.setattr(cli, "estimate_lambda1", never)
+    monkeypatch.setattr(cli, "solve_radial_dirichlet", never)
     afile = tmp_path / "afile"
     afile.write_text("")
-    assert run(["eigen", "--dim", "2", "--order", "1", "--radius", "1",
-                "--out", afile] + FAST) == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err and "output directory" in err
-    assert afile.read_text() == ""
+    for argv in (["eigen"] + FAST, ["solve", "--source", "const:1"],
+                 ["verify", "bounds"] + FAST):
+        assert run(argv + ["--dim", "2", "--order", "1", "--radius", "1",
+                           "--out", afile]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "output directory" in err
+        assert afile.read_text() == ""
 
 
 def test_non_finite_radius_is_input_error(tmp_path, capsys):

