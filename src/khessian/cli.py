@@ -1,10 +1,15 @@
 """khess: batch command line for eigenvalue runs, solves, and verifications.
 
-Every run can write a manifest capturing the command, resolved
-parameters, configuration hash, and output paths; re-running the same
-manifest reproduces the output files byte for byte (wall time lives only
-in the manifest).  Exit codes: 0 success, 1 usage or input error, 2
-numerical inconsistency or failed verification.
+Each subcommand handler computes and returns a Run; main() alone prints
+it and, given an output directory, writes its files and a manifest.json.
+The manifest holds the command, its parameters (every parsed argument
+but --out), its config (the solver and iteration settings the command
+resolved from defaults, --config and flags; empty for cone and the
+barrier checks), a sha256 config_hash of those three, the version, the
+output paths and the wall time.  Re-running the same command reproduces
+the output files byte for byte; wall time lives only in the manifest.
+Exit codes: 0 success, 1 usage, input or write error, 2 numerical
+inconsistency or failed verification.
 """
 
 from __future__ import annotations
@@ -14,8 +19,9 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -159,45 +165,42 @@ def _out_dir(path: str) -> tuple:
     return out, made
 
 
-def cmd_eigen(args, t0: float) -> int:
+@dataclass
+class Run:
+    """What a subcommand computed: its output files (name -> a dict written
+    as JSON, or a callable that writes the file at a path), its summary
+    lines, the settings objects it used, and the verdict of a verify check.
+    """
+
+    outputs: dict
+    lines: list
+    configs: dict = field(default_factory=dict)
+    passed: Optional[bool] = None
+
+
+def cmd_eigen(args) -> Run:
     solver_cfg, iter_cfg = resolve_configs(args)
     est = estimate_lambda1(args.radius, args.dim, args.order, iter_cfg, solver_cfg)
-    out = args.out
-    if args.format == "json":
-        profile_name = "eigenfunction.json"
-        est.eigenfunction.save_json(out / profile_name)
-    else:
-        profile_name = "eigenfunction.csv"
-        est.eigenfunction.save_csv(out / profile_name)
-    est_path = out / "estimate.json"
-    _write_json(est_path, est.to_json_dict(profile_ref=profile_name))
-    params = {"dim": args.dim, "order": args.order, "radius": args.radius,
-              "format": args.format}
-    manifest = write_manifest(
-        out, "eigen", params,
-        {"solver": asdict(solver_cfg), "iteration": asdict(iter_cfg)},
-        [est_path, out / profile_name], t0,
+    profile_name = f"eigenfunction.{args.format}"
+    return Run(
+        outputs={"estimate.json": est.to_json_dict(profile_ref=profile_name),
+                 profile_name: getattr(est.eigenfunction, f"save_{args.format}")},
+        lines=[f"lambda_best = {est.lambda_best!r}",
+               f"bracket     [{est.lambda_lo!r}, {est.lambda_hi!r}]",
+               f"bounds      [{est.bounds['lower']!r}, {est.bounds['upper']!r}]",
+               f"rayleigh    {est.rayleigh!r}",
+               f"residual_max {est.residual_max!r}"],
+        configs={"solver": solver_cfg, "iteration": iter_cfg},
     )
-    print(f"lambda_best = {est.lambda_best!r}")
-    print(f"bracket     [{est.lambda_lo!r}, {est.lambda_hi!r}]")
-    print(f"bounds      [{est.bounds['lower']!r}, {est.bounds['upper']!r}]")
-    print(f"rayleigh    {est.rayleigh!r}")
-    print(f"residual_max {est.residual_max!r}")
-    print(f"wrote {est_path}, {out / profile_name}, {manifest}")
-    return 0
 
 
-def cmd_solve(args, t0: float) -> int:
+def cmd_solve(args) -> Run:
     solver_cfg, _ = resolve_configs(args)
     src = SourceTerm.parse(args.source)
     profile = solve_radial_dirichlet(src, args.radius, args.dim, args.order,
                                      solver_cfg)
     residual = solution_residual(profile, src)
-    out = args.out
-    profile_path = out / "profile.csv"
-    profile.save_csv(profile_path)
-    report_path = out / "solve.json"
-    _write_json(report_path, {
+    report = {
         "N": args.dim,
         "k": args.order,
         "R": args.radius,
@@ -207,19 +210,16 @@ def cmd_solve(args, t0: float) -> int:
         "tol_residual": solver_cfg.tol_residual,
         "sup_norm": profile.sup_norm,
         "profile_ref": "profile.csv",
-    })
-    params = {"dim": args.dim, "order": args.order, "radius": args.radius,
-              "source": args.source}
-    manifest = write_manifest(out, "solve", params,
-                              {"solver": asdict(solver_cfg)},
-                              [profile_path, report_path], t0)
-    print(f"residual = {residual!r} (tol {solver_cfg.tol_residual!r})")
-    print(f"sup norm = {profile.sup_norm!r}")
-    print(f"wrote {profile_path}, {report_path}, {manifest}")
-    return 0
+    }
+    return Run(
+        outputs={"profile.csv": profile.save_csv, "solve.json": report},
+        lines=[f"residual = {residual!r} (tol {solver_cfg.tol_residual!r})",
+               f"sup norm = {profile.sup_norm!r}"],
+        configs={"solver": solver_cfg},
+    )
 
 
-def cmd_cone(args, t0: float) -> int:
+def cmd_cone(args) -> Run:
     k = args.order
     if (args.matrix is None) == (args.lam_values is None):
         raise DomainError("provide exactly one of --matrix or --lambda")
@@ -247,24 +247,14 @@ def cmd_cone(args, t0: float) -> int:
     if k < 1 or k > vals.size:
         raise DomainError(f"need 1 <= k <= {vals.size}")
     sig = sigma_all(np.sort(vals))
-    print(f"{subject}, k = {k}")
-    for j in range(1, vals.size + 1):
-        print(f"sigma_{j} = {float(sig[j])!r}")
-    for name, verdict in verdicts.items():
-        print(f"{name}: {bool(verdict)}")
-    if args.out is not None:
-        out = args.out
-        report_path = out / "cone.json"
-        _write_json(report_path, {
-            "k": k,
-            "eigenvalues": np.sort(vals),
-            "sigma": sig[1:],
-            "verdicts": verdicts,
-        })
-        params = {"order": k, "matrix": args.matrix, "lambda": args.lam_values}
-        manifest = write_manifest(out, "cone", params, {}, [report_path], t0)
-        print(f"wrote {report_path}, {manifest}")
-    return 0
+    report = {"k": k, "eigenvalues": np.sort(vals), "sigma": sig[1:],
+              "verdicts": verdicts}
+    return Run(
+        outputs={"cone.json": report},
+        lines=[f"{subject}, k = {k}",
+               *(f"sigma_{j} = {float(sig[j])!r}" for j in range(1, vals.size + 1)),
+               *(f"{name}: {bool(verdict)}" for name, verdict in verdicts.items())],
+    )
 
 
 def _load_field(args):
@@ -275,98 +265,73 @@ def _load_field(args):
     return sphere_field(args.sphere, args.dim, n_samples=args.samples)
 
 
-def _finish_verify(args, t0, check: str, params: dict, report: dict,
-                   passed: bool) -> int:
-    print(f"{check}: {'PASS' if passed else 'FAIL'}")
-    if args.out is not None:
-        out = args.out
-        report_path = out / "report.json"
-        _write_json(report_path, report)
-        manifest = write_manifest(out, f"verify {check}", params, {},
-                                  [report_path], t0)
-        print(f"wrote {report_path}, {manifest}")
-    return 0 if passed else 2
+def cmd_bounds(args) -> Run:
+    solver_cfg, iter_cfg = resolve_configs(args)
+    est = estimate_lambda1(args.radius, args.dim, args.order, iter_cfg, solver_cfg)
+    lb, ub = est.bounds["lower"], est.bounds["upper"]
+    report = est.to_json_dict()
+    report["passed"] = lb <= est.lambda_best <= ub
+    return Run({"report.json": report},
+               [f"{lb!r} <= lambda_hat = {est.lambda_best!r} <= {ub!r}"],
+               configs={"solver": solver_cfg, "iteration": iter_cfg},
+               passed=report["passed"])
 
 
-def cmd_verify(args, t0: float) -> int:
-    check = args.check
-    if check == "bounds":
-        solver_cfg, iter_cfg = resolve_configs(args)
-        est = estimate_lambda1(args.radius, args.dim, args.order, iter_cfg,
-                               solver_cfg)
-        lb, ub = est.bounds["lower"], est.bounds["upper"]
-        passed = lb <= est.lambda_best <= ub
-        print(f"{lb!r} <= lambda_hat = {est.lambda_best!r} <= {ub!r}")
-        report = est.to_json_dict()
-        report["passed"] = passed
-        params = {"dim": args.dim, "order": args.order, "radius": args.radius}
-        return _finish_verify(args, t0, check, params, report, passed)
+def cmd_monotone(args) -> Run:
+    solver_cfg, iter_cfg = resolve_configs(args)
+    report = domain_monotonicity_check(args.dim, args.order, args.r1, args.r2,
+                                       iter_cfg, solver_cfg)
+    line = (f"lambda({report['R_big']!r}) = {report['lambda_big']!r} "
+            f"vs lambda({report['R_small']!r}) = {report['lambda_small']!r}")
+    return Run({"report.json": report}, [line],
+               configs={"solver": solver_cfg, "iteration": iter_cfg},
+               passed=report["passed"])
 
-    if check == "monotone":
-        solver_cfg, iter_cfg = resolve_configs(args)
-        report = domain_monotonicity_check(args.dim, args.order, args.r1,
-                                           args.r2, iter_cfg, solver_cfg)
-        print(f"lambda({report['R_big']!r}) = {report['lambda_big']!r} "
-              f"vs lambda({report['R_small']!r}) = {report['lambda_small']!r}")
-        params = {"dim": args.dim, "order": args.order, "r1": args.r1,
-                  "r2": args.r2}
-        return _finish_verify(args, t0, check, params, report, report["passed"])
 
-    if check == "hopf":
-        solver_cfg, _ = resolve_configs(args)
-        profile = solve_radial_dirichlet(SourceTerm.constant(1.0), args.radius,
-                                         args.dim, args.order, solver_cfg)
-        report = hopf_linear_bound(profile)
-        print(f"h <= -C1 (R - r) on [{report['r_in']!r}, R] with "
-              f"C1 = {report['C1']!r}, worst margin {report['worst_margin']!r}")
-        params = {"dim": args.dim, "order": args.order, "radius": args.radius}
-        return _finish_verify(args, t0, check, params, report, report["passed"])
+def cmd_hopf(args) -> Run:
+    solver_cfg, _ = resolve_configs(args)
+    profile = solve_radial_dirichlet(SourceTerm.constant(1.0), args.radius,
+                                     args.dim, args.order, solver_cfg)
+    report = hopf_linear_bound(profile)
+    line = (f"h <= -C1 (R - r) on [{report['r_in']!r}, R] with "
+            f"C1 = {report['C1']!r}, worst margin {report['worst_margin']!r}")
+    return Run({"report.json": report}, [line], configs={"solver": solver_cfg},
+               passed=report["passed"])
 
-    if check == "minprinciple":
-        solver_cfg, _ = resolve_configs(args)
-        if args.quartic:
-            profile = quartic_test_profile(args.radius, args.dim, args.order,
-                                           solver_cfg.grid_size)
-        elif args.profile is not None:
-            profile = RadialProfile.load_csv(args.profile, args.dim, args.order)
-        else:
-            raise DomainError("minprinciple needs --quartic or --profile FILE")
-        lam = args.lam if args.lam is not None else upper_bound(
-            args.dim, args.order, profile.R)
-        report = minimum_principle_probe(profile, lam)
-        print(f"supersolution at lam = {lam!r}: "
-              f"{report['supersolution_everywhere']}, interior min "
-              f"{report['interior_min']!r} at r = {report['argmin_r']!r}")
-        params = {"dim": args.dim, "order": args.order,
-                  "radius": getattr(args, "radius", None),
-                  "quartic": args.quartic, "lam": lam}
-        return _finish_verify(args, t0, check, params, report,
-                              report["violates_minimum_principle"])
 
-    if check == "barrier-exp":
-        field = _load_field(args)
-        report = verify_exp_boundary_barrier(field, args.order, args.lam,
-                                             args.t, args.d0,
-                                             n_depth=args.depth)
-        print(f"min S_j margin {report['worst_margin']!r} over "
-              f"{report['samples']} samples x {report['depth_nodes']} depths")
-        params = {"dim": args.dim, "order": args.order, "lam": args.lam,
-                  "t": args.t, "d0": args.d0, "field": args.field,
-                  "sphere": args.sphere}
-        return _finish_verify(args, t0, check, params, report, report["passed"])
+def cmd_minprinciple(args) -> Run:
+    solver_cfg, _ = resolve_configs(args)
+    if args.quartic:
+        profile = quartic_test_profile(args.radius, args.dim, args.order,
+                                       solver_cfg.grid_size)
+    elif args.profile is not None:
+        profile = RadialProfile.load_csv(args.profile, args.dim, args.order)
+    else:
+        raise DomainError("minprinciple needs --quartic or --profile FILE")
+    lam = args.lam if args.lam is not None else upper_bound(
+        args.dim, args.order, profile.R)
+    report = minimum_principle_probe(profile, lam)
+    line = (f"supersolution at lam = {lam!r}: "
+            f"{report['supersolution_everywhere']}, interior min "
+            f"{report['interior_min']!r} at r = {report['argmin_r']!r}")
+    return Run({"report.json": report}, [line], configs={"solver": solver_cfg},
+               passed=report["violates_minimum_principle"])
 
-    if check == "barrier-log":
-        field = _load_field(args)
-        M, report = verify_log_boundary_barrier(field, args.order, args.fsup,
-                                                args.usup, args.t, args.d0,
-                                                n_depth=args.depth)
-        print(f"amplitude M = {M!r}, beta = {report['beta']!r}")
-        params = {"dim": args.dim, "order": args.order, "fsup": args.fsup,
-                  "usup": args.usup, "t": args.t, "d0": args.d0,
-                  "field": args.field, "sphere": args.sphere}
-        return _finish_verify(args, t0, check, params, report, report["passed"])
 
-    raise DomainError(f"unknown verify subcommand {check!r}")
+def cmd_barrier_exp(args) -> Run:
+    report = verify_exp_boundary_barrier(_load_field(args), args.order, args.lam,
+                                         args.t, args.d0, n_depth=args.depth)
+    line = (f"min S_j margin {report['worst_margin']!r} over "
+            f"{report['samples']} samples x {report['depth_nodes']} depths")
+    return Run({"report.json": report}, [line], passed=report["passed"])
+
+
+def cmd_barrier_log(args) -> Run:
+    M, report = verify_log_boundary_barrier(_load_field(args), args.order,
+                                            args.fsup, args.usup, args.t,
+                                            args.d0, n_depth=args.depth)
+    line = f"amplitude M = {M!r}, beta = {report['beta']!r}"
+    return Run({"report.json": report}, [line], passed=report["passed"])
 
 
 def _add_problem_flags(p, radius=True):
@@ -438,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(v)
     _add_config_flags(v)
     _add_iter_flags(v)
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_bounds)
 
     v = vsub.add_parser("monotone", help="domain monotonicity on nested balls")
     _add_problem_flags(v, radius=False)
@@ -446,12 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--r2", type=float, required=True)
     _add_config_flags(v)
     _add_iter_flags(v)
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_monotone)
 
     v = vsub.add_parser("hopf", help="linear boundary decay of the f=1 solve")
     _add_problem_flags(v)
     _add_config_flags(v)
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_hopf)
 
     v = vsub.add_parser("minprinciple",
                         help="supersolution with a negative interior minimum")
@@ -462,20 +427,20 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--profile", default=None, help="profile CSV to probe")
     v.add_argument("--lam", type=float, default=None,
                    help="eigenvalue candidate (default: certified upper bound)")
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_minprinciple)
 
     v = vsub.add_parser("barrier-exp", help="exponential boundary barrier")
     _add_problem_flags(v, radius=False)
     v.add_argument("--lam", type=float, required=True)
     _add_field_flags(v)
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_barrier_exp)
 
     v = vsub.add_parser("barrier-log", help="logarithmic boundary barrier")
     _add_problem_flags(v, radius=False)
     v.add_argument("--fsup", type=float, required=True)
     v.add_argument("--usup", type=float, required=True)
     _add_field_flags(v)
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_barrier_log)
 
     for v in vsub.choices.values():
         v.add_argument("--out", default=None, help="optional output directory")
@@ -496,7 +461,27 @@ def main(argv=None) -> int:
         # --out costs no run
         if args.out is not None:
             args.out, made = _out_dir(args.out)
-        return args.func(args, t0)
+        run = args.func(args)
+        for line in run.lines:
+            print(line)
+        if run.passed is not None:
+            print(f"{args.check}: {'PASS' if run.passed else 'FAIL'}")
+        if args.out is not None:
+            params = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+            command = " ".join(params[k] for k in ("command", "check") if k in params)
+            configs = {name: asdict(cfg) for name, cfg in run.configs.items()}
+            paths = [args.out / name for name in run.outputs]
+            try:
+                for path, payload in zip(paths, run.outputs.values()):
+                    if callable(payload):
+                        payload(path)
+                    else:
+                        _write_json(path, payload)
+                manifest = write_manifest(args.out, command, params, configs, paths, t0)
+            except OSError as exc:
+                raise DomainError(f"cannot write the outputs: {exc}") from exc
+            print(f"wrote {', '.join(map(str, paths))}, {manifest}")
+        return 2 if run.passed is False else 0
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 1

@@ -21,7 +21,13 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .errors import ConvergenceError, DomainError
-from .radial import RadialProfile, read_csv_columns, s_k_on_profile, s_k_radial
+from .radial import (
+    RadialProfile,
+    _check_dim_order,
+    read_csv_columns,
+    s_k_on_profile,
+    s_k_radial,
+)
 
 __all__ = [
     "SourceTerm",
@@ -319,10 +325,11 @@ def solve_radial_dirichlet(f: SourceTerm, R: float, N: int, k: int,
         raise DomainError("f must be a SourceTerm")
     if R <= 0:
         raise DomainError("radius must be positive")
-    if N < 1 or k < 1 or k > N:
-        raise DomainError("need integers 1 <= k <= N")
+    _check_dim_order(N, k)
     if r_inner > 0 and inner_value is None:
         raise DomainError("annular solve needs the inner boundary value")
+    if inner_value is not None and not math.isfinite(inner_value):
+        raise DomainError(f"inner boundary value {inner_value!r} must be finite")
     if r_inner > 0 and inner_value > 0:
         raise DomainError("inner boundary value must be nonpositive")
 

@@ -225,7 +225,7 @@ def estimate_lambda1(R: float, N: int, k: int,
     r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
     # Each solve is two recursive sums of positive terms, each accurate to
     # r.size ulps relative, plus a few roundings; (v/a)^k multiplies by k.
-    rounding = k * (2 * r.size + 16) * np.finfo(float).eps
+    rounding = k * (2 * r.size + 16) * float(np.finfo(float).eps)
     v = R**2 - r**2
     widths = []
     for n_solves in range(1, _POWER_MAX_SOLVES + 1):

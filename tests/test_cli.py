@@ -12,6 +12,7 @@ import pytest
 
 import khessian.cli as cli
 from khessian.cli import main
+from khessian.radial import quartic_test_profile
 from khessian.cones import save_matrix_json
 from khessian.geometry import CurvatureField, save_field_json
 
@@ -41,7 +42,7 @@ def test_eigen_outputs_and_manifest(tmp_path, capsys):
                 "--out", out] + FAST)
     assert code == 0
     printed = capsys.readouterr().out
-    assert "lambda_best" in printed
+    assert "lambda_best" in printed and "np.float64" not in printed
     est = json.loads((out / "estimate.json").read_text())
     assert est["N"] == 2 and est["k"] == 1
     assert est["bounds"] == {"lower": 2.0, "upper": 8.0}
@@ -124,7 +125,7 @@ def test_verify_bounds(capsys):
     assert run(["verify", "bounds", "--dim", "3", "--order", "2",
                 "--radius", "1"] + FAST) == 0
     out = capsys.readouterr().out
-    assert "PASS" in out and "lambda_hat" in out
+    assert "PASS" in out and "lambda_hat" in out and "np.float64" not in out
 
 
 def test_verify_monotone(tmp_path, capsys):
@@ -289,3 +290,81 @@ def test_config_file_rejects_garbage(tmp_path):
     bad_val.write_text("grid_size = many\n")
     assert run(["eigen", "--dim", "2", "--order", "1", "--radius", "1",
                 "--config", bad_val, "--out", tmp_path]) == 1
+
+
+BARRIER_EXP = ["verify", "barrier-exp", "--dim", "3", "--order", "2", "--lam", "1.0",
+               "--sphere", "1.0", "--t", "3.0", "--d0", "0.1"]
+
+
+def _config_hash(argv, out):
+    assert run(argv + ["--out", out]) in (0, 2)
+    return json.loads((out / "manifest.json").read_text())["config_hash"]
+
+
+@pytest.mark.parametrize("base, one, other", [
+    (["verify", "bounds", "--dim", "2", "--order", "1", "--radius", "1",
+      "--bisect-tol", "0.1"], ["--grid", "64"], ["--grid", "128"]),
+    (["verify", "monotone", "--dim", "2", "--order", "1", "--r1", "1", "--r2", "1.5",
+      "--bisect-tol", "0.1"], ["--grid", "64"], ["--grid", "128"]),
+    (["verify", "hopf", "--dim", "3", "--order", "2", "--radius", "1"],
+     ["--grid", "64"], ["--grid", "128"]),
+    (BARRIER_EXP, ["--samples", "8"], ["--samples", "16"]),
+    (BARRIER_EXP, ["--samples", "8"], ["--samples", "8", "--depth", "4"]),
+    (["verify", "minprinciple", "--dim", "2", "--order", "2", "--radius", "1"],
+     ["--profile", "PROFILE64"], ["--profile", "PROFILE128"]),
+], ids=["bounds-grid", "monotone-grid", "hopf-grid", "barrier-exp-samples",
+        "barrier-exp-depth", "minprinciple-profile"])
+def test_config_hash_tells_runs_apart(base, one, other, tmp_path, capsys):
+    for grid in (64, 128):
+        quartic_test_profile(1.0, 2, 2, grid).save_csv(tmp_path / f"PROFILE{grid}")
+    one, other = ([tmp_path / a if a.startswith("PROFILE") else a for a in extra]
+                  for extra in (one, other))
+    first = _config_hash(base + one, tmp_path / "a")
+    # the output directory is not part of a run's identity
+    assert _config_hash(base + one, tmp_path / "b") == first
+    assert _config_hash(base + other, tmp_path / "c") != first
+
+
+def test_manifest_records_arguments_and_settings(tmp_path, capsys):
+    out = tmp_path / "hopf"
+    assert run(["verify", "hopf", "--dim", "3", "--order", "2", "--radius", "1",
+                "--grid", "128", "--out", out]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["parameters"]["grid"] == 128
+    assert "out" not in man["parameters"] and "func" not in man["parameters"]
+    assert list(man["config"]) == ["solver"]
+    assert man["config"]["solver"]["grid_size"] == 128
+
+    out = tmp_path / "exp"
+    assert run(BARRIER_EXP + ["--samples", "8", "--depth", "4", "--out", out]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["parameters"]["samples"] == 8 and man["parameters"]["depth"] == 4
+    assert man["config"] == {}
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (["eigen", "--dim", "2", "--order", "1", "--radius", "1"] + FAST, "estimate.json"),
+    (["eigen", "--dim", "2", "--order", "1", "--radius", "1", "--format", "json"] + FAST,
+     "eigenfunction.json"),
+    (["solve", "--dim", "3", "--order", "2", "--radius", "1", "--source", "const:3"],
+     "profile.csv"),
+    (["cone", "--order", "2", "--lambda=1,2"], "cone.json"),
+    (["verify", "bounds", "--dim", "2", "--order", "1", "--radius", "1"] + FAST,
+     "report.json"),
+    (["verify", "monotone", "--dim", "2", "--order", "1", "--r1", "1", "--r2", "1.5"]
+     + FAST, "report.json"),
+    (["verify", "hopf", "--dim", "3", "--order", "2", "--radius", "1"], "report.json"),
+    (["verify", "minprinciple", "--quartic", "--dim", "2", "--order", "2",
+      "--radius", "1", "--grid", "64"], "report.json"),
+    (BARRIER_EXP, "report.json"),
+    (["verify", "barrier-log", "--dim", "3", "--order", "2", "--fsup", "1", "--usup", "1",
+      "--sphere", "1", "--t", "3", "--d0", "0.1"], "report.json"),
+    (["verify", "hopf", "--dim", "3", "--order", "2", "--radius", "1"], "manifest.json"),
+], ids=["eigen", "eigen-json", "solve", "cone", "bounds", "monotone", "hopf",
+        "minprinciple", "barrier-exp", "barrier-log", "manifest"])
+def test_write_error_is_input_error(argv, blocked, tmp_path, capsys):
+    (tmp_path / blocked).mkdir()
+    assert run(argv + ["--out", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and blocked in err

@@ -320,6 +320,21 @@ def test_annulus_validation():
     assert abs(p.h[0] + 2.0) <= 1e-9
 
 
+
+@pytest.mark.parametrize("N, k", [(2.5, 1), (2, 1.0), (0, 1), (2, 3)])
+def test_solve_refuses_bad_dimension_or_order(N, k):
+    with pytest.raises(DomainError, match="N="):
+        solve_radial_dirichlet(SourceTerm.constant(1.0), 1.0, N, k)
+
+
+@pytest.mark.parametrize("inner_value", [math.nan, -math.inf])
+def test_solve_refuses_non_finite_inner_value(inner_value, monkeypatch):
+    # refused before any grid is built, not after four refinements
+    monkeypatch.setattr(dirichlet, "make_grid", None)
+    with pytest.raises(DomainError, match="finite"):
+        solve_radial_dirichlet(SourceTerm.constant(1.0), 1.0, 2, 1,
+                               r_inner=0.5, inner_value=inner_value)
+
 @pytest.mark.parametrize("scheme", ["simpson", "trapezoid"])
 @pytest.mark.parametrize("n, k", [(3, 2), (2, 1), (4, 3), (5, 2)])
 def test_annulus_nonzero_source_consistency(n, k, scheme):

@@ -63,6 +63,11 @@ def test_bracket_endpoints_frozen():
         upper_bound(2, 3, 1.0)
 
 
+
+def test_estimate_values_are_python_floats(est21):
+    for value in (est21.lambda_lo, est21.lambda_hi, est21.lambda_best):
+        assert type(value) is float
+
 def test_iteration_config_validation():
     with pytest.raises(DomainError):
         IterationConfig(n_max=5)
