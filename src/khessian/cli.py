@@ -8,6 +8,7 @@ resolved from defaults, --config and flags; empty for cone and the
 barrier checks), a sha256 config_hash of those three, the version, the
 output paths and the wall time.  Re-running the same command reproduces
 the output files byte for byte; wall time lives only in the manifest.
+A write that fails removes the files the run had created and exits 1.
 Exit codes: 0 success, 1 usage, input or write error, 2 numerical
 inconsistency or failed verification.
 """
@@ -15,6 +16,7 @@ inconsistency or failed verification.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -471,6 +473,9 @@ def main(argv=None) -> int:
             command = " ".join(params[k] for k in ("command", "check") if k in params)
             configs = {name: asdict(cfg) for name, cfg in run.configs.items()}
             paths = [args.out / name for name in run.outputs]
+            # a failed write takes back the files this run created, never
+            # one that was there before it
+            fresh = [p for p in (*paths, args.out / "manifest.json") if not p.exists()]
             try:
                 for path, payload in zip(paths, run.outputs.values()):
                     if callable(payload):
@@ -479,6 +484,9 @@ def main(argv=None) -> int:
                         _write_json(path, payload)
                 manifest = write_manifest(args.out, command, params, configs, paths, t0)
             except OSError as exc:
+                for path in fresh:
+                    with contextlib.suppress(OSError):
+                        path.unlink(missing_ok=True)
                 raise DomainError(f"cannot write the outputs: {exc}") from exc
             print(f"wrote {', '.join(map(str, paths))}, {manifest}")
         return 2 if run.passed is False else 0

@@ -25,7 +25,13 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import simpson
 
-from .dirichlet import SolverConfig, first_integral_solve, holder_seminorm, make_grid
+from .dirichlet import (
+    SolverConfig,
+    _recover_hpp,
+    _trapezoid_rows,
+    holder_seminorm,
+    make_grid,
+)
 from .errors import DomainError, InconsistencyError
 from .radial import RadialProfile, s_k_on_profile
 from .symfun import sigma_all
@@ -117,40 +123,84 @@ def iterate_fixed_lambda(lam: float, R: float, N: int, k: int,
     pointwise smaller solution exactly in floating point and the iterates
     are genuinely monotone node-wise, not just up to tolerance.  A
     violation is therefore a real fault and raises InconsistencyError.
+    This is the one-row call of the lockstep core that estimate_lambda1
+    runs its two probes on; a row's result does not depend on the others.
     """
     _check(N, k, R)
     if lam < 0:
         raise DomainError("lam must be nonnegative")
-    sup_cap = cfg.sup_cap if cfg.sup_cap is not None else default_sup_cap(N, k, R)
     r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
-    h_prev = np.zeros_like(r)
-    sup_trace: list = []
+    return _iterate_rows([lam], r, N, k, cfg, _sup_cap(cfg, N, k, R))[0]
+
+
+def _sup_cap(cfg: IterationConfig, N: int, k: int, R: float) -> float:
+    return cfg.sup_cap if cfg.sup_cap is not None else default_sup_cap(N, k, R)
+
+
+def _iterate_rows(lams: list, r: np.ndarray, N: int, k: int, cfg: IterationConfig,
+                  sup_cap: float) -> list:
+    """The monotone scheme at every lam of lams in lockstep, one row each.
+
+    Each step is one batched trapezoid solve of the rows still running,
+    computing only (h, h'); a row leaves once it reaches fixed-point,
+    sup-cap or n-max, and h'' is recovered once, for the profile it
+    returns.  Every row's IterationResult is bitwise the one it would get
+    alone.  A monotonicity fault in any row raises InconsistencyError
+    whose trace carries that row's lam, step n and sup trace.
+    """
+    solve = _trapezoid_rows(r, N, k)
+    results: list = [None] * len(lams)
+    traces: list = [[] for _ in lams]
+    rows = list(range(len(lams)))
+    lam_col = np.array(lams, dtype=float)[:, None]
+    h_prev = np.zeros((len(lams), r.size))
     for n in range(1, cfg.n_max + 1):
-        f_nodes = 1.0 + lam * np.abs(h_prev) ** k
-        h, hp, hpp = first_integral_solve(f_nodes, r, N, k, scheme="trapezoid")
-        if np.any(h > h_prev):
+        f_nodes = 1.0 + lam_col * np.abs(h_prev) ** k
+        h, hp = solve(f_nodes)
+        increased = h > h_prev
+        if increased.any():
+            i = rows[int(np.argmax(increased.any(axis=1)))]
             raise InconsistencyError(
                 "iterate increased somewhere despite a larger source",
-                trace={"lam": lam, "n": n, "sup_trace": sup_trace},
+                trace={"lam": lams[i], "n": n, "sup_trace": traces[i]},
             )
-        sup = float(np.max(np.abs(h)))
-        diff = float(np.max(h_prev - h))
-        sup_trace.append(sup)
+        sups = np.abs(h).max(axis=1).tolist()
+        diffs = (h_prev - h).max(axis=1).tolist()
+        running = []
+        for j, i in enumerate(rows):
+            sup_trace = traces[i]
+            sup_trace.append(sups[j])
+            if diffs[j] <= cfg.fixed_point_tol:
+                reason = "fixed-point"
+            elif sups[j] > sup_cap:
+                tail = np.diff(np.asarray(sup_trace[-10:]))
+                if np.any(tail < 0):
+                    raise InconsistencyError(
+                        "sup norms not monotone while exceeding the cap",
+                        trace={"lam": lams[i], "n": n, "sup_trace": sup_trace},
+                    )
+                reason = "sup-cap"
+            elif n == cfg.n_max:
+                reason = "n-max"
+            else:
+                running.append(j)
+                continue
+            hpp = _recover_hpp(hp[j], f_nodes[j], r, N, k)
+            profile = RadialProfile(N=N, k=k, r=r, h=h[j], hp=hp[j], hpp=hpp, k_convex=True)
+            results[i] = IterationResult(reason == "fixed-point", reason, n, sup_trace,
+                                         profile, lams[i])
+        if len(running) < len(rows):
+            rows = [rows[j] for j in running]
+            h, lam_col = h[running], lam_col[running]
+            if not rows:
+                break
         h_prev = h
-        if diff <= cfg.fixed_point_tol:
-            profile = RadialProfile(N=N, k=k, r=r, h=h, hp=hp, hpp=hpp, k_convex=True)
-            return IterationResult(True, "fixed-point", n, sup_trace, profile, lam)
-        if sup > sup_cap:
-            tail = np.diff(np.asarray(sup_trace[-10:]))
-            if np.any(tail < 0):
-                raise InconsistencyError(
-                    "sup norms not monotone while exceeding the cap",
-                    trace={"lam": lam, "n": n, "sup_trace": sup_trace},
-                )
-            profile = RadialProfile(N=N, k=k, r=r, h=h, hp=hp, hpp=hpp, k_convex=True)
-            return IterationResult(False, "sup-cap", n, sup_trace, profile, lam)
-    profile = RadialProfile(N=N, k=k, r=r, h=h, hp=hp, hpp=hpp, k_convex=True)
-    return IterationResult(False, "n-max", cfg.n_max, sup_trace, profile, lam)
+    return results
+
+
+# The diagnostics to_json_dict writes out: deterministic, so two identical
+# runs give byte-identical JSON; timings never go here.
+_JSON_DIAGNOSTICS = ("probes", "power_solves", "effective_bisect_tol")
 
 
 @dataclass
@@ -161,7 +211,10 @@ class SpectralEstimate:
     lambda_1 of the trapezoid scheme on the grid, which sits O(h^2) above
     the PDE's lambda_1, so the PDE value can lie outside it.  lambda_best
     is its midpoint.  bounds holds the certified lower and upper bounds on
-    the PDE's lambda_1.
+    the PDE's lambda_1.  diagnostics records the two cross-check probes
+    (lam, reason, n_iter), the power-iteration solve count, the final
+    bracket width and the eigenfunction's normalization; the JSON form
+    carries all of them but the normalization.
     """
 
     N: int
@@ -192,6 +245,8 @@ class SpectralEstimate:
         }
         if self.holder is not None:
             out["holder_seminorm"] = self.holder
+        out["diagnostics"] = {key: self.diagnostics[key] for key in _JSON_DIAGNOSTICS
+                              if key in self.diagnostics}
         return out
 
 
@@ -217,19 +272,25 @@ def estimate_lambda1(R: float, N: int, k: int,
     lambda_1 of the discretized problem, not the PDE's: at 512 intervals
     the PDE value lies about 2e-6 to 5e-6 (relative) below it.
     lambda_best is its midpoint and the eigenfunction is the last solve
-    normalized to minimum value -1.  Two fixed-lambda probes then confirm the paper's
-    dichotomy around lambda_best; any other verdict raises
-    InconsistencyError with the probe log.
+    normalized to minimum value -1.  Two fixed-lambda probes then confirm
+    the paper's dichotomy around lambda_best; they run in lockstep, one
+    batched trapezoid solve per step, with each verdict and iteration
+    count the same as a separate iterate_fixed_lambda call gives.  Any
+    verdict other than (fixed-point, sup-cap) raises InconsistencyError
+    with the probe log.  When 2k > N, holder is the exact
+    (2 - N/k)-Holder seminorm of the eigenfunction on the grid nodes.
     """
     _check(N, k, R)
     r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
     # Each solve is two recursive sums of positive terms, each accurate to
     # r.size ulps relative, plus a few roundings; (v/a)^k multiplies by k.
     rounding = k * (2 * r.size + 16) * float(np.finfo(float).eps)
+    solve = _trapezoid_rows(r, N, k)
     v = R**2 - r**2
     widths = []
     for n_solves in range(1, _POWER_MAX_SOLVES + 1):
-        h, hp, hpp = first_integral_solve(v**k, r, N, k, scheme="trapezoid")
+        f_nodes = v**k
+        h, hp = solve(f_nodes)
         a = -h
         ratio = (v[:-1] / a[:-1]) ** k
         lo = float(np.min(ratio)) * (1.0 - rounding)
@@ -247,16 +308,16 @@ def estimate_lambda1(R: float, N: int, k: int,
         )
     lam_best = 0.5 * (lo + hi)
 
-    probes = []
-    for lam in (lam_best * (1.0 - _PROBE_EPS), lam_best * (1.0 + _PROBE_EPS) ** k):
-        res = iterate_fixed_lambda(lam, R, N, k, cfg, solver_cfg)
-        probes.append({"lam": lam, "reason": res.reason, "n_iter": res.n_iter})
+    lams = [lam_best * (1.0 - _PROBE_EPS), lam_best * (1.0 + _PROBE_EPS) ** k]
+    probes = [{"lam": res.lam, "reason": res.reason, "n_iter": res.n_iter}
+              for res in _iterate_rows(lams, r, N, k, cfg, _sup_cap(cfg, N, k, R))]
     if [p["reason"] for p in probes] != ["fixed-point", "sup-cap"]:
         raise InconsistencyError(
             "fixed-lambda iteration disagrees with the power-iteration bracket",
             trace={"lambda_lo": lo, "lambda_hi": hi, "probes": probes},
         )
 
+    hpp = _recover_hpp(hp, f_nodes, r, N, k)
     s = float(np.max(a))
     w = RadialProfile(N=N, k=k, r=r, h=h / s, hp=hp / s, hpp=hpp / s, k_convex=True)
 

@@ -10,6 +10,10 @@ from itertools import combinations
 import numpy as np
 
 from khessian.cones import eigenvalues
+from khessian.dirichlet import first_integral_solve, make_grid
+from khessian.eigen import IterationResult, default_sup_cap
+from khessian.errors import InconsistencyError
+from khessian.radial import RadialProfile
 from khessian.symfun import sigma_k
 
 
@@ -45,3 +49,45 @@ def residual_scale(hp, hpp, r, k: int) -> np.ndarray:
 def s_k_op(matrix, k: int) -> float:
     """S_k(A) = sigma_k of the spectrum; S_1 = trace, S_N = det."""
     return sigma_k(eigenvalues(matrix), k)
+
+
+def holder_dense(r, h, alpha: float) -> float:
+    """max |h_i - h_j| / |r_i - r_j|^alpha over every pair of distinct nodes.
+
+    The full n x n pair matrix, taken 256 rows at a time to bound memory.
+    """
+    def rows_max(i):
+        dh = np.abs(h[i:i + 256, None] - h[None, :])
+        dr = np.abs(r[i:i + 256, None] - r[None, :])
+        mask = dr > 0
+        return np.max(dh[mask] / dr[mask] ** alpha)
+
+    return float(max(rows_max(i) for i in range(0, r.size, 256)))
+
+
+def iterate_fixed_lambda_unbatched(lam, R, N, k, cfg, solver_cfg) -> IterationResult:
+    """The paper's monotone scheme at one lam, one full first_integral_solve
+    (h, h', h'') per step, with the same stopping rules and fault checks."""
+    sup_cap = cfg.sup_cap if cfg.sup_cap is not None else default_sup_cap(N, k, R)
+    r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
+    h_prev = np.zeros_like(r)
+    sup_trace = []
+    for n in range(1, cfg.n_max + 1):
+        f_nodes = 1.0 + lam * np.abs(h_prev) ** k
+        h, hp, hpp = first_integral_solve(f_nodes, r, N, k, scheme="trapezoid")
+        if np.any(h > h_prev):
+            raise InconsistencyError("iterate increased",
+                                     trace={"lam": lam, "n": n, "sup_trace": sup_trace})
+        sup = float(np.max(np.abs(h)))
+        diff = float(np.max(h_prev - h))
+        sup_trace.append(sup)
+        h_prev = h
+        profile = RadialProfile(N=N, k=k, r=r, h=h, hp=hp, hpp=hpp, k_convex=True)
+        if diff <= cfg.fixed_point_tol:
+            return IterationResult(True, "fixed-point", n, sup_trace, profile, lam)
+        if sup > sup_cap:
+            if np.any(np.diff(np.asarray(sup_trace[-10:])) < 0):
+                raise InconsistencyError("sup norms not monotone",
+                                         trace={"lam": lam, "n": n, "sup_trace": sup_trace})
+            return IterationResult(False, "sup-cap", n, sup_trace, profile, lam)
+    return IterationResult(False, "n-max", cfg.n_max, sup_trace, profile, lam)

@@ -63,6 +63,9 @@ def test_eigen_determinism(tmp_path):
                     "--out", d] + FAST) == 0
     for name in ("estimate.json", "eigenfunction.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+    diag = json.loads((a / "estimate.json").read_text())["diagnostics"]
+    assert set(diag) == {"probes", "power_solves", "effective_bisect_tol"}
+    assert [p["reason"] for p in diag["probes"]] == ["fixed-point", "sup-cap"]
     ma = json.loads((a / "manifest.json").read_text())
     mb = json.loads((b / "manifest.json").read_text())
     assert ma["config_hash"] == mb["config_hash"]
@@ -368,3 +371,17 @@ def test_write_error_is_input_error(argv, blocked, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1 and blocked in err
+
+
+def test_failed_write_removes_only_the_files_it_created(tmp_path, capsys):
+    out = tmp_path / "w"
+    (out / "manifest.json").mkdir(parents=True)
+    argv = ["verify", "hopf", "--dim", "3", "--order", "2", "--radius", "1", "--out", out]
+    assert run(argv) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    assert (out / "manifest.json").is_dir()
+    # a file that was there before the run stays, rewritten or not
+    (out / "report.json").write_text("kept\n")
+    assert run(argv) == 1
+    assert (out / "report.json").exists()

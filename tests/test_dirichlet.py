@@ -22,9 +22,14 @@ from khessian.dirichlet import (
     solution_residual,
     solve_radial_dirichlet,
 )
+from khessian.eigen import estimate_lambda1
 from khessian.errors import ConvergenceError, DomainError
 from khessian.radial import RadialProfile, s_k_radial
 from khessian.symfun import in_gamma_k
+from reference import holder_dense
+
+# the nine (N, k) pairs of the shooting-oracle table
+ORACLE_PAIRS = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]
 
 
 def test_source_term_forms(tmp_path):
@@ -254,7 +259,8 @@ def test_holder_seminorm_closed_forms():
 
 
 def test_holder_seminorm_blocked_matches_dense():
-    # 257 nodes: one full row block and a one-row remainder
+    # 257 nodes: blocks do not divide the node count; a random walk leaves
+    # the pruning bounds little slack
     r = make_grid(1.0, 256)
     h = np.cumsum(np.random.default_rng(257).normal(size=r.size))
     prof = RadialProfile(N=3, k=2, r=r, h=h, hp=np.zeros_like(r), hpp=np.zeros_like(r))
@@ -264,6 +270,42 @@ def test_holder_seminorm_blocked_matches_dense():
     for alpha in (0.25, 0.5, 1.0):
         dense = float(np.max(dh[mask] / dr[mask] ** alpha))
         assert holder_seminorm(prof, alpha) == dense
+
+
+def _profile(r, h):
+    return RadialProfile(N=3, k=2, r=r, h=h, hp=np.zeros_like(r), hpp=np.zeros_like(r))
+
+
+def test_holder_seminorm_pruned_matches_dense_on_eigenfunctions():
+    cases = [(N, k, 512) for N, k in ORACLE_PAIRS] + [(3, 2, 2048), (4, 3, 2048)]
+    for N, k, grid in cases:
+        w = estimate_lambda1(1.0, N, k, solver_cfg=SolverConfig(grid_size=grid)).eigenfunction
+        alphas = {0.25, 1.0} | ({2.0 - N / k} if 2 * k > N else set())
+        for alpha in sorted(alphas):
+            assert holder_seminorm(w, alpha) == holder_dense(w.r, w.h, alpha), (N, k, alpha)
+
+
+@pytest.mark.parametrize("nodes", [65, 257, 2049])
+def test_holder_seminorm_pruned_matches_dense_off_block(nodes):
+    # node counts that are not multiples of the block, uniform and graded,
+    # smooth, kinked and random-walk profiles
+    rng = np.random.default_rng(nodes)
+    for graded in (False, True):
+        r = make_grid(1.0, nodes - 1, graded=graded)
+        for h in (np.sin(7.0 * r) - r**0.3, np.abs(r - 0.37) ** 0.6,
+                  np.cumsum(rng.normal(size=nodes))):
+            for alpha in (0.3, 1.0):
+                assert holder_seminorm(_profile(r, h), alpha) == holder_dense(r, h, alpha)
+
+
+def test_holder_seminorm_pruned_matches_dense_on_sqrt():
+    # sqrt(r) has 1/2-seminorm 1, attained at the origin against every node
+    for graded in (False, True):
+        r = make_grid(1.0, 512, graded=graded)
+        for alpha in (0.5, 0.75, 1.0):
+            value = holder_seminorm(_profile(r, np.sqrt(r)), alpha)
+            assert value == holder_dense(r, np.sqrt(r), alpha)
+        assert holder_seminorm(_profile(r, np.sqrt(r)), 0.5) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_trapezoid_cumsum_matches_scipy(monkeypatch):
@@ -277,7 +319,7 @@ def test_trapezoid_cumsum_matches_scipy(monkeypatch):
 
     new = [solve(*case) for case in cases]
     monkeypatch.setattr(dirichlet, "_cumulative",
-                        lambda y, x, scheme: cumulative_trapezoid(y, x, initial=0.0))
+                        lambda y, x, scheme, dx=None: cumulative_trapezoid(y, x, initial=0.0))
     for case, got in zip(cases, new):
         for a, b in zip(got, solve(*case)):
             np.testing.assert_array_equal(a, b)

@@ -12,8 +12,9 @@ import mpmath
 import numpy as np
 import pytest
 
+import khessian.eigen as eigen
 from khessian.cones import as_symmetric, in_sigma_k
-from khessian.dirichlet import SolverConfig, SourceTerm, solve_radial_dirichlet
+from khessian.dirichlet import SolverConfig, SourceTerm, make_grid, solve_radial_dirichlet
 from khessian.eigen import (
     IterationConfig,
     default_sup_cap,
@@ -28,7 +29,7 @@ from khessian.eigen import (
 )
 from khessian.errors import DomainError, InconsistencyError
 from khessian.radial import RadialProfile, quartic_test_profile
-from reference import s_k_op
+from reference import iterate_fixed_lambda_unbatched, s_k_op
 
 # h'' + h'/r = lambda |h| on (0,1), h'(0) = 0, h(1) = 0: the first
 # eigenvalue is the squared Bessel zero j_{0,1}^2, reproduced to 2e-12
@@ -174,7 +175,7 @@ def test_holder_seminorm_emitted_only_when_subcritical(est21, est22):
     assert "holder_seminorm" not in d21
     assert set(d21) == {
         "N", "k", "R", "lambda_lo", "lambda_hi", "lambda_best",
-        "bounds", "rayleigh", "residual_max", "profile_ref",
+        "bounds", "rayleigh", "residual_max", "profile_ref", "diagnostics",
     }
 
 
@@ -391,3 +392,81 @@ def test_n_max_is_undecided_and_fails_the_cross_check():
     assert not res.converged and res.reason == "n-max" and res.n_iter == 10
     with pytest.raises(InconsistencyError):
         estimate_lambda1(1.0, 2, 1, IterationConfig(n_max=10))
+
+
+# the nine (N, k) pairs of the shooting-oracle table
+ORACLE_PAIRS = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]
+PROBE_CASES = [(N, k, SolverConfig()) for N, k in ORACLE_PAIRS] + [
+    (3, 2, SolverConfig(grid_size=300, graded=True))]
+
+
+def _assert_same_iteration(a, b):
+    assert (a.reason, a.n_iter, a.converged, a.lam) == (b.reason, b.n_iter, b.converged, b.lam)
+    assert a.sup_trace == b.sup_trace
+    for name in ("r", "h", "hp", "hpp"):
+        assert np.array_equal(getattr(a.profile, name), getattr(b.profile, name)), name
+
+
+@pytest.mark.parametrize("N, k, solver_cfg", PROBE_CASES,
+                         ids=[f"{N}{k}-{c.grid_size}{'g' if c.graded else ''}"
+                              for N, k, c in PROBE_CASES])
+def test_lockstep_probes_match_separate_calls(N, k, solver_cfg):
+    # each row of the batched core is bitwise the one-lam run, and that is
+    # bitwise the paper's scheme written out one full solve per step
+    cfg = IterationConfig()
+    est = estimate_lambda1(1.0, N, k, cfg, solver_cfg)
+    probes = est.diagnostics["probes"]
+    lams = [p["lam"] for p in probes]
+    r = make_grid(1.0, solver_cfg.grid_size, graded=solver_cfg.graded)
+    rows = eigen._iterate_rows(lams, r, N, k, cfg, default_sup_cap(N, k, 1.0))
+    for probe, row in zip(probes, rows):
+        assert (probe["reason"], probe["n_iter"]) == (row.reason, row.n_iter)
+        _assert_same_iteration(row, iterate_fixed_lambda(row.lam, 1.0, N, k, cfg, solver_cfg))
+        _assert_same_iteration(
+            row, iterate_fixed_lambda_unbatched(row.lam, 1.0, N, k, cfg, solver_cfg))
+
+
+def test_lockstep_rows_leave_independently():
+    # rows end at steps 2 (fixed-point), 10 (n-max) and 10 (n-max)
+    cfg = IterationConfig(n_max=10)
+    solver_cfg = SolverConfig(grid_size=64)
+    lams = [5.0, 0.0, 1.0]
+    r = make_grid(1.0, 64)
+    rows = eigen._iterate_rows(lams, r, 2, 1, cfg, default_sup_cap(2, 1, 1.0))
+    assert [row.reason for row in rows] == ["n-max", "fixed-point", "n-max"]
+    for row in rows:
+        _assert_same_iteration(
+            row, iterate_fixed_lambda_unbatched(row.lam, 1.0, 2, 1, cfg, solver_cfg))
+
+
+def test_monotonicity_fault_in_one_row_names_its_lambda(monkeypatch):
+    real = eigen._trapezoid_rows
+
+    def faulty(r, N, k):
+        solve = real(r, N, k)
+        steps = []
+
+        def wrapped(f_nodes):
+            h, hp = solve(f_nodes)
+            steps.append(h.shape)
+            if len(steps) == 5:
+                h = h.copy()
+                h[1, 10] = 0.5  # the second row rises above its last iterate
+            return h, hp
+
+        return wrapped
+
+    monkeypatch.setattr(eigen, "_trapezoid_rows", faulty)
+    r = make_grid(1.0, 64)
+    with pytest.raises(InconsistencyError, match="increased") as info:
+        eigen._iterate_rows([2.0, 3.0], r, 2, 1, IterationConfig(), default_sup_cap(2, 1, 1.0))
+    trace = info.value.trace
+    assert trace["lam"] == 3.0 and trace["n"] == 5 and len(trace["sup_trace"]) == 4
+
+
+def test_estimate_json_diagnostics(est21):
+    d = est21.to_json_dict()["diagnostics"]
+    assert d == {"probes": est21.diagnostics["probes"],
+                 "power_solves": est21.diagnostics["power_solves"],
+                 "effective_bisect_tol": est21.diagnostics["effective_bisect_tol"]}
+    assert [p["reason"] for p in d["probes"]] == ["fixed-point", "sup-cap"]
