@@ -177,31 +177,14 @@ def make_grid(R: float, grid_size: int, graded: bool = False,
     return grid
 
 
-def _cumulative(y: np.ndarray, x: np.ndarray, scheme: str,
-                dx: Optional[np.ndarray] = None) -> np.ndarray:
-    """int_{x_0}^{x_m} y ds along the last axis of y.
+def _cumulative_trapezoid(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """int_{x_0}^{x_m} y ds along the last axis of y, dx = np.diff(x).
 
-    A caller that integrates many times on one grid passes dx = np.diff(x)
-    (trapezoid only), so the widths are computed once.
+    Nonnegative weights, in the operation order of scipy's
+    cumulative_trapezoid so results match it bitwise.
     """
-    if scheme == "trapezoid":
-        # nonnegative weights, in the operation order of scipy's
-        # cumulative_trapezoid so results match it bitwise
-        dx = np.diff(x) if dx is None else dx
-        out = np.zeros(y.shape)
-        np.cumsum(dx * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1, out=out[..., 1:])
-        return out
-    return cumulative_simpson(y, x=x, initial=0.0)
-
-
-def _reverse_cumulative_trapezoid(y: np.ndarray, x: np.ndarray,
-                                  dx: Optional[np.ndarray] = None) -> np.ndarray:
-    """int_r^R y ds along the last axis, accumulated from the outer end with
-    nonnegative weights; dx = np.diff(x) when the caller hoisted it."""
-    dx = np.diff(x) if dx is None else dx
-    inc = 0.5 * (y[..., 1:] + y[..., :-1]) * dx
     out = np.zeros(y.shape)
-    out[..., :-1] = np.cumsum(inc[..., ::-1], axis=-1)[..., ::-1]
+    np.cumsum(dx * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1, out=out[..., 1:])
     return out
 
 
@@ -255,57 +238,65 @@ def _weighted_moment_cumulative(f_nodes: np.ndarray, r: np.ndarray, N: int) -> n
     return out
 
 
-def _scaled_moment(f_nodes: np.ndarray, r: np.ndarray, N: int, k: int,
-                   scheme: str, weight: Optional[np.ndarray] = None,
-                   dx: Optional[np.ndarray] = None) -> np.ndarray:
-    """g = (k / C(N-1,k-1)) * max(int_{r_0}^r s^(N-1) f ds, 0), so r^(N-k) h'^k = g.
+class _FirstIntegral:
+    """The first-integral solve on one grid r, for any number of sources.
 
-    The trapezoid scheme works along the last axis of f_nodes and takes
-    weight = r^(N-1) and dx = np.diff(r) precomputed when given.
+    np.diff(r), r^(N-1) and r^((k-N)/k) are computed once, and the scheme
+    is checked once.  The trapezoid scheme works along the last axis of f,
+    one source per row; its weights are nonnegative, so f >= g nodewise
+    implies h_f <= h_g nodewise exactly in floating point, which the
+    fixed-point iteration depends on.  Simpson integrates the weight
+    s^(N-1) exactly against the pairwise quadratic of one source.
     """
-    if scheme == "simpson":
-        moment = _weighted_moment_cumulative(f_nodes, r, N)
-    else:
-        weight = r ** (N - 1) if weight is None else weight
-        moment = _cumulative(weight * f_nodes, r, scheme, dx)
-    return (k / math.comb(N - 1, k - 1)) * np.maximum(moment, 0.0)
 
+    def __init__(self, r: np.ndarray, N: int, k: int, scheme: str):
+        if scheme not in ("trapezoid", "simpson"):
+            raise DomainError(f"quadrature {scheme!r} must be 'trapezoid' or 'simpson'")
+        self.r, self.N, self.k = r, N, k
+        self.trapezoid = scheme == "trapezoid"
+        self.dx = np.diff(r)
+        self.weight = r ** (N - 1)
+        # r^((k-N)/k), and 0 at the origin: the moment vanishes there one
+        # order faster than r^(N-k), so h'(0) = 0
+        self.rpow = np.power(r, (k - N) / k, out=np.zeros_like(r), where=r > 0)
 
-def _radial_power(r: np.ndarray, N: int, k: int) -> np.ndarray:
-    """r^((k-N)/k) at r > 0, and 0 at the origin.
+    def moment(self, f_nodes: np.ndarray) -> np.ndarray:
+        """g = (k / C(N-1,k-1)) * max(int_{r_0}^r s^(N-1) f ds, 0), so r^(N-k) h'^k = g."""
+        if self.trapezoid:
+            moment = _cumulative_trapezoid(self.weight * f_nodes, self.dx)
+        else:
+            moment = _weighted_moment_cumulative(f_nodes, self.r, self.N)
+        return (self.k / math.comb(self.N - 1, self.k - 1)) * np.maximum(moment, 0.0)
 
-    The moment vanishes at the origin one order faster than r^(N-k), so
-    h'(0) = 0; the 0 stands in for the infinite power there.
-    """
-    return np.power(r, (k - N) / k, out=np.zeros_like(r), where=r > 0)
+    def profile(self, g: np.ndarray) -> tuple:
+        """(h, h') from h' = g^(1/k) r^((k-N)/k) and h(R) = 0."""
+        hp = g ** (1.0 / self.k) * self.rpow
+        if self.trapezoid:
+            # int_r^R h' ds, accumulated from the outer end
+            inc = 0.5 * (hp[..., 1:] + hp[..., :-1]) * self.dx
+            rest = np.zeros(hp.shape)
+            rest[..., :-1] = np.cumsum(inc[..., ::-1], axis=-1)[..., ::-1]
+            return -rest, hp
+        integral = cumulative_simpson(hp, x=self.r, initial=0.0)
+        return integral - integral[-1], hp
 
+    def solve(self, f_nodes: np.ndarray) -> tuple:
+        """(h, h') for the source f_nodes."""
+        return self.profile(self.moment(f_nodes))
 
-def _profile_from_moment(g: np.ndarray, rpow: np.ndarray, r: np.ndarray, k: int,
-                         scheme: str, dx: Optional[np.ndarray] = None) -> tuple:
-    """(h, h') from h' = g^(1/k) r^((k-N)/k), rpow = _radial_power(r, N, k), h(R) = 0.
-
-    The trapezoid scheme works along the last axis of g; dx = np.diff(r).
-    """
-    hp = g ** (1.0 / k) * rpow
-    if scheme == "trapezoid":
-        return -_reverse_cumulative_trapezoid(hp, r, dx), hp
-    integral = _cumulative(hp, r, scheme)
-    return integral - integral[-1], hp
-
-
-def _recover_hpp(hp: np.ndarray, f_nodes: np.ndarray, r: np.ndarray, N: int,
-                 k: int) -> np.ndarray:
-    """h'' from d/dr of the first integral; exact wherever h' > 0."""
-    hpp = np.empty_like(hp)
-    pos = hp > 0
-    rp = r[pos]
-    hpp[pos] = ((k - N) / k) * hp[pos] / rp + (
-        rp ** (k - 1) * f_nodes[pos] / (math.comb(N - 1, k - 1) * hp[pos] ** (k - 1))
-    )
-    # where h' = 0 the profile is locally isotropic: D^2 u = h''(r) I
-    iso = ~pos
-    hpp[iso] = (f_nodes[iso] / math.comb(N, k)) ** (1.0 / k)
-    return hpp
+    def hpp(self, hp: np.ndarray, f_nodes: np.ndarray) -> np.ndarray:
+        """h'' of one source from d/dr of the first integral; exact wherever h' > 0."""
+        N, k = self.N, self.k
+        hpp = np.empty_like(hp)
+        pos = hp > 0
+        rp = self.r[pos]
+        hpp[pos] = ((k - N) / k) * hp[pos] / rp + (
+            rp ** (k - 1) * f_nodes[pos] / (math.comb(N - 1, k - 1) * hp[pos] ** (k - 1))
+        )
+        # where h' = 0 the profile is locally isotropic: D^2 u = h''(r) I
+        iso = ~pos
+        hpp[iso] = (f_nodes[iso] / math.comb(N, k)) ** (1.0 / k)
+        return hpp
 
 
 def first_integral_solve(f_nodes: np.ndarray, r: np.ndarray, N: int, k: int,
@@ -314,30 +305,11 @@ def first_integral_solve(f_nodes: np.ndarray, r: np.ndarray, N: int, k: int,
 
     The trapezoid scheme has monotone nonnegative weights, so f >= g
     nodewise implies h_f <= h_g nodewise exactly in floating point; the
-    fixed-point iteration depends on that and always passes 'trapezoid'.
+    fixed-point iteration depends on that and always uses 'trapezoid'.
     """
-    g = _scaled_moment(f_nodes, r, N, k, scheme)
-    h, hp = _profile_from_moment(g, _radial_power(r, N, k), r, k, scheme)
-    return h, hp, _recover_hpp(hp, f_nodes, r, N, k)
-
-
-def _trapezoid_rows(r: np.ndarray, N: int, k: int) -> Callable:
-    """solve(f) -> (h, h') of the trapezoid first integral along the last axis of f.
-
-    Made for many solves on one grid: np.diff(r), r^(N-1) and r^((k-N)/k)
-    are computed here once.  Each row of f gives bitwise the (h, h') of
-    first_integral_solve(row, r, N, k, "trapezoid"); recover h'' with
-    _recover_hpp for the rows that need it.
-    """
-    dx = np.diff(r)
-    weight = r ** (N - 1)
-    rpow = _radial_power(r, N, k)
-
-    def solve(f_nodes: np.ndarray) -> tuple:
-        g = _scaled_moment(f_nodes, r, N, k, "trapezoid", weight, dx)
-        return _profile_from_moment(g, rpow, r, k, "trapezoid", dx)
-
-    return solve
+    solver = _FirstIntegral(r, N, k, scheme)
+    h, hp = solver.solve(f_nodes)
+    return h, hp, solver.hpp(hp, f_nodes)
 
 
 def _stored_residual(hp: np.ndarray, hpp: np.ndarray, r: np.ndarray,
@@ -395,11 +367,11 @@ def _annulus_solve(f_nodes, r, N, k, scheme, inner_value):
     r^(N-k) h'^k = g + c0; the moment g and the power of r do not depend
     on c0, so each search step only re-assembles h' and h.
     """
-    base = _scaled_moment(f_nodes, r, N, k, scheme)
-    rpow = _radial_power(r, N, k)
+    solver = _FirstIntegral(r, N, k, scheme)
+    base = solver.moment(f_nodes)
 
     def assemble(c0):
-        return _profile_from_moment(np.maximum(base + c0, 0.0), rpow, r, k, scheme)
+        return solver.profile(np.maximum(base + c0, 0.0))
 
     tol = 1e-12 * (1.0 + abs(inner_value))
     h0, _ = assemble(0.0)
@@ -423,7 +395,7 @@ def _annulus_solve(f_nodes, r, N, k, scheme, inner_value):
         if hi - lo <= 1e-15 * (1.0 + hi):
             break
     h, hp = assemble(0.5 * (lo + hi))
-    return h, hp, _recover_hpp(hp, f_nodes, r, N, k)
+    return h, hp, solver.hpp(hp, f_nodes)
 
 
 def solution_residual(profile: RadialProfile, f: SourceTerm) -> float:

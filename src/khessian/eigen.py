@@ -25,13 +25,7 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import simpson
 
-from .dirichlet import (
-    SolverConfig,
-    _recover_hpp,
-    _trapezoid_rows,
-    holder_seminorm,
-    make_grid,
-)
+from .dirichlet import SolverConfig, _FirstIntegral, holder_seminorm, make_grid
 from .errors import DomainError, InconsistencyError
 from .radial import RadialProfile, s_k_on_profile
 from .symfun import sigma_all
@@ -148,7 +142,7 @@ def _iterate_rows(lams: list, r: np.ndarray, N: int, k: int, cfg: IterationConfi
     alone.  A monotonicity fault in any row raises InconsistencyError
     whose trace carries that row's lam, step n and sup trace.
     """
-    solve = _trapezoid_rows(r, N, k)
+    solver = _FirstIntegral(r, N, k, "trapezoid")
     results: list = [None] * len(lams)
     traces: list = [[] for _ in lams]
     rows = list(range(len(lams)))
@@ -156,7 +150,7 @@ def _iterate_rows(lams: list, r: np.ndarray, N: int, k: int, cfg: IterationConfi
     h_prev = np.zeros((len(lams), r.size))
     for n in range(1, cfg.n_max + 1):
         f_nodes = 1.0 + lam_col * np.abs(h_prev) ** k
-        h, hp = solve(f_nodes)
+        h, hp = solver.solve(f_nodes)
         increased = h > h_prev
         if increased.any():
             i = rows[int(np.argmax(increased.any(axis=1)))]
@@ -185,8 +179,8 @@ def _iterate_rows(lams: list, r: np.ndarray, N: int, k: int, cfg: IterationConfi
             else:
                 running.append(j)
                 continue
-            hpp = _recover_hpp(hp[j], f_nodes[j], r, N, k)
-            profile = RadialProfile(N=N, k=k, r=r, h=h[j], hp=hp[j], hpp=hpp, k_convex=True)
+            profile = RadialProfile(N=N, k=k, r=r, h=h[j], hp=hp[j],
+                                    hpp=solver.hpp(hp[j], f_nodes[j]), k_convex=True)
             results[i] = IterationResult(reason == "fixed-point", reason, n, sup_trace,
                                          profile, lams[i])
         if len(running) < len(rows):
@@ -285,12 +279,12 @@ def estimate_lambda1(R: float, N: int, k: int,
     # Each solve is two recursive sums of positive terms, each accurate to
     # r.size ulps relative, plus a few roundings; (v/a)^k multiplies by k.
     rounding = k * (2 * r.size + 16) * float(np.finfo(float).eps)
-    solve = _trapezoid_rows(r, N, k)
+    solver = _FirstIntegral(r, N, k, "trapezoid")
     v = R**2 - r**2
     widths = []
     for n_solves in range(1, _POWER_MAX_SOLVES + 1):
         f_nodes = v**k
-        h, hp = solve(f_nodes)
+        h, hp = solver.solve(f_nodes)
         a = -h
         ratio = (v[:-1] / a[:-1]) ** k
         lo = float(np.min(ratio)) * (1.0 - rounding)
@@ -317,7 +311,7 @@ def estimate_lambda1(R: float, N: int, k: int,
             trace={"lambda_lo": lo, "lambda_hi": hi, "probes": probes},
         )
 
-    hpp = _recover_hpp(hp, f_nodes, r, N, k)
+    hpp = solver.hpp(hp, f_nodes)
     s = float(np.max(a))
     w = RadialProfile(N=N, k=k, r=r, h=h / s, hp=hp / s, hpp=hpp / s, k_convex=True)
 

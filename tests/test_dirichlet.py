@@ -318,11 +318,20 @@ def test_trapezoid_cumsum_matches_scipy(monkeypatch):
         return first_integral_solve(1.0 + (R**2 - r**2) ** k, r, N, k, scheme="trapezoid")
 
     new = [solve(*case) for case in cases]
-    monkeypatch.setattr(dirichlet, "_cumulative",
-                        lambda y, x, scheme, dx=None: cumulative_trapezoid(y, x, initial=0.0))
     for case, got in zip(cases, new):
+        r = make_grid(case[0], 512)
+        monkeypatch.setattr(dirichlet, "_cumulative_trapezoid",
+                            lambda y, dx: cumulative_trapezoid(y, r, initial=0.0))
         for a, b in zip(got, solve(*case)):
             np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("scheme", ["Simpson", "bogus", ""])
+def test_unknown_scheme_is_refused(scheme):
+    # an unknown name once ran a trapezoid moment under a Simpson profile
+    r = make_grid(1.0, 64)
+    with pytest.raises(DomainError, match="quadrature"):
+        first_integral_solve(1.0 + r**2, r, 3, 2, scheme)
 
 
 def test_holder_grid_stability():

@@ -440,23 +440,18 @@ def test_lockstep_rows_leave_independently():
 
 
 def test_monotonicity_fault_in_one_row_names_its_lambda(monkeypatch):
-    real = eigen._trapezoid_rows
+    steps = []
 
-    def faulty(r, N, k):
-        solve = real(r, N, k)
-        steps = []
-
-        def wrapped(f_nodes):
-            h, hp = solve(f_nodes)
+    class Faulty(eigen._FirstIntegral):
+        def solve(self, f_nodes):
+            h, hp = super().solve(f_nodes)
             steps.append(h.shape)
             if len(steps) == 5:
                 h = h.copy()
                 h[1, 10] = 0.5  # the second row rises above its last iterate
             return h, hp
 
-        return wrapped
-
-    monkeypatch.setattr(eigen, "_trapezoid_rows", faulty)
+    monkeypatch.setattr(eigen, "_FirstIntegral", Faulty)
     r = make_grid(1.0, 64)
     with pytest.raises(InconsistencyError, match="increased") as info:
         eigen._iterate_rows([2.0, 3.0], r, 2, 1, IterationConfig(), default_sup_cap(2, 1, 1.0))
