@@ -41,43 +41,41 @@ __all__ = [
 
 
 class SourceTerm:
-    """Nonnegative radial source: constant, polynomial, sampled, or callable."""
+    """Nonnegative radial source: constant, polynomial, sampled, or callable.
 
-    def __init__(self, kind: str, *, value: float = 0.0, coeffs=None,
-                 nodes=None, samples=None, fn: Optional[Callable] = None):
-        self.kind = kind
-        self.value = value
-        self.coeffs = None if coeffs is None else np.asarray(coeffs, dtype=float)
-        self.nodes = None if nodes is None else np.asarray(nodes, dtype=float)
-        self.samples = None if samples is None else np.asarray(samples, dtype=float)
-        self.fn = fn
-        if kind == "constant" and value < 0:
-            raise DomainError("source must be nonnegative")
-        if kind == "sampled":
-            if self.nodes is None or self.samples is None:
-                raise DomainError("sampled source needs nodes and samples")
-            if self.nodes.shape != self.samples.shape or self.nodes.ndim != 1:
-                raise DomainError("sampled source arrays must be matching 1-d")
-            if np.any(np.diff(self.nodes) <= 0):
-                raise DomainError("sampled source nodes must ascend")
-            if np.any(self.samples < 0):
-                raise DomainError("source must be nonnegative")
+    Each constructor checks its data and stores the one evaluator it needs.
+    """
+
+    def __init__(self, fn: Callable):
+        self._fn = fn
 
     @classmethod
     def constant(cls, c: float) -> "SourceTerm":
-        return cls("constant", value=float(c))
+        c = float(c)
+        if c < 0:
+            raise DomainError("source must be nonnegative")
+        return cls(lambda r: np.full_like(r, c))
 
     @classmethod
     def polynomial(cls, coeffs) -> "SourceTerm":
-        return cls("polynomial", coeffs=coeffs)
+        coeffs = np.asarray(coeffs, dtype=float)
+        return cls(lambda r: np.polynomial.polynomial.polyval(r, coeffs))
 
     @classmethod
     def from_samples(cls, nodes, samples) -> "SourceTerm":
-        return cls("sampled", nodes=nodes, samples=samples)
+        nodes = np.asarray(nodes, dtype=float)
+        samples = np.asarray(samples, dtype=float)
+        if nodes.shape != samples.shape or nodes.ndim != 1:
+            raise DomainError("sampled source arrays must be matching 1-d")
+        if np.any(np.diff(nodes) <= 0):
+            raise DomainError("sampled source nodes must ascend")
+        if np.any(samples < 0):
+            raise DomainError("source must be nonnegative")
+        return cls(lambda r: np.interp(r, nodes, samples))
 
     @classmethod
     def from_callable(cls, fn: Callable) -> "SourceTerm":
-        return cls("callable", fn=fn)
+        return cls(fn)
 
     @classmethod
     def parse(cls, text: str) -> "SourceTerm":
@@ -100,21 +98,8 @@ class SourceTerm:
         columns = read_csv_columns(text, ("r", "f"), "source file")
         return cls.from_samples(columns["r"], columns["f"])
 
-    @property
-    def closed_form(self) -> bool:
-        return self.kind in ("constant", "polynomial", "callable")
-
     def evaluate(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        if self.kind == "constant":
-            out = np.full_like(r, self.value)
-        elif self.kind == "polynomial":
-            out = np.polynomial.polynomial.polyval(r, self.coeffs)
-        elif self.kind == "sampled":
-            out = np.interp(r, self.nodes, self.samples)
-        else:
-            out = np.asarray(self.fn(r), dtype=float)
-        out = np.atleast_1d(np.asarray(out, dtype=float))
+        out = np.atleast_1d(np.asarray(self._fn(np.asarray(r, dtype=float)), dtype=float))
         if np.any(~np.isfinite(out)):
             raise DomainError("source evaluated to a non-finite value")
         if np.any(out < 0):

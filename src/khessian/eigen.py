@@ -348,19 +348,19 @@ def sphere_area(N: int) -> float:
     return 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
 
 
-def rayleigh_quotient(profile: RadialProfile, k: Optional[int] = None) -> float:
+def rayleigh_quotient(profile: RadialProfile) -> float:
     """[-int u S_k(D^2 u) dx] / ||u||_{k+1}^{k+1} on radial data.
 
     Both integrals reduce to weighted radial quadratures against
     r^{N-1} dr times the unit-sphere area; the quotient is invariant under
     scaling u -> c u, which the eigen tests exercise.
     """
-    k = profile.k if k is None else k
+    k = profile.k
     if not np.any(profile.h):
         raise DomainError("Rayleigh quotient of the zero profile is undefined")
     omega = sphere_area(profile.N)
     weight = profile.r ** (profile.N - 1)
-    sk = s_k_on_profile(profile, k)
+    sk = s_k_on_profile(profile)
     num = -omega * simpson(profile.h * sk * weight, x=profile.r)
     den = omega * simpson(np.abs(profile.h) ** (k + 1) * weight, x=profile.r)
     return float(num / den)

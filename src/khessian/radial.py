@@ -103,9 +103,9 @@ class RadialProfile:
             fh.write("\n")
 
     @classmethod
-    def load_csv(cls, path, N: int, k: int, k_convex: bool = False) -> "RadialProfile":
+    def load_csv(cls, path, N: int, k: int) -> "RadialProfile":
         columns = read_csv_columns(path, ("r", "h", "hp", "hpp"), "profile file")
-        return cls(N=N, k=k, k_convex=k_convex, **columns)
+        return cls(N=N, k=k, **columns)
 
 
 def read_csv_columns(path, names, what: str) -> dict:
@@ -150,9 +150,9 @@ def s_k_radial_origin(hpp0, N: int, k: int):
     return math.comb(N, k) * np.asarray(hpp0, dtype=float) ** k
 
 
-def s_k_on_profile(profile: RadialProfile, k: Optional[int] = None) -> np.ndarray:
+def s_k_on_profile(profile: RadialProfile) -> np.ndarray:
     """Evaluate S_k(D^2 w) at every profile node, origin included."""
-    k = profile.k if k is None else k
+    k = profile.k
     r, hp, hpp = profile.r, profile.hp, profile.hpp
     out = np.empty_like(r)
     if r[0] == 0.0:
