@@ -5,8 +5,9 @@ it and, given an output directory, writes its files and a manifest.json.
 The manifest holds the command, its parameters (every parsed argument
 but --out), its config (the solver and iteration settings the command
 resolved from defaults, --config and flags; empty for cone and the
-barrier checks), a sha256 config_hash of those three, the version, the
-output paths and the wall time.  Re-running the same command reproduces
+barrier checks), its inputs (the sha256 of every input file it read,
+by path), a sha256 config_hash of those four, the version, the output
+paths and the wall time.  Re-running the same command reproduces
 the output files byte for byte; wall time lives only in the manifest.
 A write that fails removes the files the run had created and exits 1.
 Exit codes: 0 success, 1 usage, input or write error, 2 numerical
@@ -21,7 +22,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -53,21 +54,6 @@ from .geometry import (
 from .radial import RadialProfile, hopf_linear_bound, quartic_test_profile
 from .symfun import in_gamma_k, sigma_all
 
-_SOLVER_FIELDS = {
-    "grid_size": int,
-    "quadrature": str,
-    "tol_residual": float,
-    "refine_max": int,
-    "graded": None,
-}
-_ITER_FIELDS = {
-    "sup_cap": float,
-    "n_max": int,
-    "fixed_point_tol": float,
-    "bisect_tol": float,
-}
-
-
 def _parse_bool(text: str) -> bool:
     low = text.lower()
     if low in ("true", "1", "yes", "on"):
@@ -75,6 +61,19 @@ def _parse_bool(text: str) -> bool:
     if low in ("false", "0", "no", "off"):
         return False
     raise DomainError(f"expected a boolean, got {text!r}")
+
+
+def _config_keys(cls) -> dict:
+    """--config key -> converter for each field of the settings dataclass cls:
+    _parse_bool for a bool default, float for a None default, else the
+    type of the default."""
+    return {f.name: _parse_bool if isinstance(f.default, bool)
+            else float if f.default is None else type(f.default)
+            for f in fields(cls)}
+
+
+_SOLVER_FIELDS = _config_keys(SolverConfig)
+_ITER_FIELDS = _config_keys(IterationConfig)
 
 
 def read_config(path: str) -> dict:
@@ -93,14 +92,11 @@ def read_config(path: str) -> dict:
             raise DomainError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key = key.strip()
         val = val.strip().strip("\"'")
-        if key in _SOLVER_FIELDS:
-            conv = _SOLVER_FIELDS[key]
-        elif key in _ITER_FIELDS:
-            conv = _ITER_FIELDS[key]
-        else:
+        conv = _SOLVER_FIELDS.get(key) or _ITER_FIELDS.get(key)
+        if conv is None:
             raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            overrides[key] = _parse_bool(val) if conv is None else conv(val)
+            overrides[key] = conv(val)
         except ValueError as exc:
             raise DomainError(f"{path}:{lineno}: bad value for {key}: {val!r}") from exc
     return overrides
@@ -134,15 +130,36 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _input_hashes(args) -> dict:
+    """{path: sha256 of its bytes} for each input file the run of args read:
+    --config, --matrix, --field, --profile (unless --quartic) and a
+    --source CSV."""
+    paths = [getattr(args, name, None) for name in ("config", "matrix", "field")]
+    if not getattr(args, "quartic", False):
+        paths.append(getattr(args, "profile", None))
+    source = getattr(args, "source", None)
+    if source is not None and not source.startswith(("const:", "poly:")):
+        paths.append(source.removeprefix("file:"))
+    hashes = {}
+    for path in filter(None, paths):
+        try:
+            hashes[path] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        except OSError as exc:
+            raise DomainError(f"cannot read the input file {path}: {exc}") from exc
+    return hashes
+
+
 def write_manifest(out_dir: Path, command: str, parameters: dict,
-                   configs: dict, outputs: list, t0: float) -> Path:
-    identity = {"command": command, "parameters": parameters, "config": configs}
+                   configs: dict, inputs: dict, outputs: list, t0: float) -> Path:
+    identity = {"command": command, "parameters": parameters, "config": configs,
+                "inputs": inputs}
     blob = json.dumps(identity, sort_keys=True, separators=(",", ":"),
                       default=_jsonable)
     manifest = {
         "command": command,
         "parameters": parameters,
         "config": configs,
+        "inputs": inputs,
         "config_hash": hashlib.sha256(blob.encode()).hexdigest(),
         "version": __version__,
         "outputs": [str(p) for p in outputs],
@@ -472,6 +489,7 @@ def main(argv=None) -> int:
             params = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
             command = " ".join(params[k] for k in ("command", "check") if k in params)
             configs = {name: asdict(cfg) for name, cfg in run.configs.items()}
+            inputs = _input_hashes(args)
             paths = [args.out / name for name in run.outputs]
             # a failed write takes back the files this run created, never
             # one that was there before it
@@ -482,7 +500,8 @@ def main(argv=None) -> int:
                         payload(path)
                     else:
                         _write_json(path, payload)
-                manifest = write_manifest(args.out, command, params, configs, paths, t0)
+                manifest = write_manifest(args.out, command, params, configs, inputs,
+                                          paths, t0)
             except OSError as exc:
                 for path in fresh:
                     with contextlib.suppress(OSError):

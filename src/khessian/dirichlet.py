@@ -128,7 +128,7 @@ class SolverConfig:
             raise DomainError("grid_size must be an integer >= 64")
         if self.quadrature not in ("trapezoid", "simpson"):
             raise DomainError("quadrature must be 'trapezoid' or 'simpson'")
-        if self.tol_residual <= 0:
+        if not self.tol_residual > 0:  # NaN too
             raise DomainError("tol_residual must be positive")
         if self.refine_max < 0:
             raise DomainError("refine_max must be nonnegative")

@@ -27,7 +27,7 @@ from scipy.integrate import simpson
 
 from .dirichlet import SolverConfig, _FirstIntegral, holder_seminorm, make_grid
 from .errors import DomainError, InconsistencyError
-from .radial import RadialProfile, s_k_on_profile
+from .radial import RadialProfile, _check_dim_order, s_k_on_profile
 from .symfun import sigma_all
 
 __all__ = [
@@ -57,12 +57,18 @@ def upper_bound(N: int, k: int, R: float) -> float:
 
 
 def _check(N: int, k: int, R: float) -> None:
-    if not isinstance(N, (int, np.integer)) or not isinstance(k, (int, np.integer)):
-        raise DomainError("N and k must be integers")
-    if k < 1 or k > N:
-        raise DomainError("need 1 <= k <= N")
+    _check_dim_order(N, k)
     if not 0 < R < math.inf:
         raise DomainError("radius must be positive and finite")
+    # lambda_1 scales as R^(-2k) and the eigenfunction's source as R^(2k);
+    # outside the range where both are normal floats the estimate is void
+    try:
+        scales = (float(R) ** (2 * k), float(R) ** (-2 * k))
+    except OverflowError:
+        scales = (math.inf,)
+    if not all(0 < s < math.inf for s in scales):
+        raise DomainError(f"radius {R!r} is out of range: R^(2k) and R^(-2k) "
+                          f"must be finite and nonzero for k = {k}")
 
 
 @dataclass(frozen=True)
@@ -81,13 +87,14 @@ class IterationConfig:
     bisect_tol: Optional[float] = None
 
     def __post_init__(self):
-        if self.sup_cap is not None and self.sup_cap <= 0:
+        # "not x > 0" also refuses NaN
+        if self.sup_cap is not None and not self.sup_cap > 0:
             raise DomainError("sup_cap must be positive")
         if self.n_max < 10:
             raise DomainError("n_max must be at least 10")
-        if self.fixed_point_tol <= 0:
+        if not self.fixed_point_tol > 0:
             raise DomainError("fixed_point_tol must be positive")
-        if self.bisect_tol is not None and self.bisect_tol <= 0:
+        if self.bisect_tol is not None and not self.bisect_tol > 0:
             raise DomainError("bisect_tol must be positive")
 
 

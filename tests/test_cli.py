@@ -4,14 +4,22 @@ Everything goes through main(argv) in process; coarse grids and a loose
 bracket tolerance keep each invocation well under a second.
 """
 
+import contextlib
+import dataclasses
+import hashlib
+import io
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import khessian.cli as cli
 from khessian.cli import main
+from khessian.dirichlet import SolverConfig
+from khessian.eigen import IterationConfig
 from khessian.radial import quartic_test_profile
 from khessian.cones import save_matrix_json
 from khessian.geometry import CurvatureField, save_field_json
@@ -385,3 +393,155 @@ def test_failed_write_removes_only_the_files_it_created(tmp_path, capsys):
     (out / "report.json").write_text("kept\n")
     assert run(argv) == 1
     assert (out / "report.json").exists()
+
+
+# one non-default value for every field of SolverConfig and IterationConfig
+CONFIG_VALUES = {
+    "grid_size": 64, "quadrature": "trapezoid", "tol_residual": 1e-3, "refine_max": 1,
+    "graded": True, "sup_cap": 1e9, "n_max": 400, "fixed_point_tol": 1e-7,
+    "bisect_tol": 0.1,
+}
+
+
+def test_every_settings_field_is_a_config_key(tmp_path, capsys):
+    solver = {f.name for f in dataclasses.fields(SolverConfig)}
+    iteration = {f.name for f in dataclasses.fields(IterationConfig)}
+    assert set(CONFIG_VALUES) == solver | iteration
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key} = {str(val).lower()}\n" for key, val in CONFIG_VALUES.items()))
+    out = tmp_path / "all"
+    assert run(["eigen", "--dim", "2", "--order", "1", "--radius", "1",
+                "--config", cfg, "--out", out]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["config"]["solver"] == {key: CONFIG_VALUES[key] for key in solver}
+    assert man["config"]["iteration"] == {key: CONFIG_VALUES[key] for key in iteration}
+
+    capsys.readouterr()
+    cfg.write_text("grid_size = 64\nsimpson = true\n")
+    assert run(["eigen", "--dim", "2", "--order", "1", "--radius", "1",
+                "--config", cfg, "--out", tmp_path / "bad"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'simpson'" in err
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigen", "--dim", "2", "--order", "1", "--radius", "1e200"],
+    ["eigen", "--dim", "2", "--order", "1", "--radius", "1e-200"],
+    ["eigen", "--dim", "3", "--order", "3", "--radius", "1e60"],
+    ["eigen", "--dim", "2", "--order", "1", "--radius", "1", "--bisect-tol", "nan"],
+    ["eigen", "--dim", "2", "--order", "1", "--radius", "1", "--sup-cap", "nan"],
+    ["verify", "bounds", "--dim", "2", "--order", "2", "--radius", "1e-100"],
+    ["verify", "monotone", "--dim", "2", "--order", "1", "--r1", "1", "--r2", "1e300"],
+], ids=["radius-1e200", "radius-1e-200", "radius-1e60-k3", "bisect-tol-nan",
+        "sup-cap-nan", "bounds-radius-1e-100", "monotone-r2-1e300"])
+def test_out_of_range_numbers_are_input_errors(argv, tmp_path, capsys):
+    assert run(argv + ["--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", ["tol_residual", "fixed_point_tol", "sup_cap", "bisect_tol"])
+def test_nan_config_tolerance_is_input_error(key, tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(f"{key} = nan\n")
+    assert run(["eigen", "--dim", "2", "--order", "1", "--radius", "1",
+                "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and key in err
+
+
+def test_manifest_hashes_the_input_files(tmp_path, monkeypatch, capsys):
+    # one matrix path, two contents: the runs differ, so must their hashes
+    monkeypatch.chdir(tmp_path)
+    hashes, verdicts = [], []
+    for diag, out in (([1.0, 2.0], "a"), ([-1.0, 2.0], "b")):
+        save_matrix_json("m.json", np.diag(diag))
+        assert run(["cone", "--order", "2", "--matrix", "m.json", "--out", out]) == 0
+        verdicts.append(json.loads((tmp_path / out / "cone.json").read_text())
+                        ["verdicts"]["in_sigma_k"])
+        man = json.loads((tmp_path / out / "manifest.json").read_text())
+        digest = hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest()
+        assert man["inputs"] == {"m.json": digest}
+        hashes.append(man["config_hash"])
+    assert verdicts == [True, False]
+    assert hashes[0] != hashes[1]
+
+
+def test_manifest_inputs_name_every_file_read(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("grid_size = 64\n")
+    src = tmp_path / "f.csv"
+    src.write_text("r,f\n0,1\n1,2\n")
+    prof = tmp_path / "p.csv"
+    quartic_test_profile(1.0, 2, 2, 64).save_csv(prof)
+    cases = [
+        (["solve", "--source", f"file:{src}"], [cfg, src]),
+        (["solve", "--source", str(src)], [cfg, src]),
+        (["solve", "--source", "const:1"], [cfg]),
+        (["verify", "minprinciple", "--profile", str(prof)], [cfg, prof]),
+        (["verify", "minprinciple", "--quartic", "--profile", str(prof)], [cfg]),
+    ]
+    for i, (argv, read) in enumerate(cases):
+        out = tmp_path / f"o{i}"
+        assert run(argv + ["--dim", "2", "--order", "2", "--radius", "1",
+                           "--config", cfg, "--out", out]) in (0, 2)
+        man = json.loads((out / "manifest.json").read_text())
+        assert sorted(man["inputs"]) == sorted(str(p) for p in read)
+
+
+# numeric flag values: the awkward ones, ordinary ones, and any sign
+_NUMBER = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "-1e-300",
+                     "0", "-1", "1"]),
+    st.floats(0.05, 4.0).map(repr),
+    st.floats(-4.0, 4.0).map(repr),
+)
+_SMALL = st.sampled_from(["-1", "0", "1", "2", "3", "4", "5"])
+_GRID = st.sampled_from(["-1", "63", "64", "96", "256"])
+_COMMON = {"--dim": _SMALL, "--order": _SMALL}
+_RADIUS = {"--radius": _NUMBER}
+_SOLVER = {"--grid": _GRID}
+_ITER = {"--bisect-tol": _NUMBER, "--sup-cap": _NUMBER}
+_FIELD = {"--sphere": _NUMBER, "--samples": st.integers(-1, 64).map(str),
+          "--t": _NUMBER, "--d0": _NUMBER, "--depth": st.integers(-1, 16).map(str)}
+_SUBCOMMANDS = {
+    "eigen": {**_COMMON, **_RADIUS, **_SOLVER, **_ITER},
+    "solve": {**_COMMON, **_RADIUS, **_SOLVER,
+              "--source": st.one_of(_NUMBER.map("const:{}".format),
+                                    st.lists(_NUMBER, min_size=1, max_size=3)
+                                    .map(lambda c: "poly:" + ",".join(c)))},
+    "cone": {"--order": _SMALL,
+             "--lambda": st.lists(_NUMBER, min_size=1, max_size=4).map(",".join)},
+    "verify bounds": {**_COMMON, **_RADIUS, **_SOLVER, **_ITER},
+    "verify monotone": {**_COMMON, "--r1": _NUMBER, "--r2": _NUMBER, **_SOLVER, **_ITER},
+    "verify hopf": {**_COMMON, **_RADIUS, **_SOLVER},
+    "verify minprinciple": {**_COMMON, **_RADIUS, **_SOLVER, "--lam": _NUMBER},
+    "verify barrier-exp": {**_COMMON, "--lam": _NUMBER, **_FIELD},
+    "verify barrier-log": {**_COMMON, "--fsup": _NUMBER, "--usup": _NUMBER, **_FIELD},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    argv = command.split()
+    if command == "verify minprinciple":
+        argv.append("--quartic")
+    for flag, values in _SUBCOMMANDS[command].items():
+        # --flag=value, so that argparse reads "-1e300" as a value
+        argv.append(f"{flag}={draw(values)}")
+    return argv
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(argv=_argv())
+def test_fuzzed_numeric_flags_never_raise(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
