@@ -107,6 +107,10 @@ class SourceTerm:
         return out
 
 
+# the quadratures of the first integral, see _FirstIntegral
+_SCHEMES = ("trapezoid", "simpson")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Quadrature and acceptance knobs for the radial solve.
@@ -126,9 +130,10 @@ class SolverConfig:
     def __post_init__(self):
         if not isinstance(self.grid_size, int) or self.grid_size < 64:
             raise DomainError("grid_size must be an integer >= 64")
-        if self.quadrature not in ("trapezoid", "simpson"):
+        if self.quadrature not in _SCHEMES:
             raise DomainError("quadrature must be 'trapezoid' or 'simpson'")
-        if not self.tol_residual > 0:  # NaN too
+        # "not x > 0" also refuses NaN
+        if not self.tol_residual > 0:
             raise DomainError("tol_residual must be positive")
         if self.refine_max < 0:
             raise DomainError("refine_max must be nonnegative")
@@ -235,7 +240,7 @@ class _FirstIntegral:
     """
 
     def __init__(self, r: np.ndarray, N: int, k: int, scheme: str):
-        if scheme not in ("trapezoid", "simpson"):
+        if scheme not in _SCHEMES:
             raise DomainError(f"quadrature {scheme!r} must be 'trapezoid' or 'simpson'")
         self.r, self.N, self.k = r, N, k
         self.trapezoid = scheme == "trapezoid"
