@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import tempfile
 import warnings
 
 import numpy as np
@@ -538,10 +539,10 @@ def _argv(draw):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(argv=_argv())
 def test_fuzzed_numeric_flags_never_raise(argv):
-    with contextlib.redirect_stdout(io.StringIO()), \
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err, warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        code = main(argv)
+        code = main(argv + [f"--out={out}"])
     assert code in (0, 1, 2), (argv, code)
     if code == 1:
         assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
