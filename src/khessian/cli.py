@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import sys
@@ -81,7 +82,7 @@ def read_config(path: str) -> dict:
     overrides = {}
     try:
         lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -125,9 +126,9 @@ def _jsonable(obj):
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    # one write of the whole text; dump would write it chunk by chunk
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, default=_jsonable) + "\n")
 
 
 def _input_hashes(args) -> dict:
@@ -382,7 +383,10 @@ def _add_field_flags(p):
     p.add_argument("--depth", type=int, default=64, help="depth grid nodes")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The khess argument parser, built once per process: parsing never
+    changes it, and each parse_args call returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="khess",
         description="k-Hessian principal eigenvalue toolkit",

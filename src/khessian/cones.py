@@ -87,14 +87,16 @@ def load_matrix_json(path) -> np.ndarray:
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers JSONDecodeError and UnicodeDecodeError
+    except (OSError, ValueError) as exc:
         raise DomainError(f"cannot read matrix file {path}: {exc}") from exc
     try:
         n = int(payload["n"])
-        entries = payload["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+        flat = np.asarray(payload["entries"], dtype=float).ravel()
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed matrix file {path}: {exc}") from exc
-    flat = np.asarray(entries, dtype=float).ravel()
+    if n < 1:
+        raise DomainError(f"matrix file {path}: n = {n} must be positive")
     if flat.size != n * n:
         raise DomainError(f"matrix file {path}: expected {n*n} entries, got {flat.size}")
     return as_symmetric(flat.reshape(n, n))

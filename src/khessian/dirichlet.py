@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import ConvergenceError, DomainError
 from .radial import (
     RadialProfile,
     _check_dim_order,
+    _check_radius,
     read_csv_columns,
     s_k_on_profile,
     s_k_radial,
@@ -267,6 +267,10 @@ class _FirstIntegral:
             rest = np.zeros(hp.shape)
             rest[..., :-1] = np.cumsum(inc[..., ::-1], axis=-1)[..., ::-1]
             return -rest, hp
+        # imported here: scipy.integrate is most of a cold import of the
+        # package, and only the Simpson paths use it
+        from scipy.integrate import cumulative_simpson
+
         integral = cumulative_simpson(hp, x=self.r, initial=0.0)
         return integral - integral[-1], hp
 
@@ -323,9 +327,8 @@ def solve_radial_dirichlet(f: SourceTerm, R: float, N: int, k: int,
     """
     if not isinstance(f, SourceTerm):
         raise DomainError("f must be a SourceTerm")
-    if R <= 0:
-        raise DomainError("radius must be positive")
     _check_dim_order(N, k)
+    _check_radius(R, k)
     if r_inner > 0 and inner_value is None:
         raise DomainError("annular solve needs the inner boundary value")
     if inner_value is not None and not math.isfinite(inner_value):

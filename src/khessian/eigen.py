@@ -23,11 +23,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .dirichlet import SolverConfig, _FirstIntegral, holder_seminorm, make_grid
 from .errors import DomainError, InconsistencyError
-from .radial import RadialProfile, _check_dim_order, s_k_on_profile
+from .radial import RadialProfile, _check_dim_order, _check_radius, s_k_on_profile
 from .symfun import sigma_all
 
 __all__ = [
@@ -58,17 +57,7 @@ def upper_bound(N: int, k: int, R: float) -> float:
 
 def _check(N: int, k: int, R: float) -> None:
     _check_dim_order(N, k)
-    if not 0 < R < math.inf:
-        raise DomainError("radius must be positive and finite")
-    # lambda_1 scales as R^(-2k) and the eigenfunction's source as R^(2k);
-    # outside the range where both are normal floats the estimate is void
-    try:
-        scales = (float(R) ** (2 * k), float(R) ** (-2 * k))
-    except OverflowError:
-        scales = (math.inf,)
-    if not all(0 < s < math.inf for s in scales):
-        raise DomainError(f"radius {R!r} is out of range: R^(2k) and R^(-2k) "
-                          f"must be finite and nonzero for k = {k}")
+    _check_radius(R, k)
 
 
 @dataclass(frozen=True)
@@ -362,6 +351,10 @@ def rayleigh_quotient(profile: RadialProfile) -> float:
     r^{N-1} dr times the unit-sphere area; the quotient is invariant under
     scaling u -> c u, which the eigen tests exercise.
     """
+    # imported here: scipy.integrate is most of a cold import of the
+    # package, and only the Simpson paths use it
+    from scipy.integrate import simpson
+
     k = profile.k
     if not np.any(profile.h):
         raise DomainError("Rayleigh quotient of the zero profile is undefined")

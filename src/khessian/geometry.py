@@ -339,14 +339,15 @@ def load_field_json(path) -> CurvatureField:
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers JSONDecodeError and UnicodeDecodeError
+    except (OSError, ValueError) as exc:
         raise DomainError(f"cannot read field file {path}: {exc}") from exc
     if not isinstance(payload, list) or not payload:
         raise DomainError(f"field file {path} must hold a non-empty JSON list")
     try:
         pts = np.array([row["point"] for row in payload], dtype=float)
         kap = np.array([row["kappa"] for row in payload], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed field file {path}: {exc}") from exc
     return CurvatureField(points=pts, kappas=kap)
 

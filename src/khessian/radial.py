@@ -9,7 +9,6 @@ profile serialization.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -34,6 +33,28 @@ def _check_dim_order(N: int, k: int) -> None:
         raise DomainError(f"dimension N={N!r} must be a positive integer")
     if not isinstance(k, (int, np.integer)) or k < 1 or k > N:
         raise DomainError(f"order k={k!r} must satisfy 1 <= k <= N={N}")
+
+
+def _check_radius(R: float, k: int) -> None:
+    """Refuse a ball radius that is not positive and finite, or at which
+    R^(2k) or R^(-2k) is not a finite nonzero float.
+
+    lambda_1 scales as R^(-2k) and the source that sets a solution's size
+    as R^(2k); outside that range an estimate or a solve is void.
+    """
+    if not 0 < R < math.inf:
+        raise DomainError("radius must be positive and finite")
+    try:
+        scales = (float(R) ** (2 * k), float(R) ** (-2 * k))
+    except OverflowError:
+        scales = (math.inf,)
+    if not all(0 < s < math.inf for s in scales):
+        raise DomainError(f"radius {R!r} is out of range: R^(2k) and R^(-2k) "
+                          f"must be finite and nonzero for k = {k}")
+
+
+# one row of a profile CSV
+_CSV_ROW = "%.17g,%.17g,%.17g,%.17g\r\n"
 
 
 @dataclass(frozen=True)
@@ -79,11 +100,13 @@ class RadialProfile:
         return float(np.max(np.abs(self.h)))
 
     def save_csv(self, path) -> None:
+        """Header r,h,hp,hpp, then one row per node with each value as
+        %.17g and CRLF line ends: the bytes csv.writer wrote, since %.17g
+        text needs no quoting."""
+        rows = np.column_stack([self.r, self.h, self.hp, self.hpp]).tolist()
+        text = "".join([_CSV_ROW % tuple(row) for row in rows])
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "h", "hp", "hpp"])
-            for row in zip(self.r, self.h, self.hp, self.hpp):
-                writer.writerow([f"{x:.17g}" for x in row])
+            fh.write("r,h,hp,hpp\r\n" + text)
 
     def to_json_dict(self) -> dict:
         return {
@@ -98,9 +121,10 @@ class RadialProfile:
         }
 
     def save_json(self, path) -> None:
+        # dumps without indent runs the C encoder; dump would run the
+        # Python one and write chunk by chunk, for the same bytes
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_json_dict()) + "\n")
 
     @classmethod
     def load_csv(cls, path, N: int, k: int) -> "RadialProfile":
@@ -124,7 +148,9 @@ def read_csv_columns(path, names, what: str) -> dict:
         return {name: np.atleast_1d(data[name]) for name in names}
     except (OSError, KeyError, ValueError, IndexError) as exc:
         need = ",".join(names)
-        raise DomainError(f"{what} {path} needs columns {need}: {exc}") from exc
+        # genfromtxt lists bad lines one per line; the error stays one line
+        detail = " ".join(str(exc).split())
+        raise DomainError(f"{what} {path} needs columns {need}: {detail}") from exc
 
 
 def s_k_radial(hp, hpp, r, N: int, k: int):

@@ -5,6 +5,8 @@ literal route to a quantity the library computes another way, kept only
 so that the tests can compare the two.
 """
 
+import csv
+import json
 from itertools import combinations
 
 import numpy as np
@@ -63,6 +65,30 @@ def holder_dense(r, h, alpha: float) -> float:
         return np.max(dh[mask] / dr[mask] ** alpha)
 
     return float(max(rows_max(i) for i in range(0, r.size, 256)))
+
+
+def save_csv_rows(profile: RadialProfile, path) -> None:
+    """A profile CSV written row by row through csv.writer, one numpy
+    scalar formatted at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["r", "h", "hp", "hpp"])
+        for row in zip(profile.r, profile.h, profile.hp, profile.hpp):
+            writer.writerow([f"{x:.17g}" for x in row])
+
+
+def save_json_dump(profile: RadialProfile, path) -> None:
+    """A profile JSON written by json.dump, the pure-Python encoder."""
+    with open(path, "w") as fh:
+        json.dump(profile.to_json_dict(), fh)
+        fh.write("\n")
+
+
+def write_json_dump(path, payload: dict, default) -> None:
+    """An indented CLI output JSON written by json.dump."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=default)
+        fh.write("\n")
 
 
 def iterate_fixed_lambda_unbatched(lam, R, N, k, cfg, solver_cfg) -> IterationResult:

@@ -9,21 +9,27 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import khessian
 import khessian.cli as cli
 from khessian.cli import main
-from khessian.dirichlet import SolverConfig
+from khessian.dirichlet import SolverConfig, SourceTerm, solve_radial_dirichlet
 from khessian.eigen import IterationConfig
 from khessian.radial import quartic_test_profile
 from khessian.cones import save_matrix_json
 from khessian.geometry import CurvatureField, save_field_json
+from reference import write_json_dump
 
 FAST = ["--grid", "64", "--bisect-tol", "0.1"]
 
@@ -43,6 +49,54 @@ def test_version_and_help(capsys):
 def test_missing_required_flag_is_usage_error(capsys):
     assert run(["eigen", "--dim", "2", "--radius", "1"]) == 1
     assert run(["nonsense"]) == 1
+
+
+def test_parser_is_built_once_and_parses_afresh(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    base = ["eigen", "--dim", "2", "--order", "2", "--radius", "1"] + FAST
+    assert run(base + ["--no-such-flag"]) == 1
+    assert run(["eigen", "--help"]) == 0
+    assert run(base + ["--format", "json", "--out", tmp_path / "json"]) == 0
+    # the default format again: nothing of the last parse is left over
+    assert run(base + ["--out", tmp_path / "csv"]) == 0
+    assert sorted(p.name for p in (tmp_path / "csv").iterdir()) == [
+        "eigenfunction.csv", "estimate.json", "manifest.json"]
+    man = json.loads((tmp_path / "csv" / "manifest.json").read_text())
+    assert man["parameters"]["format"] == "csv"
+
+
+def test_write_json_matches_the_reference_bytes(tmp_path):
+    prof = quartic_test_profile(1.0, 3, 2, 4096)
+    payload = {**prof.to_json_dict(), "h": prof.h, "awkward": np.array(
+        [-0.0, 5e-324, 1e300, -1e300, 1.0 / 3.0]), "scalar": np.float64(-0.0),
+        "count": np.int64(7), "flag": np.bool_(True), "none": None,
+        "nested": {"b": [1, 2.5], "a": "text"}, "path": tmp_path}
+    cli._write_json(tmp_path / "new.json", payload)
+    write_json_dump(tmp_path / "ref.json", payload, cli._jsonable)
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def test_import_defers_scipy_to_the_first_simpson_solve():
+    # scipy.integrate costs most of a cold start and only Simpson paths use it
+    code = (
+        "import sys\n"
+        "import khessian.cli\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
+        "from khessian import SolverConfig, SourceTerm, solve_radial_dirichlet\n"
+        "p = solve_radial_dirichlet(SourceTerm.polynomial([1.0, 2.0]), 1.0, 3, 2,\n"
+        "                           SolverConfig(grid_size=64))\n"
+        "assert 'scipy.integrate' in sys.modules\n"
+        "print(repr(p.sup_norm))\n"
+    )
+    src = str(Path(khessian.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    here = solve_radial_dirichlet(SourceTerm.polynomial([1.0, 2.0]), 1.0, 3, 2,
+                                  SolverConfig(grid_size=64))
+    assert done.stdout == f"{here.sup_norm!r}\n"
 
 
 def test_eigen_outputs_and_manifest(tmp_path, capsys):
@@ -434,8 +488,12 @@ def test_every_settings_field_is_a_config_key(tmp_path, capsys):
     ["eigen", "--dim", "2", "--order", "1", "--radius", "1", "--sup-cap", "nan"],
     ["verify", "bounds", "--dim", "2", "--order", "2", "--radius", "1e-100"],
     ["verify", "monotone", "--dim", "2", "--order", "1", "--r1", "1", "--r2", "1e300"],
+    ["solve", "--dim", "3", "--order", "2", "--radius", "1e200", "--source", "const:1"],
+    ["solve", "--dim", "3", "--order", "2", "--radius", "1e-200", "--source", "const:1"],
+    ["verify", "hopf", "--dim", "3", "--order", "2", "--radius", "1e200"],
 ], ids=["radius-1e200", "radius-1e-200", "radius-1e60-k3", "bisect-tol-nan",
-        "sup-cap-nan", "bounds-radius-1e-100", "monotone-r2-1e300"])
+        "sup-cap-nan", "bounds-radius-1e-100", "monotone-r2-1e300", "solve-radius-1e200",
+        "solve-radius-1e-200", "hopf-radius-1e200"])
 def test_out_of_range_numbers_are_input_errors(argv, tmp_path, capsys):
     assert run(argv + ["--out", tmp_path / "o"]) == 1
     err = capsys.readouterr().err
@@ -546,3 +604,149 @@ def test_fuzzed_numeric_flags_never_raise(argv):
     assert code in (0, 1, 2), (argv, code)
     if code == 1:
         assert err.getvalue().count("\n") == 1, (argv, err.getvalue())
+
+
+# input files that used to escape main() as a traceback
+@pytest.mark.parametrize("name, content, argv", [
+    ("c.cfg", b"grid_size = 64\n\xff\xfe\n",
+     ["eigen", "--dim", "2", "--order", "1", "--radius", "1", "--config"]),
+    ("m.json", b'{"n": 2, "entries": [[1, "a"], [0, 1]]}', ["cone", "--order", "1", "--matrix"]),
+    ("m.json", b'{"n": 1e400, "entries": [1]}', ["cone", "--order", "1", "--matrix"]),
+    ("m.json", b'\xff{"n": 1, "entries": [1]}', ["cone", "--order", "1", "--matrix"]),
+    ("m.json", b'{"n": 0, "entries": []}', ["cone", "--order", "1", "--matrix"]),
+    ("f.json", b'[{"point": [1, 0], "kappa": [\xff]}]',
+     ["verify", "barrier-exp", "--dim", "2", "--order", "1", "--lam", "1", "--t", "3",
+      "--d0", "0.1", "--field"]),
+    ("f.json", b'[{"point": [1, 0], "kappa": [1' + b"0" * 400 + b']}]',
+     ["verify", "barrier-exp", "--dim", "2", "--order", "1", "--lam", "1", "--t", "3",
+      "--d0", "0.1", "--field"]),
+], ids=["config-not-utf8", "matrix-string-entry", "matrix-n-1e400", "matrix-not-utf8",
+        "matrix-n-0", "field-not-utf8", "field-huge-integer"])
+def test_unreadable_input_files_are_input_errors(name, content, argv, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_bytes(content)
+    assert run(argv + [path, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+_SPECIAL = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400",
+                            "1e-400", "1e300", "-1e300", "-0.0", "0", '"a"', "null",
+                            "true", "[]", "{}", "", "1" + "0" * 400])
+
+
+def _mostly(numbers):
+    """A number from numbers, or in one draw of five an awkward value."""
+    return st.tuples(st.integers(0, 4), numbers, _SPECIAL).map(
+        lambda t: t[2] if t[0] == 0 else t[1])
+
+
+_TOKEN = _mostly(st.floats(-4.0, 4.0).map(repr))
+_POSITIVE = _mostly(st.floats(0.0, 4.0).map(repr))
+
+
+def _json_list(tokens):
+    return "[" + ",".join(tokens) + "]"
+
+
+@st.composite
+def _matrix_file(draw):
+    n = draw(st.integers(1, 3))
+    upper = draw(st.lists(_TOKEN, min_size=n * n, max_size=n * n))
+    # symmetric as text, so that some files reach the cone tests
+    rows = [[upper[min(i, j) * n + max(i, j)] for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):  # a ragged or short matrix
+        del rows[draw(st.integers(0, n - 1))][-1]
+    n_text = draw(st.one_of(st.just(str(n)), _TOKEN))
+    entries = _json_list(_json_list(row) for row in rows)
+    return '{"n": %s, "entries": %s}' % (n_text, entries), ["cone", "--order", "2",
+                                                          "--matrix"]
+
+
+@st.composite
+def _field_file(draw):
+    dim = draw(st.integers(2, 4))
+    # one file in four has rows of the wrong length
+    slack = int(draw(st.integers(0, 3)) == 0)
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        point = draw(st.lists(_TOKEN, min_size=dim - slack, max_size=dim + slack))
+        kappa = draw(st.lists(_POSITIVE, min_size=dim - 1 - slack, max_size=dim - 1 + slack))
+        rows.append('{"point": %s, "kappa": %s}' % (_json_list(point), _json_list(kappa)))
+    text = draw(st.sampled_from(["[%s]", "[%s]", '{"rows": [%s]}'])) % ",".join(rows)
+    barrier = draw(st.sampled_from([["barrier-exp", "--lam", "1"],
+                                    ["barrier-log", "--fsup", "1", "--usup", "1"]]))
+    return text, ["verify", barrier[0], "--dim", str(dim), "--order", "2", *barrier[1:],
+                  "--t", "3", "--d0", "0.1", "--depth", "8", "--field"]
+
+
+@st.composite
+def _csv_file(draw):
+    header = draw(st.sampled_from(["r,f", "f,r", "r", "r,f,g", "r,h,hp,hpp", "x,y", ""]))
+    nodes = sorted(draw(st.lists(st.floats(0.0, 1.5), min_size=1, max_size=6)))
+    rows = [",".join([draw(_TOKEN) if draw(st.integers(0, 5)) == 0 else repr(x),
+                      *draw(st.lists(_POSITIVE, max_size=3))]) for x in nodes]
+    text = "\n".join([header, *rows]) + "\n"
+    argv = draw(st.sampled_from([
+        ["solve", "--dim", "3", "--order", "2", "--radius", "1", "--grid", "64",
+         "--source"],
+        ["verify", "minprinciple", "--dim", "2", "--order", "1", "--radius", "1",
+         "--profile"],
+    ]))
+    return text, argv
+
+
+# per config key, values that are wrong, awkward or small enough to run fast
+_CONFIG_VALUES = {
+    "grid_size": ["64", "256", "63", "-1", "1e400", "nan", "x"],
+    "quadrature": ["trapezoid", "simpson", "Simpson", "1"],
+    "tol_residual": ["1e-3", "1e-300", "0", "-1", "nan", "inf", "1e400", "1e-400"],
+    "refine_max": ["0", "1", "-1", "1.5", "nan"],
+    "graded": ["true", "false", "yes", "2", ""],
+    "sup_cap": ["1e9", "1e-300", "0", "nan", "inf", "1e400"],
+    "n_max": ["10", "50", "9", "-1", "1e3"],
+    "fixed_point_tol": ["1e-7", "1e-300", "0", "nan", "inf"],
+    "bisect_tol": ["0.1", "1e-300", "0", "nan", "inf", "1e400"],
+}
+
+
+@st.composite
+def _config_file(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        key = draw(st.sampled_from([*_CONFIG_VALUES, "grid", ""]))
+        value = draw(st.sampled_from(_CONFIG_VALUES.get(key, ["1"])))
+        lines.append(draw(st.sampled_from(["{} = {}", "{}={}  # note", "{} {}",
+                                           "'{}' = \"{}\""])).format(key, value))
+    argv = draw(st.sampled_from([
+        ["eigen", "--dim", "2", "--order", "2", "--radius", "1"],
+        ["solve", "--dim", "3", "--order", "2", "--radius", "1", "--source", "const:3"],
+    ]))
+    return "\n".join(lines) + "\n", argv + ["--config"]
+
+
+@st.composite
+def _input_file(draw):
+    """(file bytes, argv that reads the file by the path appended to it)."""
+    text, argv = draw(st.one_of(_matrix_file(), _field_file(), _csv_file(),
+                                _config_file()))
+    content = draw(st.one_of(st.just(text.encode()), st.binary(max_size=48),
+                             st.just(text.encode()[:len(text) // 2] + b"\xff")))
+    return content, argv
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=_input_file())
+def test_fuzzed_input_files_never_raise(case):
+    content, argv = case
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        path = Path(tmp) / "input"
+        path.write_bytes(content)
+        code = main(argv + [str(path), f"--out={tmp}/out"])
+    assert code in (0, 1, 2), (argv, content, code)
+    if code == 1:
+        assert err.getvalue().startswith("error: "), (argv, content, err.getvalue())
+        assert err.getvalue().count("\n") == 1, (argv, content, err.getvalue())

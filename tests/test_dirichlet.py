@@ -397,6 +397,22 @@ def test_annulus_nonzero_source_consistency(n, k, scheme):
     assert abs(p.h[0] + 0.4) <= 1e-9
 
 
+@pytest.mark.parametrize("R, k", [(1e200, 2), (1e-200, 2), (1e60, 3), (1e-60, 3)])
+def test_solve_refuses_out_of_range_radius(R, k, monkeypatch):
+    # R^(2k) or R^(-2k) leaves the float range: refused before any grid
+    # is built, where it used to end in NaN or a failed residual gate
+    monkeypatch.setattr(dirichlet, "make_grid", None)
+    with pytest.raises(DomainError, match="out of range"):
+        solve_radial_dirichlet(SourceTerm.constant(1.0), R, 3, k)
+
+
+@pytest.mark.parametrize("R", [1e-3, 1e3])
+def test_solve_accepts_the_ends_of_the_everyday_range(R):
+    # S_k(I) = C(3,2) = 3: the paraboloid (r^2 - R^2) / 2
+    p = solve_radial_dirichlet(SourceTerm.constant(3.0), R, 3, 2)
+    assert np.allclose(p.h, 0.5 * (p.r**2 - R**2), rtol=0.0, atol=1e-12 * R**2)
+
+
 def test_solver_input_validation():
     src = SourceTerm.constant(1.0)
     with pytest.raises(DomainError):

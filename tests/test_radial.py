@@ -19,7 +19,7 @@ from khessian.radial import (
     s_k_radial,
     s_k_radial_origin,
 )
-from reference import residual_scale, s_k_op
+from reference import residual_scale, s_k_op, save_csv_rows, save_json_dump
 
 
 def dense_radial_hessian(x, hp, hpp):
@@ -198,3 +198,28 @@ def test_spectrum_rejects_nonpositive_radius():
     for r in (0.0, -1.0, np.array([0.5, 0.0])):
         with pytest.raises(DomainError):
             s_k_radial(1.0, 1.0, r, 3, 2)
+
+
+# values whose text is easy to get wrong: a signed zero, the smallest
+# subnormal, the float extremes' neighbourhood and a repeating fraction
+AWKWARD = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0 / 3.0, 0.0, 2.0**-1022]
+
+
+@pytest.mark.parametrize("nodes", [65, 4097])
+def test_profile_writers_match_the_reference_bytes(nodes, tmp_path):
+    rng = np.random.default_rng(nodes)
+    r = np.linspace(0.0, 1.0, nodes)
+    r[1] = 5e-324
+    cols = [rng.standard_normal(nodes) * 10.0 ** rng.uniform(-300, 300, nodes)
+            for _ in range(3)]
+    for j, col in enumerate(cols):
+        col[j:j + 4 * len(AWKWARD):4] = AWKWARD
+    prof = RadialProfile(N=3, k=2, r=r, h=cols[0], hp=cols[1], hpp=cols[2])
+    for write, reference, name in ((RadialProfile.save_csv, save_csv_rows, "p.csv"),
+                                   (RadialProfile.save_json, save_json_dump, "p.json")):
+        write(prof, tmp_path / name)
+        reference(prof, tmp_path / f"ref-{name}")
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"ref-{name}").read_bytes()
+    fields = (tmp_path / "p.csv").read_bytes().decode().replace("\r\n", ",").split(",")
+    assert {"-0", "4.9406564584124654e-324", "-1.0000000000000001e+300",
+            "0.33333333333333331"} <= set(fields)
