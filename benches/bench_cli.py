@@ -8,8 +8,9 @@ tier-1 command never collects it.  Run it by path:
 Four calls run in process through cli.main, each writing its files and
 manifest.json into a temporary --out: `eigen` for (N, k) = (2, 2) at grid
 512, `solve` with a constant source at grid 4096, `cone --lambda` and
-`verify barrier-log --sphere`.  One more starts a fresh interpreter for
-`khess cone`, so the import of the package is timed too.  Each bench
+`verify barrier-log --sphere`.  Three more start a fresh interpreter
+for the same `khess cone`, `solve` and `eigen` calls, so the import of
+the package and of everything it loads is timed too.  Each bench
 records the exit code and the output bytes in extra_info: their count
 and a sha256 over every file but manifest.json, whose wall time differs
 from run to run.
@@ -61,10 +62,11 @@ def test_main(benchmark, name, tmp_path):
     benchmark.extra_info.update({"exit_code": code, **_outputs(tmp_path)})
 
 
-def test_fresh_interpreter_cone(benchmark, tmp_path):
+@pytest.mark.parametrize("name", ["cone", "solve", "eigen"])
+def test_fresh_interpreter(benchmark, name, tmp_path):
     src = str(Path(khessian.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    argv = [sys.executable, "-m", "khessian.cli", *CALLS["cone"], "--out", str(tmp_path)]
+    argv = [sys.executable, "-m", "khessian.cli", *CALLS[name], "--out", str(tmp_path)]
 
     def call():
         return subprocess.run(argv, env=env, capture_output=True).returncode

@@ -30,7 +30,8 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .cones import eigenvalues, in_dual_sigma_k, in_sigma_k, load_matrix_json
+from .cones import (eigenvalues, in_dual_sigma_k, in_sigma_k, load_matrix_json,
+                    membership_slack)
 from .dirichlet import (
     SolverConfig,
     SourceTerm,
@@ -245,13 +246,7 @@ def cmd_cone(args) -> Run:
         raise DomainError("provide exactly one of --matrix or --lambda")
     if args.matrix is not None:
         a = load_matrix_json(args.matrix)
-        vals = eigenvalues(a)
-        verdicts = {
-            "in_sigma_k": in_sigma_k(a, k, strict=False),
-            "in_sigma_k_open": in_sigma_k(a, k, strict=True),
-            "in_dual_sigma_k": in_dual_sigma_k(a, k),
-        }
-        subject = f"matrix {args.matrix}"
+        vals, subject = eigenvalues(a), f"matrix {args.matrix}"
     else:
         try:
             vals = np.array([float(t) for t in args.lam_values.split(",") if t.strip()])
@@ -259,14 +254,22 @@ def cmd_cone(args) -> Run:
             raise DomainError(f"bad --lambda list {args.lam_values!r}") from exc
         if vals.size == 0:
             raise DomainError("empty --lambda list")
-        verdicts = {
-            "in_gamma_k": in_gamma_k(vals, k, strict=True),
-            "in_gamma_k_closed": in_gamma_k(vals, k, strict=False),
-        }
-        subject = "eigenvalue list"
+        a, subject = None, "eigenvalue list"
     if k < 1 or k > vals.size:
         raise DomainError(f"need 1 <= k <= {vals.size}")
-    sig = sigma_all(np.sort(vals))
+    # sigma_j (degree j) and the slack (degree k) overflow on large finite input
+    with np.errstate(over="ignore", invalid="ignore"):
+        sig = sigma_all(np.sort(vals))
+        slack = 0.0 if a is None else membership_slack(a, k)
+    if not (np.all(np.isfinite(sig)) and np.isfinite(slack)):
+        raise DomainError(f"sigma_j of the {subject} or the cone slack overflows a float")
+    if a is None:
+        verdicts = {"in_gamma_k": in_gamma_k(vals, k, strict=True),
+                    "in_gamma_k_closed": in_gamma_k(vals, k, strict=False)}
+    else:
+        verdicts = {"in_sigma_k": in_sigma_k(a, k, strict=False),
+                    "in_sigma_k_open": in_sigma_k(a, k, strict=True),
+                    "in_dual_sigma_k": in_dual_sigma_k(a, k)}
     report = {"k": k, "eigenvalues": np.sort(vals), "sigma": sig[1:],
               "verdicts": verdicts}
     return Run(
@@ -513,7 +516,8 @@ def main(argv=None) -> int:
                 raise DomainError(f"cannot write the outputs: {exc}") from exc
             print(f"wrote {', '.join(map(str, paths))}, {manifest}")
         return 2 if run.passed is False else 0
-    except DomainError as exc:
+    except (DomainError, MemoryError) as exc:
+        # numpy raises MemoryError at once for an array too large, e.g. --grid 1e18
         print(f"error: {exc}", file=sys.stderr)
         code = 1
     except (InconsistencyError, SearchError) as exc:

@@ -62,7 +62,8 @@ def membership_slack(matrix, k: int) -> float:
     top degree, 1e-10 * (1 + ||A||_F)^k, covers every level tested.
     """
     a = np.asarray(matrix, dtype=float)
-    return 1e-10 * (1.0 + float(np.linalg.norm(a))) ** k
+    # a float64 power: inf where a Python float power would raise
+    return float(1e-10 * (1.0 + np.linalg.norm(a)) ** k)
 
 
 def in_sigma_k(matrix, k: int, strict: bool = False) -> bool:
@@ -91,12 +92,13 @@ def load_matrix_json(path) -> np.ndarray:
     except (OSError, ValueError) as exc:
         raise DomainError(f"cannot read matrix file {path}: {exc}") from exc
     try:
-        n = int(payload["n"])
+        n = payload["n"]
         flat = np.asarray(payload["entries"], dtype=float).ravel()
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed matrix file {path}: {exc}") from exc
-    if n < 1:
-        raise DomainError(f"matrix file {path}: n = {n} must be positive")
+    # bool is a subclass of int, and JSON's true is not a size
+    if type(n) is not int or n < 1:
+        raise DomainError(f"matrix file {path}: n = {n!r} must be a positive integer")
     if flat.size != n * n:
         raise DomainError(f"matrix file {path}: expected {n*n} entries, got {flat.size}")
     return as_symmetric(flat.reshape(n, n))

@@ -8,7 +8,8 @@ so h' is a k-th root of a cumulative quadrature and h follows by a second
 cumulative pass anchored at h(R) = 0.  No stepping scheme, no stability
 constraint; the only error is quadrature error.  h'' is recovered by
 differentiating the first integral, so the stored triple satisfies the
-equation node-wise by construction; that identity is the residual gate.
+equation node-wise by construction, and the stored residual is a
+consistency check, not an error measure (ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -116,9 +117,10 @@ class SolverConfig:
     """Quadrature and acceptance knobs for the radial solve.
 
     grid_size counts intervals (>= 64); simpson is fourth order on smooth
-    data, trapezoid second order with nonnegative weights.  The residual
-    gate compares S_k of the stored (h', h'') against f at the interior
-    nodes and refines the grid (doubling) up to refine_max times.
+    data, trapezoid second order with nonnegative weights.  The stored
+    (h', h'') satisfies S_k = f by construction, so comparing the two at
+    the interior nodes, doubling the grid up to refine_max times while the
+    defect exceeds tol_residual, is a consistency check, not an error gate.
     """
 
     grid_size: int = 512
@@ -188,43 +190,38 @@ def _weighted_moment_cumulative(f_nodes: np.ndarray, r: np.ndarray, N: int) -> n
     every N. Everything is evaluated in the local variable t = s - a per
     pair: antiderivative differences of global monomials would cancel to
     O(eps / Delta^3) and the rounding would grow under refinement.
+
+    With N = 1 it is plain cumulative Simpson on any spacing, with the
+    same closing parabola on an odd interval count as scipy's
+    cumulative_simpson; the profile's h and the Rayleigh quotient use it.
     """
 
-    def pair_increments(a, u, v, f0, f1, f2):
-        # divided-difference coefficients of the local quadratic in t
-        d1 = (f1 - f0) / u
-        c2 = ((f2 - f0) / v - d1) / (v - u)
-        c1 = d1 - c2 * u
-        inc_mid = np.zeros_like(a)
-        inc_full = np.zeros_like(a)
-        # (a + t)^(N-1) expanded binomially; all powers are local
-        for j in range(N):
-            w = math.comb(N - 1, j) * a ** (N - 1 - j)
-            for c, p in ((f0, j + 1), (c1, j + 2), (c2, j + 3)):
-                inc_mid += w * c * u**p / p
-                inc_full += w * c * v**p / p
-        return inc_mid, inc_full
-
     n = r.size
+    pairs = (n - 1) // 2
+    i = np.arange(0, 2 * pairs, 2)
+    if n % 2 == 0:
+        # odd interval count: the trailing three-node parabola closes the last interval
+        i = np.append(i, n - 3)
+    a, u, v = r[i], r[i + 1] - r[i], r[i + 2] - r[i]
+    f0, f1, f2 = f_nodes[i], f_nodes[i + 1], f_nodes[i + 2]
+    # divided-difference coefficients of the local quadratic in t
+    d1 = (f1 - f0) / u
+    c2 = ((f2 - f0) / v - d1) / (v - u)
+    c1 = d1 - c2 * u
+    inc_mid = np.zeros_like(a)
+    inc_full = np.zeros_like(a)
+    # (a + t)^(N-1) expanded binomially; all powers are local
+    for j in range(N):
+        w = math.comb(N - 1, j) * a ** (N - 1 - j)
+        for c, p in ((f0, j + 1), (c1, j + 2), (c2, j + 3)):
+            inc_mid += w * c * u**p / p
+            inc_full += w * c * v**p / p
     out = np.zeros(n)
-    last = n - 1 if (n - 1) % 2 == 0 else n - 2
-    a, m, b = r[0:last - 1:2], r[1:last:2], r[2:last + 1:2]
-    inc_mid, inc_full = pair_increments(
-        a, m - a, b - a,
-        f_nodes[0:last - 1:2], f_nodes[1:last:2], f_nodes[2:last + 1:2],
-    )
-    cum = np.concatenate(([0.0], np.cumsum(inc_full)))
-    out[0:last + 1:2] = cum
-    out[1:last:2] = cum[:-1] + inc_mid
-    if last != n - 1:
-        # odd interval count: close the final subinterval with the
-        # trailing three-node parabola
-        a1 = np.array([r[-3]])
-        im, ifull = pair_increments(
-            a1, np.array([r[-2] - r[-3]]), np.array([r[-1] - r[-3]]),
-            np.array([f_nodes[-3]]), np.array([f_nodes[-2]]), np.array([f_nodes[-1]]),
-        )
-        out[-1] = out[-2] + float(ifull[0] - im[0])
+    cum = np.concatenate(([0.0], np.cumsum(inc_full[:pairs])))
+    out[0:2 * pairs + 1:2] = cum
+    out[1:2 * pairs:2] = cum[:-1] + inc_mid[:pairs]
+    if n % 2 == 0:
+        out[-1] = out[-2] + (inc_full[-1] - inc_mid[-1])
     return out
 
 
@@ -267,11 +264,7 @@ class _FirstIntegral:
             rest = np.zeros(hp.shape)
             rest[..., :-1] = np.cumsum(inc[..., ::-1], axis=-1)[..., ::-1]
             return -rest, hp
-        # imported here: scipy.integrate is most of a cold import of the
-        # package, and only the Simpson paths use it
-        from scipy.integrate import cumulative_simpson
-
-        integral = cumulative_simpson(hp, x=self.r, initial=0.0)
+        integral = _weighted_moment_cumulative(hp, self.r, 1)
         return integral - integral[-1], hp
 
     def solve(self, f_nodes: np.ndarray) -> tuple:
@@ -322,8 +315,8 @@ def solve_radial_dirichlet(f: SourceTerm, R: float, N: int, k: int,
     On the solid ball the first integral determines h' >= 0 outright.  On
     an annulus (r_inner > 0) the integration constant is free and is chosen
     by monotone bisection so that h(r_inner) matches inner_value, which
-    must therefore be supplied.  The residual gate refines the grid up to
-    cfg.refine_max doublings before giving up.
+    must therefore be supplied.  The stored-residual consistency check
+    refines the grid up to cfg.refine_max doublings before giving up.
     """
     if not isinstance(f, SourceTerm):
         raise DomainError("f must be a SourceTerm")

@@ -24,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dirichlet import SolverConfig, _FirstIntegral, holder_seminorm, make_grid
+from .dirichlet import (SolverConfig, _FirstIntegral, _weighted_moment_cumulative,
+                        holder_seminorm, make_grid)
 from .errors import DomainError, InconsistencyError
 from .radial import RadialProfile, _check_dim_order, _check_radius, s_k_on_profile
 from .symfun import sigma_all
@@ -351,18 +352,15 @@ def rayleigh_quotient(profile: RadialProfile) -> float:
     r^{N-1} dr times the unit-sphere area; the quotient is invariant under
     scaling u -> c u, which the eigen tests exercise.
     """
-    # imported here: scipy.integrate is most of a cold import of the
-    # package, and only the Simpson paths use it
-    from scipy.integrate import simpson
-
     k = profile.k
     if not np.any(profile.h):
         raise DomainError("Rayleigh quotient of the zero profile is undefined")
     omega = sphere_area(profile.N)
     weight = profile.r ** (profile.N - 1)
     sk = s_k_on_profile(profile)
-    num = -omega * simpson(profile.h * sk * weight, x=profile.r)
-    den = omega * simpson(np.abs(profile.h) ** (k + 1) * weight, x=profile.r)
+    num = -omega * _weighted_moment_cumulative(profile.h * sk * weight, profile.r, 1)[-1]
+    den = omega * _weighted_moment_cumulative(np.abs(profile.h) ** (k + 1) * weight,
+                                              profile.r, 1)[-1]
     return float(num / den)
 
 

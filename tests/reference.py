@@ -10,12 +10,13 @@ import json
 from itertools import combinations
 
 import numpy as np
+from scipy.integrate import cumulative_simpson, simpson
 
 from khessian.cones import eigenvalues
 from khessian.dirichlet import first_integral_solve, make_grid
-from khessian.eigen import IterationResult, default_sup_cap
+from khessian.eigen import IterationResult, default_sup_cap, sphere_area
 from khessian.errors import InconsistencyError
-from khessian.radial import RadialProfile
+from khessian.radial import RadialProfile, s_k_on_profile
 from khessian.symfun import sigma_k
 
 
@@ -117,3 +118,19 @@ def iterate_fixed_lambda_unbatched(lam, R, N, k, cfg, solver_cfg) -> IterationRe
                                          trace={"lam": lam, "n": n, "sup_trace": sup_trace})
             return IterationResult(False, "sup-cap", n, sup_trace, profile, lam)
     return IterationResult(False, "n-max", cfg.n_max, sup_trace, profile, lam)
+
+
+def simpson_profile_scipy(hp, r) -> np.ndarray:
+    """h from h' with h(R) = 0 by scipy's cumulative_simpson."""
+    integral = cumulative_simpson(hp, x=r, initial=0.0)
+    return integral - integral[-1]
+
+
+def rayleigh_quotient_scipy(profile: RadialProfile) -> float:
+    """The Rayleigh quotient with both radial integrals by scipy's simpson."""
+    omega = sphere_area(profile.N)
+    weight = profile.r ** (profile.N - 1)
+    sk = s_k_on_profile(profile)
+    num = -omega * simpson(profile.h * sk * weight, x=profile.r)
+    den = omega * simpson(np.abs(profile.h) ** (profile.k + 1) * weight, x=profile.r)
+    return float(num / den)

@@ -18,14 +18,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import khessian
 import khessian.cli as cli
 from khessian.cli import main
 from khessian.dirichlet import SolverConfig, SourceTerm, solve_radial_dirichlet
-from khessian.eigen import IterationConfig
+from khessian.eigen import IterationConfig, estimate_lambda1
 from khessian.radial import quartic_test_profile
 from khessian.cones import save_matrix_json
 from khessian.geometry import CurvatureField, save_field_json
@@ -76,27 +76,56 @@ def test_write_json_matches_the_reference_bytes(tmp_path):
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
-def test_import_defers_scipy_to_the_first_simpson_solve():
-    # scipy.integrate costs most of a cold start and only Simpson paths use it
+def test_library_and_every_subcommand_run_without_scipy(tmp_path):
+    # a fresh interpreter: a Simpson ball solve, an annulus solve, an
+    # estimate (its Rayleigh quotient included) and one main() call per
+    # subcommand, after which no scipy module may be loaded
+    problem = ["--dim", "2", "--order", "2", "--grid", "64"]
+    field = ["--sphere", "1", "--samples", "4", "--t", "3", "--d0", "0.1", "--depth", "8"]
+    calls = [
+        ["eigen", "--radius", "1", *problem, "--bisect-tol", "0.1"],
+        ["solve", "--radius", "1", *problem, "--source", "const:3"],
+        ["cone", "--order", "2", "--lambda=1.5,-0.25,2"],
+        ["verify", "bounds", "--radius", "1", *problem, "--bisect-tol", "0.1"],
+        ["verify", "monotone", "--r1", "1", "--r2", "0.8", *problem, "--bisect-tol", "0.1"],
+        ["verify", "hopf", "--radius", "1", *problem],
+        ["verify", "minprinciple", "--radius", "1", *problem, "--quartic"],
+        ["verify", "barrier-exp", "--dim", "2", "--order", "1", "--lam", "1", *field],
+        ["verify", "barrier-log", "--dim", "2", "--order", "1", "--fsup", "1", "--usup",
+         "1", *field],
+    ]
+    calls = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(calls)]
     code = (
-        "import sys\n"
-        "import khessian.cli\n"
-        "assert 'scipy.integrate' not in sys.modules\n"
+        "import contextlib, io, json, sys\n"
         "from khessian import SolverConfig, SourceTerm, solve_radial_dirichlet\n"
-        "p = solve_radial_dirichlet(SourceTerm.polynomial([1.0, 2.0]), 1.0, 3, 2,\n"
-        "                           SolverConfig(grid_size=64))\n"
-        "assert 'scipy.integrate' in sys.modules\n"
-        "print(repr(p.sup_norm))\n"
+        "from khessian.cli import main\n"
+        "from khessian.eigen import estimate_lambda1\n"
+        "f = SourceTerm.polynomial([1.0, 2.0])\n"
+        "ball = solve_radial_dirichlet(f, 1.0, 3, 2, SolverConfig(grid_size=64))\n"
+        "ring = solve_radial_dirichlet(f, 1.0, 3, 2, SolverConfig(grid_size=64),\n"
+        "                              r_inner=0.5, inner_value=-1.0)\n"
+        "est = estimate_lambda1(1.0, 3, 2, solver_cfg=SolverConfig(grid_size=64))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps({'codes': codes, 'values': [ball.sup_norm, ring.sup_norm,\n"
+        "                  est.rayleigh], 'scipy': sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[0] == 'scipy')}))\n"
     )
     src = str(Path(khessian.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(calls)], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    here = solve_radial_dirichlet(SourceTerm.polynomial([1.0, 2.0]), 1.0, 3, 2,
-                                  SolverConfig(grid_size=64))
-    assert done.stdout == f"{here.sup_norm!r}\n"
+    result = json.loads(done.stdout)
+    assert result["scipy"] == []
+    assert result["codes"] == [0, 0, 0, 0, 0, 0, 0, 0, 0]
+    f = SourceTerm.polynomial([1.0, 2.0])
+    cfg = SolverConfig(grid_size=64)
+    assert result["values"] == [
+        solve_radial_dirichlet(f, 1.0, 3, 2, cfg).sup_norm,
+        solve_radial_dirichlet(f, 1.0, 3, 2, cfg, r_inner=0.5, inner_value=-1.0).sup_norm,
+        estimate_lambda1(1.0, 3, 2, solver_cfg=cfg).rayleigh]
 
 
 def test_eigen_outputs_and_manifest(tmp_path, capsys):
@@ -491,13 +520,40 @@ def test_every_settings_field_is_a_config_key(tmp_path, capsys):
     ["solve", "--dim", "3", "--order", "2", "--radius", "1e200", "--source", "const:1"],
     ["solve", "--dim", "3", "--order", "2", "--radius", "1e-200", "--source", "const:1"],
     ["verify", "hopf", "--dim", "3", "--order", "2", "--radius", "1e200"],
+    # sizes numpy refuses at once, before any memory is touched
+    ["solve", "--dim", "3", "--order", "2", "--radius", "1", "--source", "const:1",
+     "--grid", "1000000000000000000"],
+    ["verify", "minprinciple", "--dim", "3", "--order", "2", "--radius", "1", "--quartic",
+     "--grid", "1000000000000000000"],
+    ["verify", "barrier-log", "--dim", "3", "--order", "2", "--fsup", "1", "--usup", "1",
+     "--sphere", "1", "--t", "3", "--d0", "0.1", "--depth", "1000000000000000000"],
 ], ids=["radius-1e200", "radius-1e-200", "radius-1e60-k3", "bisect-tol-nan",
         "sup-cap-nan", "bounds-radius-1e-100", "monotone-r2-1e300", "solve-radius-1e200",
-        "solve-radius-1e-200", "hopf-radius-1e200"])
+        "solve-radius-1e-200", "hopf-radius-1e200", "solve-grid-1e18",
+        "minprinciple-grid-1e18", "barrier-log-depth-1e18"])
 def test_out_of_range_numbers_are_input_errors(argv, tmp_path, capsys):
     assert run(argv + ["--out", tmp_path / "o"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["cone", "--order", "2", "--matrix", np.diag([1e200, 1e200])],
+    ["cone", "--order", "3", "--matrix", np.diag([1e150, 1e150, 1e150])],
+    ["cone", "--order", "2", "--lambda=1e308,1e308"],
+    ["cone", "--order", "2", "--lambda=1e200,-1e200,1e200"],
+], ids=["matrix-sigma-2", "matrix-slack-k3", "spectrum-sigma-1", "spectrum-sigma-2"])
+def test_overflowing_spectra_are_input_errors(argv, tmp_path, capsys):
+    # sigma_j or the slack overflowing to inf gave verdicts and wrote Infinity
+    if not isinstance(argv[-1], str):
+        save_matrix_json(tmp_path / "m.json", argv[-1])
+        argv = argv[:-1] + [tmp_path / "m.json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflows" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -614,6 +670,8 @@ def test_fuzzed_numeric_flags_never_raise(argv):
     ("m.json", b'{"n": 1e400, "entries": [1]}', ["cone", "--order", "1", "--matrix"]),
     ("m.json", b'\xff{"n": 1, "entries": [1]}', ["cone", "--order", "1", "--matrix"]),
     ("m.json", b'{"n": 0, "entries": []}', ["cone", "--order", "1", "--matrix"]),
+    ("m.json", b'{"n": 2.5, "entries": [1, 0, 0, 1]}', ["cone", "--order", "1", "--matrix"]),
+    ("m.json", b'{"n": true, "entries": [1]}', ["cone", "--order", "1", "--matrix"]),
     ("f.json", b'[{"point": [1, 0], "kappa": [\xff]}]',
      ["verify", "barrier-exp", "--dim", "2", "--order", "1", "--lam", "1", "--t", "3",
       "--d0", "0.1", "--field"]),
@@ -621,7 +679,8 @@ def test_fuzzed_numeric_flags_never_raise(argv):
      ["verify", "barrier-exp", "--dim", "2", "--order", "1", "--lam", "1", "--t", "3",
       "--d0", "0.1", "--field"]),
 ], ids=["config-not-utf8", "matrix-string-entry", "matrix-n-1e400", "matrix-not-utf8",
-        "matrix-n-0", "field-not-utf8", "field-huge-integer"])
+        "matrix-n-0", "matrix-n-2.5", "matrix-n-true", "field-not-utf8",
+        "field-huge-integer"])
 def test_unreadable_input_files_are_input_errors(name, content, argv, tmp_path, capsys):
     path = tmp_path / name
     path.write_bytes(content)
@@ -736,8 +795,19 @@ def _input_file(draw):
     return content, argv
 
 
+def _non_integer_size(content: bytes) -> bool:
+    """Whether content is a JSON object whose "n" is not a JSON integer."""
+    try:
+        payload = json.loads(content)
+    except ValueError:
+        return False
+    return isinstance(payload, dict) and "n" in payload and type(payload["n"]) is not int
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(case=_input_file())
+@example(case=(b'{"n": 2.5, "entries": [1, 0, 0, 1]}', ["cone", "--order", "1", "--matrix"]))
+@example(case=(b'{"n": true, "entries": [1]}', ["cone", "--order", "1", "--matrix"]))
 def test_fuzzed_input_files_never_raise(case):
     content, argv = case
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
@@ -747,6 +817,8 @@ def test_fuzzed_input_files_never_raise(case):
         path.write_bytes(content)
         code = main(argv + [str(path), f"--out={tmp}/out"])
     assert code in (0, 1, 2), (argv, content, code)
+    if argv[0] == "cone" and _non_integer_size(content):
+        assert code == 1, (argv, content, code)
     if code == 1:
         assert err.getvalue().startswith("error: "), (argv, content, err.getvalue())
         assert err.getvalue().count("\n") == 1, (argv, content, err.getvalue())

@@ -26,7 +26,7 @@ from khessian.eigen import estimate_lambda1
 from khessian.errors import ConvergenceError, DomainError
 from khessian.radial import RadialProfile, s_k_radial
 from khessian.symfun import in_gamma_k
-from reference import holder_dense
+from reference import holder_dense, simpson_profile_scipy
 
 # the nine (N, k) pairs of the shooting-oracle table
 ORACLE_PAIRS = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]
@@ -324,6 +324,23 @@ def test_trapezoid_cumsum_matches_scipy(monkeypatch):
                             lambda y, dx: cumulative_trapezoid(y, r, initial=0.0))
         for a, b in zip(got, solve(*case)):
             np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("size, graded", [(512, False), (512, True), (513, False),
+                                           (513, True), (2048, True)])
+def test_simpson_profile_matches_scipy_cumulative_simpson(size, graded):
+    # the pairwise-quadratic kernel with weight 1 is cumulative Simpson,
+    # the closing parabola of an odd interval count included
+    sources = [lambda r: np.ones_like(r),
+               lambda r: np.exp(3 * r) * (1 + 0.5 * np.sin(7 * r)),
+               lambda r: (r >= 0.5).astype(float)]
+    for R in (1.0, 0.9):
+        r = make_grid(R, size, graded=graded)
+        for f in sources:
+            for N, k in [(2, 1), (3, 2), (3, 3), (5, 3)]:
+                h, hp, _ = first_integral_solve(f(r), r, N, k, scheme="simpson")
+                ref = simpson_profile_scipy(hp, r)
+                assert np.max(np.abs(h - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("scheme", ["Simpson", "bogus", ""])

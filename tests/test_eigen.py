@@ -29,7 +29,7 @@ from khessian.eigen import (
 )
 from khessian.errors import DomainError, InconsistencyError
 from khessian.radial import RadialProfile, quartic_test_profile
-from reference import iterate_fixed_lambda_unbatched, s_k_op
+from reference import iterate_fixed_lambda_unbatched, rayleigh_quotient_scipy, s_k_op
 
 # h'' + h'/r = lambda |h| on (0,1), h'(0) = 0, h(1) = 0: the first
 # eigenvalue is the squared Bessel zero j_{0,1}^2, reproduced to 2e-12
@@ -133,6 +133,18 @@ def test_rayleigh_consistency(est21, est22):
         gap = abs(est.rayleigh - est.lambda_best) / est.lambda_best
         assert gap <= 0.01
         assert est.residual_max <= 0.02 * est.lambda_best
+
+
+def test_rayleigh_quotient_matches_scipy_simpson(est21, est22):
+    # even and odd interval counts, uniform and graded
+    profiles = [est21.eigenfunction, est22.eigenfunction,
+                quartic_test_profile(0.9, 5, 3, 512), quartic_test_profile(0.9, 5, 3, 513)]
+    for size, graded in [(513, False), (512, True), (513, True)]:
+        cfg = SolverConfig(grid_size=size, graded=graded)
+        profiles.append(estimate_lambda1(1.0, 3, 2, solver_cfg=cfg).eigenfunction)
+    for p in profiles:
+        ref = rayleigh_quotient_scipy(p)
+        assert abs(rayleigh_quotient(p) - ref) <= 1e-13 * abs(ref)
 
 
 def test_rayleigh_scale_invariance(est21):
