@@ -169,17 +169,6 @@ def make_grid(R: float, grid_size: int, graded: bool = False,
     return grid
 
 
-def _cumulative_trapezoid(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """int_{x_0}^{x_m} y ds along the last axis of y, dx = np.diff(x).
-
-    Nonnegative weights, in the operation order of scipy's
-    cumulative_trapezoid so results match it bitwise.
-    """
-    out = np.zeros(y.shape)
-    np.cumsum(dx * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1, out=out[..., 1:])
-    return out
-
-
 def _weighted_moment_cumulative(f_nodes: np.ndarray, r: np.ndarray, N: int) -> np.ndarray:
     """Cumulative int_{r_0}^{r_m} s^(N-1) f(s) ds with the weight integrated exactly.
 
@@ -228,12 +217,17 @@ def _weighted_moment_cumulative(f_nodes: np.ndarray, r: np.ndarray, N: int) -> n
 class _FirstIntegral:
     """The first-integral solve on one grid r, for any number of sources.
 
-    np.diff(r), r^(N-1) and r^((k-N)/k) are computed once, and the scheme
-    is checked once.  The trapezoid scheme works along the last axis of f,
-    one source per row; its weights are nonnegative, so f >= g nodewise
-    implies h_f <= h_g nodewise exactly in floating point, which the
-    fixed-point iteration depends on.  Simpson integrates the weight
-    s^(N-1) exactly against the pairwise quadratic of one source.
+    dx, dx / 2, r^(N-1) and r^((k-N)/k) are computed once, and the scheme
+    is checked once.  Simpson integrates the weight s^(N-1) exactly against
+    the pairwise quadratic of one source.  The trapezoid scheme is one
+    in-place kernel, solve_into(f_nodes, hp, rest), on caller-owned
+    buffers of the shape of f_nodes, one source per row along the last
+    axis: it fills hp with h' and rest with int_r^R h' ds = -h >= 0, both
+    sums accumulated in place, the second straight into the reversed view
+    of rest.  Every trapezoid solve, ball or annulus, goes through it.  Its
+    weights are nonnegative, so f >= g nodewise implies h_f <= h_g nodewise
+    exactly in floating point, which the fixed-point iteration depends on,
+    and rest never increases along r.
     """
 
     def __init__(self, r: np.ndarray, N: int, k: int, scheme: str):
@@ -242,7 +236,9 @@ class _FirstIntegral:
         self.r, self.N, self.k = r, N, k
         self.trapezoid = scheme == "trapezoid"
         self.dx = np.diff(r)
+        self.half_dx = self.dx / 2.0
         self.weight = r ** (N - 1)
+        self.scale = k / math.comb(N - 1, k - 1)
         # r^((k-N)/k), and 0 at the origin: the moment vanishes there one
         # order faster than r^(N-k), so h'(0) = 0
         self.rpow = np.power(r, (k - N) / k, out=np.zeros_like(r), where=r > 0)
@@ -250,26 +246,71 @@ class _FirstIntegral:
     def moment(self, f_nodes: np.ndarray) -> np.ndarray:
         """g = (k / C(N-1,k-1)) * max(int_{r_0}^r s^(N-1) f ds, 0), so r^(N-k) h'^k = g."""
         if self.trapezoid:
-            moment = _cumulative_trapezoid(self.weight * f_nodes, self.dx)
+            g = np.empty(np.shape(f_nodes))
+            self._trapezoid_moment(f_nodes, np.empty(g.shape), g)
         else:
-            moment = _weighted_moment_cumulative(f_nodes, self.r, self.N)
-        return (self.k / math.comb(self.N - 1, self.k - 1)) * np.maximum(moment, 0.0)
+            g = _weighted_moment_cumulative(f_nodes, self.r, self.N)
+        return self._scaled(g)
 
     def profile(self, g: np.ndarray) -> tuple:
         """(h, h') from h' = g^(1/k) r^((k-N)/k) and h(R) = 0."""
-        hp = g ** (1.0 / self.k) * self.rpow
         if self.trapezoid:
-            # int_r^R h' ds, accumulated from the outer end
-            inc = 0.5 * (hp[..., 1:] + hp[..., :-1]) * self.dx
-            rest = np.zeros(hp.shape)
-            rest[..., :-1] = np.cumsum(inc[..., ::-1], axis=-1)[..., ::-1]
+            rest = np.array(g, dtype=float)
+            hp = np.empty(rest.shape)
+            self._trapezoid_profile(hp, rest)
             return -rest, hp
+        hp = g ** (1.0 / self.k) * self.rpow
         integral = _weighted_moment_cumulative(hp, self.r, 1)
         return integral - integral[-1], hp
 
     def solve(self, f_nodes: np.ndarray) -> tuple:
         """(h, h') for the source f_nodes."""
+        if self.trapezoid:
+            hp, rest = np.empty(np.shape(f_nodes)), np.empty(np.shape(f_nodes))
+            self.solve_into(f_nodes, hp, rest)
+            return -rest, hp
         return self.profile(self.moment(f_nodes))
+
+    def solve_into(self, f_nodes: np.ndarray, hp: np.ndarray, rest: np.ndarray) -> None:
+        """The trapezoid solve in place: hp = h' and rest = -h of each source.
+
+        f_nodes is read only; hp doubles as work space for the weighted source
+        and rest holds the moment g until h' has been formed from it.
+        """
+        self._trapezoid_moment(f_nodes, hp, rest)
+        self._scaled(rest)
+        self._trapezoid_profile(hp, rest)
+
+    def _trapezoid_moment(self, f_nodes, work, out) -> None:
+        """out = int_{r_0}^r s^(N-1) f ds, the increments summed in place."""
+        np.multiply(self.weight, f_nodes, out=work)
+        inc = out[..., 1:]
+        np.add(work[..., 1:], work[..., :-1], out=inc)
+        # (dx s) / 2 and s (dx / 2) differ where the product is subnormal,
+        # which the weight r^(N-1) reaches on small balls; keep the first
+        inc *= self.dx
+        inc /= 2.0
+        np.add.accumulate(inc, axis=-1, out=inc)
+        out[..., 0] = 0.0
+
+    def _scaled(self, g: np.ndarray) -> np.ndarray:
+        np.maximum(g, 0.0, out=g)
+        if self.scale != 1.0:  # it is 1 for every k = 1
+            g *= self.scale
+        return g
+
+    def _trapezoid_profile(self, hp, rest) -> None:
+        """From g in rest: hp = g^(1/k) r^((k-N)/k), then rest = int_r^R hp ds."""
+        if self.k > 1:
+            rest **= 1.0 / self.k
+        np.multiply(rest, self.rpow, out=hp)
+        inc = rest[..., :-1]
+        np.add(hp[..., 1:], hp[..., :-1], out=inc)
+        inc *= self.half_dx
+        # accumulated from the outer end, in the reversed view
+        back = rest[..., -2::-1]
+        np.add.accumulate(back, axis=-1, out=back)
+        rest[..., -1] = 0.0
 
     def hpp(self, hp: np.ndarray, f_nodes: np.ndarray) -> np.ndarray:
         """h'' of one source from d/dr of the first integral; exact wherever h' > 0."""

@@ -61,14 +61,23 @@ def _check(N: int, k: int, R: float) -> None:
     _check_radius(R, k)
 
 
+def _check_lam(lam: float) -> None:
+    # "not x >= 0" also refuses NaN
+    if not 0 <= lam < math.inf:
+        raise DomainError(f"lam {lam!r} must be finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class IterationConfig:
     """Knobs for the fixed-point iteration and the eigenvalue bracket.
 
     sup_cap defaults to 1e6 times the sup norm of the f = 1 solution on
     the same ball; a probe that reaches n_max before settling or passing
-    the cap is undecided.  bisect_tol caps the width of the returned
-    bracket and defaults to 1e-10 times its upper end.
+    the cap is undecided.  A probe settles once no node moves by more than
+    fixed_point_tol R^2: iterates scale as R^2, so the test, and with it
+    every probe's step count, is the same on every ball.  bisect_tol caps
+    the width of the returned bracket and defaults to 1e-10 times its
+    upper end.
     """
 
     sup_cap: Optional[float] = None
@@ -118,8 +127,7 @@ def iterate_fixed_lambda(lam: float, R: float, N: int, k: int,
     runs its two probes on; a row's result does not depend on the others.
     """
     _check(N, k, R)
-    if lam < 0:
-        raise DomainError("lam must be nonnegative")
+    _check_lam(lam)
     r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
     return _iterate_rows([lam], r, N, k, cfg, _sup_cap(cfg, N, k, R))[0]
 
@@ -132,36 +140,51 @@ def _iterate_rows(lams: list, r: np.ndarray, N: int, k: int, cfg: IterationConfi
                   sup_cap: float) -> list:
     """The monotone scheme at every lam of lams in lockstep, one row each.
 
-    Each step is one batched trapezoid solve of the rows still running,
-    computing only (h, h'); a row leaves once it reaches fixed-point,
-    sup-cap or n-max, and h'' is recovered once, for the profile it
-    returns.  Every row's IterationResult is bitwise the one it would get
-    alone.  A monotonicity fault in any row raises InconsistencyError
-    whose trace carries that row's lam, step n and sup trace.
+    Each step is one in-place trapezoid solve of the rows still running.
+    It carries rest = -h >= 0, so the source is 1 + lam rest_prev^k.  One
+    difference d = rest - rest_prev = h_prev - h gives both checks: a
+    negative entry is an iterate that rose, and the row maximum is the
+    fixed-point step.  rest never increases along r, so the sup norm is
+    rest[:, 0].  The (rows, nodes) buffers are allocated once and swapped
+    each step, and again only when a row leaves: once it reaches
+    fixed-point (the step is at most fixed_point_tol R^2), sup-cap or
+    n-max.  h'' is recovered once, for the profile a row returns.  Every
+    row's IterationResult is bitwise the one it would get alone.  A
+    monotonicity fault in any row raises InconsistencyError whose trace
+    carries that row's lam, step n and sup trace.
     """
     solver = _FirstIntegral(r, N, k, "trapezoid")
+    # iterates scale as R^2, so the fixed-point test does too
+    tol = cfg.fixed_point_tol * float(r[-1]) ** 2
     results: list = [None] * len(lams)
     traces: list = [[] for _ in lams]
     rows = list(range(len(lams)))
     lam_col = np.array(lams, dtype=float)[:, None]
-    h_prev = np.zeros((len(lams), r.size))
+    rest_prev = np.zeros((len(lams), r.size))
+    f_nodes, hp, rest, d = (np.empty(rest_prev.shape) for _ in range(4))
     for n in range(1, cfg.n_max + 1):
-        f_nodes = 1.0 + lam_col * np.abs(h_prev) ** k
-        h, hp = solver.solve(f_nodes)
-        increased = h > h_prev
-        if increased.any():
-            i = rows[int(np.argmax(increased.any(axis=1)))]
+        if k == 1:
+            np.multiply(rest_prev, lam_col, out=f_nodes)
+        else:
+            np.power(rest_prev, k, out=f_nodes)
+            f_nodes *= lam_col
+        f_nodes += 1.0
+        solver.solve_into(f_nodes, hp, rest)
+        np.subtract(rest, rest_prev, out=d)
+        # fmin skips NaN, as the comparison h > h_prev does
+        if np.fmin.reduce(d, axis=None) < 0:
+            i = rows[int(np.argmax((d < 0).any(axis=1)))]
             raise InconsistencyError(
                 "iterate increased somewhere despite a larger source",
                 trace={"lam": lams[i], "n": n, "sup_trace": traces[i]},
             )
-        sups = np.abs(h).max(axis=1).tolist()
-        diffs = (h_prev - h).max(axis=1).tolist()
+        sups = rest[:, 0].tolist()
+        diffs = d.max(axis=1).tolist()
         running = []
         for j, i in enumerate(rows):
             sup_trace = traces[i]
             sup_trace.append(sups[j])
-            if diffs[j] <= cfg.fixed_point_tol:
+            if diffs[j] <= tol:
                 reason = "fixed-point"
             elif sups[j] > sup_cap:
                 tail = np.diff(np.asarray(sup_trace[-10:]))
@@ -176,16 +199,18 @@ def _iterate_rows(lams: list, r: np.ndarray, N: int, k: int, cfg: IterationConfi
             else:
                 running.append(j)
                 continue
-            profile = RadialProfile(N=N, k=k, r=r, h=h[j], hp=hp[j],
+            profile = RadialProfile(N=N, k=k, r=r, h=-rest[j], hp=hp[j].copy(),
                                     hpp=solver.hpp(hp[j], f_nodes[j]), k_convex=True)
             results[i] = IterationResult(reason == "fixed-point", reason, n, sup_trace,
                                          profile, lams[i])
         if len(running) < len(rows):
             rows = [rows[j] for j in running]
-            h, lam_col = h[running], lam_col[running]
             if not rows:
                 break
-        h_prev = h
+            lam_col, rest_prev = lam_col[running], rest[running]
+            f_nodes, hp, rest, d = (np.empty(rest_prev.shape) for _ in range(4))
+        else:
+            rest_prev, rest = rest, rest_prev
     return results
 
 
@@ -278,11 +303,12 @@ def estimate_lambda1(R: float, N: int, k: int,
     rounding = k * (2 * r.size + 16) * float(np.finfo(float).eps)
     solver = _FirstIntegral(r, N, k, "trapezoid")
     v = R**2 - r**2
+    f_nodes, hp, a = (np.empty(r.size) for _ in range(3))
     widths = []
     for n_solves in range(1, _POWER_MAX_SOLVES + 1):
-        f_nodes = v**k
-        h, hp = solver.solve(f_nodes)
-        a = -h
+        np.power(v, k, out=f_nodes)
+        # a = -h, the solve's rest
+        solver.solve_into(f_nodes, hp, a)
         ratio = (v[:-1] / a[:-1]) ** k
         lo = float(np.min(ratio)) * (1.0 - rounding)
         hi = float(np.max(ratio)) * (1.0 + rounding)
@@ -310,7 +336,7 @@ def estimate_lambda1(R: float, N: int, k: int,
 
     hpp = solver.hpp(hp, f_nodes)
     s = float(np.max(a))
-    w = RadialProfile(N=N, k=k, r=r, h=h / s, hp=hp / s, hpp=hpp / s, k_convex=True)
+    w = RadialProfile(N=N, k=k, r=r, h=-a / s, hp=hp / s, hpp=hpp / s, k_convex=True)
 
     sk = s_k_on_profile(w)
     residual_max = float(np.max(np.abs(sk[:-1] - lam_best * np.abs(w.h[:-1]) ** k)))
@@ -382,8 +408,7 @@ def minimum_principle_probe(profile: RadialProfile, lam: float,
     1e-10 (1 + |spectrum|_2)^k, the Frobenius norm of that Hessian, as in
     cones.membership_slack.
     """
-    if lam < 0:
-        raise DomainError("lam must be nonnegative")
+    _check_lam(lam)
     N, k = profile.N, profile.k
     r, h, hpp = profile.r, profile.h, profile.hpp
     tangential = np.divide(profile.hp, r, out=hpp.copy(), where=r > 0)
@@ -416,8 +441,11 @@ def domain_monotonicity_check(N: int, k: int, R1: float, R2: float,
     Runs the two estimates and checks lambda_best(R_big) <=
     lambda_best(R_small) + slack, with slack twice the wider bracket.
     """
-    if R1 <= 0 or R2 <= 0 or R1 == R2:
-        raise DomainError("need two distinct positive radii")
+    # min and max of a NaN and a number return the number, so check first
+    _check(N, k, R1)
+    _check(N, k, R2)
+    if R1 == R2:
+        raise DomainError("need two distinct radii")
     r_small, r_big = min(R1, R2), max(R1, R2)
     est_small = estimate_lambda1(r_small, N, k, cfg, solver_cfg)
     est_big = estimate_lambda1(r_big, N, k, cfg, solver_cfg)

@@ -174,8 +174,9 @@ def verify_exp_boundary_barrier(field: CurvatureField, k: int, lam: float,
     """
     if k < 1 or k > field.ambient_dim:
         raise DomainError("order k out of range")
-    if t <= 0 or lam < 0:
-        raise DomainError("need a positive rate t and nonnegative lam")
+    # "not x >= 0" also refuses NaN
+    if t <= 0 or not 0 <= lam < math.inf:
+        raise DomainError("need a positive rate t and a finite nonnegative lam")
     depths = _collar_depths(field, d0, n_depth)
     sig = _collar_sigma(field, depths, t)[:, :, 1 : k + 1]
     j = np.arange(1, k + 1)
@@ -216,8 +217,8 @@ def verify_log_boundary_barrier(field: CurvatureField, k: int, fsup: float,
     """
     if k < 1 or k > field.ambient_dim:
         raise DomainError("order k out of range")
-    if t <= 0 or fsup < 0 or usup < 0:
-        raise DomainError("need t > 0 and nonnegative bounds fsup, usup")
+    if t <= 0 or not (0 <= fsup < math.inf and 0 <= usup < math.inf):
+        raise DomainError("need t > 0 and finite nonnegative bounds fsup, usup")
     depths = _collar_depths(field, d0, n_depth)
     sig = _collar_sigma(field, depths, t / (1.0 + t * depths))[:, :, 1 : k + 1]
     beta = float(np.min(sig))

@@ -7,10 +7,11 @@ so that the tests can compare the two.
 
 import csv
 import json
+import math
 from itertools import combinations
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
+from scipy.integrate import cumulative_simpson, cumulative_trapezoid, simpson
 
 from khessian.cones import eigenvalues
 from khessian.dirichlet import first_integral_solve, make_grid
@@ -94,9 +95,11 @@ def write_json_dump(path, payload: dict, default) -> None:
 
 def iterate_fixed_lambda_unbatched(lam, R, N, k, cfg, solver_cfg) -> IterationResult:
     """The paper's monotone scheme at one lam, one full first_integral_solve
-    (h, h', h'') per step, with the same stopping rules and fault checks."""
+    (h, h', h'') per step, with the same stopping rules and fault checks;
+    iterates scale as R^2, and so does the fixed-point test."""
     sup_cap = cfg.sup_cap if cfg.sup_cap is not None else default_sup_cap(N, k, R)
     r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
+    tol = cfg.fixed_point_tol * float(r[-1]) ** 2
     h_prev = np.zeros_like(r)
     sup_trace = []
     for n in range(1, cfg.n_max + 1):
@@ -110,7 +113,7 @@ def iterate_fixed_lambda_unbatched(lam, R, N, k, cfg, solver_cfg) -> IterationRe
         sup_trace.append(sup)
         h_prev = h
         profile = RadialProfile(N=N, k=k, r=r, h=h, hp=hp, hpp=hpp, k_convex=True)
-        if diff <= cfg.fixed_point_tol:
+        if diff <= tol:
             return IterationResult(True, "fixed-point", n, sup_trace, profile, lam)
         if sup > sup_cap:
             if np.any(np.diff(np.asarray(sup_trace[-10:])) < 0):
@@ -118,6 +121,18 @@ def iterate_fixed_lambda_unbatched(lam, R, N, k, cfg, solver_cfg) -> IterationRe
                                          trace={"lam": lam, "n": n, "sup_trace": sup_trace})
             return IterationResult(False, "sup-cap", n, sup_trace, profile, lam)
     return IterationResult(False, "n-max", cfg.n_max, sup_trace, profile, lam)
+
+
+def trapezoid_solve_scipy(f_nodes, r, N: int, k: int) -> tuple:
+    """(h, h') of the first-integral solve with both cumulative integrals
+    by scipy's cumulative_trapezoid: the moment from the origin, then h
+    from the outer end, as the same rule run on the reversed grid."""
+    moment = cumulative_trapezoid(r ** (N - 1) * f_nodes, r, initial=0.0)
+    g = (k / math.comb(N - 1, k - 1)) * np.maximum(moment, 0.0)
+    rpow = np.power(r, (k - N) / k, out=np.zeros_like(r), where=r > 0)
+    hp = g ** (1.0 / k) * rpow
+    rest = cumulative_trapezoid(hp[::-1], -r[::-1], initial=0.0)[::-1]
+    return -rest, hp
 
 
 def simpson_profile_scipy(hp, r) -> np.ndarray:

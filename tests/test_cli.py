@@ -163,6 +163,19 @@ def test_eigen_determinism(tmp_path):
     assert ma["config_hash"] == mb["config_hash"]
 
 
+@pytest.mark.parametrize("radius", ["1e-4", "1e-5"])
+def test_eigen_on_a_small_ball(radius, tmp_path):
+    # the probes' fixed-point test scales with R^2; an absolute one
+    # stopped both probes at step 1 and exited 2
+    out = tmp_path / "small"
+    assert run(["eigen", "--dim", "2", "--order", "1", "--radius", radius,
+                "--out", out]) == 0
+    unit = estimate_lambda1(1.0, 2, 1).diagnostics["probes"]
+    diag = json.loads((out / "estimate.json").read_text())["diagnostics"]
+    assert [(p["reason"], p["n_iter"]) for p in diag["probes"]] == [
+        (p["reason"], p["n_iter"]) for p in unit]
+
+
 def test_eigen_json_format(tmp_path):
     out = tmp_path / "j"
     assert run(["eigen", "--dim", "2", "--order", "1", "--radius", "1",
@@ -527,12 +540,30 @@ def test_every_settings_field_is_a_config_key(tmp_path, capsys):
      "--grid", "1000000000000000000"],
     ["verify", "barrier-log", "--dim", "3", "--order", "2", "--fsup", "1", "--usup", "1",
      "--sphere", "1", "--t", "3", "--d0", "0.1", "--depth", "1000000000000000000"],
+    # non-finite radii and spectral parameters, which once gave verdicts
+    ["verify", "monotone", "--dim", "3", "--order", "2", "--r1", "1", "--r2", "nan"],
+    ["verify", "minprinciple", "--quartic", "--dim", "3", "--order", "2", "--radius", "1",
+     "--lam", "inf"],
+    ["verify", "minprinciple", "--quartic", "--dim", "3", "--order", "2", "--radius", "1",
+     "--lam", "nan"],
+    ["verify", "barrier-exp", "--dim", "3", "--order", "2", "--lam", "nan",
+     "--sphere", "1", "--t", "3", "--d0", "0.1"],
+    ["verify", "barrier-exp", "--dim", "3", "--order", "2", "--lam", "inf",
+     "--sphere", "1", "--t", "3", "--d0", "0.1"],
+    ["verify", "barrier-log", "--dim", "3", "--order", "2", "--fsup", "nan", "--usup", "1",
+     "--sphere", "1", "--t", "3", "--d0", "0.1"],
+    ["verify", "barrier-log", "--dim", "3", "--order", "2", "--fsup", "1", "--usup", "nan",
+     "--sphere", "1", "--t", "3", "--d0", "0.1"],
 ], ids=["radius-1e200", "radius-1e-200", "radius-1e60-k3", "bisect-tol-nan",
         "sup-cap-nan", "bounds-radius-1e-100", "monotone-r2-1e300", "solve-radius-1e200",
         "solve-radius-1e-200", "hopf-radius-1e200", "solve-grid-1e18",
-        "minprinciple-grid-1e18", "barrier-log-depth-1e18"])
+        "minprinciple-grid-1e18", "barrier-log-depth-1e18", "monotone-r2-nan",
+        "minprinciple-lam-inf", "minprinciple-lam-nan", "barrier-exp-lam-nan",
+        "barrier-exp-lam-inf", "barrier-log-fsup-nan", "barrier-log-usup-nan"])
 def test_out_of_range_numbers_are_input_errors(argv, tmp_path, capsys):
-    assert run(argv + ["--out", tmp_path / "o"]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out", tmp_path / "o"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()

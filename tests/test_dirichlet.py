@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid, quad, solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 import khessian.dirichlet as dirichlet
 from khessian.dirichlet import (
@@ -26,7 +26,7 @@ from khessian.eigen import estimate_lambda1
 from khessian.errors import ConvergenceError, DomainError
 from khessian.radial import RadialProfile, s_k_radial
 from khessian.symfun import in_gamma_k
-from reference import holder_dense, simpson_profile_scipy
+from reference import holder_dense, simpson_profile_scipy, trapezoid_solve_scipy
 
 # the nine (N, k) pairs of the shooting-oracle table
 ORACLE_PAIRS = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]
@@ -308,22 +308,20 @@ def test_holder_seminorm_pruned_matches_dense_on_sqrt():
         assert holder_seminorm(_profile(r, np.sqrt(r)), 0.5) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_trapezoid_cumsum_matches_scipy(monkeypatch):
-    # the default grid has dyadic spacing, where any summation order is
-    # exact; the R = 0.9 grid is not, so it pins the operation order
-    cases = [(R, N, k) for R in (1.0, 0.9) for N, k in [(2, 1), (3, 2), (5, 3)]]
-
-    def solve(R, N, k):
-        r = make_grid(R, 512)
-        return first_integral_solve(1.0 + (R**2 - r**2) ** k, r, N, k, scheme="trapezoid")
-
-    new = [solve(*case) for case in cases]
-    for case, got in zip(cases, new):
-        r = make_grid(case[0], 512)
-        monkeypatch.setattr(dirichlet, "_cumulative_trapezoid",
-                            lambda y, dx: cumulative_trapezoid(y, r, initial=0.0))
-        for a, b in zip(got, solve(*case)):
-            np.testing.assert_array_equal(a, b)
+def test_trapezoid_cumsum_matches_scipy():
+    # the in-place kernel is bitwise scipy's cumulative_trapezoid, both
+    # passes; the default grid has dyadic spacing, where any summation
+    # order is exact, while R = 0.9, 513 nodes and grading are not, so
+    # they pin the operation order; at R = 1e-50 the weight r^5 makes the
+    # moment's increments subnormal, where (dx s) / 2 and s (dx / 2) differ
+    for R in (1.0, 0.9, 1e-50):
+        for size, graded in [(512, False), (513, False), (2048, True)]:
+            r = make_grid(R, size, graded=graded)
+            for N, k in [(2, 1), (3, 2), (5, 3), (6, 6), (6, 1)]:
+                f_nodes = 1.0 + (R**2 - r**2) ** k
+                h, hp, _ = first_integral_solve(f_nodes, r, N, k, scheme="trapezoid")
+                ref_h, ref_hp = trapezoid_solve_scipy(f_nodes, r, N, k)
+                assert h.tobytes() == ref_h.tobytes() and hp.tobytes() == ref_hp.tobytes()
 
 
 @pytest.mark.parametrize("size, graded", [(512, False), (512, True), (513, False),

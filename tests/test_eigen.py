@@ -97,6 +97,16 @@ def test_negative_lambda_rejected():
         iterate_fixed_lambda(-0.5, 1.0, 2, 1)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_non_finite_lambda_rejected(lam, monkeypatch):
+    # NaN once ran 500 NaN steps before a malformed-profile error
+    monkeypatch.setattr(eigen, "make_grid", None)
+    with pytest.raises(DomainError, match="lam"):
+        iterate_fixed_lambda(lam, 1.0, 2, 1)
+    with pytest.raises(DomainError, match="lam"):
+        minimum_principle_probe(quartic_test_profile(1.0, 2, 1, 64), lam)
+
+
 def test_monotone_decreasing_below_lower_bound():
     rng = np.random.default_rng(11)
     for _ in range(5):
@@ -354,6 +364,16 @@ def test_domain_monotonicity():
         domain_monotonicity_check(2, 1, 1.5, 1.5)
 
 
+@pytest.mark.parametrize("R1, R2", [(1.0, math.nan), (math.nan, 1.0), (1.0, -1.0),
+                                    (1.0, math.inf), (1.0, 1e-200)])
+def test_domain_monotonicity_refuses_bad_radii(R1, R2, monkeypatch):
+    # min(1, nan) and max(1, nan) are both 1: a NaN radius once compared
+    # the unit ball with itself and passed
+    monkeypatch.setattr(eigen, "estimate_lambda1", None)
+    with pytest.raises(DomainError, match="radius"):
+        domain_monotonicity_check(2, 1, R1, R2)
+
+
 def test_sphere_area_values():
     assert sphere_area(2) == pytest.approx(2.0 * math.pi)
     assert sphere_area(3) == pytest.approx(4.0 * math.pi)
@@ -408,8 +428,17 @@ def test_n_max_is_undecided_and_fails_the_cross_check():
 
 # the nine (N, k) pairs of the shooting-oracle table
 ORACLE_PAIRS = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)]
-PROBE_CASES = [(N, k, SolverConfig()) for N, k in ORACLE_PAIRS] + [
-    (3, 2, SolverConfig(grid_size=300, graded=True))]
+# an odd node count, graded grids, a radius whose grid is not dyadic and
+# orders k up to 5 next to the oracle pairs
+PROBE_CASES = [(N, k, 1.0, SolverConfig()) for N, k in ORACLE_PAIRS] + [
+    (3, 2, 1.0, SolverConfig(grid_size=300, graded=True)),
+    (3, 2, 1.0, SolverConfig(grid_size=513)),
+    (4, 3, 1.0, SolverConfig(grid_size=2048, graded=True)),
+    (2, 1, 0.9, SolverConfig()),
+    (5, 3, 0.9, SolverConfig(grid_size=513, graded=True)),
+    (5, 4, 1.0, SolverConfig()),
+    (6, 5, 0.9, SolverConfig(grid_size=513)),
+]
 
 
 def _assert_same_iteration(a, b):
@@ -419,23 +448,56 @@ def _assert_same_iteration(a, b):
         assert np.array_equal(getattr(a.profile, name), getattr(b.profile, name)), name
 
 
-@pytest.mark.parametrize("N, k, solver_cfg", PROBE_CASES,
+@pytest.mark.parametrize("N, k, R, solver_cfg", PROBE_CASES,
                          ids=[f"{N}{k}-{c.grid_size}{'g' if c.graded else ''}"
-                              for N, k, c in PROBE_CASES])
-def test_lockstep_probes_match_separate_calls(N, k, solver_cfg):
+                              + ("" if R == 1.0 else f"-R{R}") for N, k, R, c in PROBE_CASES])
+def test_lockstep_probes_match_separate_calls(N, k, R, solver_cfg):
     # each row of the batched core is bitwise the one-lam run, and that is
     # bitwise the paper's scheme written out one full solve per step
     cfg = IterationConfig()
-    est = estimate_lambda1(1.0, N, k, cfg, solver_cfg)
+    est = estimate_lambda1(R, N, k, cfg, solver_cfg)
     probes = est.diagnostics["probes"]
     lams = [p["lam"] for p in probes]
-    r = make_grid(1.0, solver_cfg.grid_size, graded=solver_cfg.graded)
-    rows = eigen._iterate_rows(lams, r, N, k, cfg, default_sup_cap(N, k, 1.0))
+    r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
+    rows = eigen._iterate_rows(lams, r, N, k, cfg, default_sup_cap(N, k, R))
     for probe, row in zip(probes, rows):
         assert (probe["reason"], probe["n_iter"]) == (row.reason, row.n_iter)
-        _assert_same_iteration(row, iterate_fixed_lambda(row.lam, 1.0, N, k, cfg, solver_cfg))
+        _assert_same_iteration(row, iterate_fixed_lambda(row.lam, R, N, k, cfg, solver_cfg))
         _assert_same_iteration(
-            row, iterate_fixed_lambda_unbatched(row.lam, 1.0, N, k, cfg, solver_cfg))
+            row, iterate_fixed_lambda_unbatched(row.lam, R, N, k, cfg, solver_cfg))
+
+
+@pytest.mark.parametrize("N, k, R, solver_cfg", [
+    (2, 1, 1.0, SolverConfig(grid_size=513)),
+    (3, 2, 0.9, SolverConfig(grid_size=2048, graded=True)),
+    (5, 3, 1.0, SolverConfig(grid_size=512, graded=True)),
+], ids=["21-513", "32-2048g-R0.9", "53-512g"])
+def test_lockstep_rows_end_in_each_reason(N, k, R, solver_cfg):
+    # five rows leave at different steps for all three reasons, and every
+    # one is bitwise the paper's scheme run alone
+    cfg = IterationConfig(n_max=200)
+    lam = estimate_lambda1(R, N, k, cfg, solver_cfg).lambda_best
+    lams = [lam * c for c in (1.1**k, 1.0001, 0.9, 0.0, 1.5**k)]
+    r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
+    rows = eigen._iterate_rows(lams, r, N, k, cfg, default_sup_cap(N, k, R))
+    assert [row.reason for row in rows] == ["sup-cap", "n-max", "fixed-point",
+                                            "fixed-point", "sup-cap"]
+    assert len({row.n_iter for row in rows}) == 5
+    for row in rows:
+        _assert_same_iteration(
+            row, iterate_fixed_lambda_unbatched(row.lam, R, N, k, cfg, solver_cfg))
+
+
+@pytest.mark.parametrize("N, k", [(2, 1), (3, 2), (5, 3), (6, 1)])
+def test_probe_counts_do_not_depend_on_the_radius(N, k):
+    # the fixed-point test scales with R^2 as the iterates do; an absolute
+    # 1e-8 stopped both probes at step 1 on small balls
+    counts = {R: [(p["reason"], p["n_iter"])
+                  for p in estimate_lambda1(R, N, k).diagnostics["probes"]]
+              for R in (1.0, 1e-5, 1e-4, 1e3)}
+    assert counts[1.0][0][0] == "fixed-point" and counts[1.0][1][0] == "sup-cap"
+    for R in (1e-5, 1e-4, 1e3):
+        assert counts[R] == counts[1.0], R
 
 
 def test_lockstep_rows_leave_independently():
@@ -455,13 +517,11 @@ def test_monotonicity_fault_in_one_row_names_its_lambda(monkeypatch):
     steps = []
 
     class Faulty(eigen._FirstIntegral):
-        def solve(self, f_nodes):
-            h, hp = super().solve(f_nodes)
-            steps.append(h.shape)
+        def solve_into(self, f_nodes, hp, rest):
+            super().solve_into(f_nodes, hp, rest)
+            steps.append(rest.shape)
             if len(steps) == 5:
-                h = h.copy()
-                h[1, 10] = 0.5  # the second row rises above its last iterate
-            return h, hp
+                rest[1, 10] = -0.5  # h = 0.5: the second row rises above its last iterate
 
     monkeypatch.setattr(eigen, "_FirstIntegral", Faulty)
     r = make_grid(1.0, 64)
