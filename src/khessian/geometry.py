@@ -6,8 +6,13 @@ neighborhood.  Near the boundary the Hessian of the distance function has
 eigenvalues -kappa_i / (1 - kappa_i d) plus a zero in the normal
 direction, so compositions g(d) reduce to symmetric-function algebra on
 those values.  The two verifiers certify the exponential and logarithmic
-boundary barriers on every sample x depth cell of the collar, all cells
-in one batched sigma_all call.
+boundary barriers on every sample x depth cell of the collar.  The sigma
+recurrence runs on the N-1 tangential columns as (samples, depths)
+arrays plus the normal value, order-major; each order is reduced to its
+minimum over the samples first, and the barrier factors, all positive,
+scale those (k, depths) minima.  Scaling by a positive factor and
+subtracting a fixed value both round monotonically, so this is exactly
+the minimum of the cellwise products.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SearchError
-from .symfun import sigma_all
+from .symfun import _sigma_columns
 
 __all__ = [
     "CurvatureField",
@@ -73,27 +78,37 @@ class CurvatureField:
         return float(np.max(np.abs(self.kappas)))
 
 
+def _kappa_sigma(field: CurvatureField, k: int) -> np.ndarray:
+    """sigma_0..sigma_k of kappa(y) at every sample, order-major (k+1, S)."""
+    if k < 2:
+        raise DomainError("strict (k-1)-convexity needs k >= 2")
+    if k - 1 > field.ambient_dim - 1:
+        raise DomainError("order k exceeds the boundary dimension + 1")
+    return _sigma_columns(field.kappas.T, k)
+
+
 def strictly_km1_convex(field: CurvatureField, k: int) -> bool:
     """Strict (k-1)-convexity: sigma_j(kappa) > 0 for j < k at every sample.
 
     Only meaningful for k >= 2; the k = 1 theory puts no condition on the
     boundary, so asking is treated as a caller error.
     """
-    if k < 2:
-        raise DomainError("strict (k-1)-convexity needs k >= 2")
-    if k - 1 > field.ambient_dim - 1:
-        raise DomainError("order k exceeds the boundary dimension + 1")
-    sig = sigma_all(field.kappas)
-    return bool(np.all(sig[:, 1:k] > 0))
+    return bool(np.all(_kappa_sigma(field, k)[1:k] > 0))
 
 
-def _augmented_sigma(field: CurvatureField, R: float) -> np.ndarray:
-    """sigma_0..sigma_N of (kappa(y), R) at every sample, shape (S, N+1)."""
-    return sigma_all(np.column_stack([field.kappas, np.full(field.n_samples, R)]))
+def _augmented_sigma(sig: np.ndarray, R: float) -> np.ndarray:
+    """sigma_1..sigma_k of (kappa(y), R) from sig = sigma_0..sigma_k(kappa).
+
+    This is the last step of the recurrence, with R as the last entry,
+    so it is bit-identical to the recurrence run on (kappa, R).
+    """
+    return sig[1:] + R * sig[:-1]
 
 
-def _augmented_ok(field: CurvatureField, k: int, R: float) -> bool:
-    return bool(np.all(_augmented_sigma(field, R)[:, 1 : k + 1] > 0))
+def _augmented_ok(sig: np.ndarray, R: float) -> bool:
+    """(kappa(y), R) strictly in the k-th cone at every sample, from
+    sig = _kappa_sigma(field, k)."""
+    return bool(np.all(_augmented_sigma(sig, R) > 0))
 
 
 def augment_r(field: CurvatureField, k: int, r_max: float = None) -> float:
@@ -103,20 +118,22 @@ def augment_r(field: CurvatureField, k: int, r_max: float = None) -> float:
     in R under strict (k-1)-convexity, so feasibility is monotone: double
     from a small seed until the predicate holds, then bisect the bracket
     and return the certified upper end.  Raises when even r_max fails.
+    sigma(kappa) is computed once; each candidate R costs one step.
     """
-    if not strictly_km1_convex(field, k):
+    sig = _kappa_sigma(field, k)
+    if not np.all(sig[1:k] > 0):
         raise DomainError("augmentation needs a strictly (k-1)-convex field")
     scale = 1.0 + field.mu
     if r_max is None:
         r_max = 1e6 * scale
     r = 1e-6 * scale
-    if _augmented_ok(field, k, r):
+    if _augmented_ok(sig, r):
         return r
     lo = r
-    while not _augmented_ok(field, k, r):
+    while not _augmented_ok(sig, r):
         r *= 2.0
         if r > r_max:
-            worst = float(np.min(_augmented_sigma(field, r_max)[:, 1 : k + 1]))
+            worst = float(np.min(_augmented_sigma(sig, r_max)))
             raise SearchError(
                 f"no augmentation R <= {r_max:.3g} reaches the k={k} cone",
                 diagnostics={"r_max": r_max, "worst_sigma": worst},
@@ -125,19 +142,26 @@ def augment_r(field: CurvatureField, k: int, r_max: float = None) -> float:
     hi = r
     while hi - lo > 1e-3 * hi:
         mid = 0.5 * (lo + hi)
-        if _augmented_ok(field, k, mid):
+        if _augmented_ok(sig, mid):
             hi = mid
         else:
             lo = mid
-    if not _augmented_ok(field, k, hi):
+    if not _augmented_ok(sig, hi):
         raise SearchError("augmentation certification failed", {"candidate": hi})
     return hi
 
 
+# samples per block of the collar recurrence: a block's sigma array at 64
+# depths and k = 2 stays near 0.4 MB, and a minimum of block minima is the
+# minimum over all samples
+_SAMPLE_BLOCK = 256
+
+
 def _collar_depths(field: CurvatureField, d0: float, n_depth: int) -> np.ndarray:
     """The sampled depths d0 i / n_depth, i = 1..n_depth, inside the tube."""
-    if d0 <= 0:
-        raise DomainError("collar width d0 must be positive")
+    # False for NaN, so NaN is refused too
+    if not 0 < d0 < math.inf:
+        raise DomainError("collar width d0 must be positive and finite")
     mu = field.mu
     if mu > 0 and d0 > 1.0 / (2.0 * mu):
         raise DomainError(
@@ -148,18 +172,28 @@ def _collar_depths(field: CurvatureField, d0: float, n_depth: int) -> np.ndarray
     return np.linspace(0.0, d0, n_depth + 1)[1:]
 
 
-def _collar_sigma(field: CurvatureField, depths: np.ndarray, normal) -> np.ndarray:
-    """sigma_0..sigma_N of (kappa_i/(1 - kappa_i d), normal) at every cell.
+def _collar_sigma_min(field: CurvatureField, depths: np.ndarray, normal,
+                      k: int) -> np.ndarray:
+    """min over samples of sigma_j(kappa_i/(1 - kappa_i d), normal), j = 1..k.
 
-    Cells are sample x depth; normal is one value or one per depth.  The
-    result has shape (S, D, N+1), computed by one batched sigma_all.
+    normal is one value or one per depth.  The result has shape (k, D).
+    The N-1 tangential entries go to the recurrence as (samples, depths)
+    columns, _SAMPLE_BLOCK samples at a time.
     """
-    kap = field.kappas[:, None, :]
-    tangential = kap / (1.0 - kap * depths[:, None])
-    normal = np.broadcast_to(np.asarray(normal, dtype=float)[..., None],
-                             tangential.shape[:2] + (1,))
-    cells = np.concatenate([tangential, normal], axis=-1)
-    return sigma_all(cells.reshape(-1, cells.shape[-1])).reshape(cells.shape[:2] + (-1,))
+    minima = []
+    for start in range(0, field.n_samples, _SAMPLE_BLOCK):
+        kap = field.kappas[start : start + _SAMPLE_BLOCK].T[:, :, None]
+        tangential = kap / (1.0 - kap * depths)
+        sig = _sigma_columns([*tangential, normal], k)
+        minima.append(np.min(sig[1:], axis=1))
+    return np.minimum.reduce(minima)
+
+
+def _finite(values: np.ndarray, what: str, t: float, d0: float) -> np.ndarray:
+    """values, refused when an entry overflowed: no certificate rests on inf."""
+    if not np.isfinite(values).all():
+        raise DomainError(f"{what} overflows at t = {t!r}, d0 = {d0!r}")
+    return values
 
 
 def verify_exp_boundary_barrier(field: CurvatureField, k: int, lam: float,
@@ -170,21 +204,29 @@ def verify_exp_boundary_barrier(field: CurvatureField, k: int, lam: float,
     S_j(D^2 phi) > 0 for j = 1..k (admissibility with room) and the margin
     S_k(D^2 phi) - lam |phi|^k > 0.  Factored form: S_j = t^j e^{-j t d}
     sigma_j(kappa_i/(1 - kappa_i d), t), so positivity reduces to the
-    augmented symmetric functions; both are evaluated literally.
+    augmented symmetric functions; both are evaluated literally, the
+    factor on the minimum over samples of each sigma_j.  Raises
+    DomainError when a factor t^j e^{-j t d} or an S_j overflows.
     """
     if k < 1 or k > field.ambient_dim:
         raise DomainError("order k out of range")
-    # "not x >= 0" also refuses NaN
-    if t <= 0 or not 0 <= lam < math.inf:
-        raise DomainError("need a positive rate t and a finite nonnegative lam")
+    # the chained comparisons are False for NaN, so NaN is refused too
+    if not (0 < t < math.inf and 0 <= lam < math.inf):
+        raise DomainError("need a finite positive rate t and a finite nonnegative lam")
     depths = _collar_depths(field, d0, n_depth)
-    sig = _collar_sigma(field, depths, t)[:, :, 1 : k + 1]
     j = np.arange(1, k + 1)
-    # S_j at every (sample, depth, j), shape (S, D, k)
-    sj = t**j * np.exp(-j * t * depths[:, None]) * sig
+    # t^j e^{-j t d} at every (j, depth), shape (k, D), checked before the
+    # recurrence: a rate whose powers overflow is refused without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        fac = _finite((t**j * np.exp(-j * t * depths[:, None])).T,
+                      "barrier factor t^j e^{-j t d}", t, d0)
+    sig = _collar_sigma_min(field, depths, t, k)
+    # S_j minimized over samples at every (j, depth)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sj = _finite(fac * sig, "S_j", t, d0)
     phi = np.exp(-t * depths) - 1.0
     min_sj = float(np.min(sj))
-    worst_margin = float(np.min(sj[:, :, -1] - lam * np.abs(phi) ** k))
+    worst_margin = float(np.min(sj[-1] - lam * np.abs(phi) ** k))
     report = {
         "kind": "exp-barrier",
         "k": k,
@@ -213,14 +255,16 @@ def verify_log_boundary_barrier(field: CurvatureField, k: int, fsup: float,
     collar while M log(1 + t d0) >= usup matches the interior bound.
     Returns (M, report); raises SearchError when the collar data cannot
     support a positive beta, and DomainError when log(1 + t d0) rounds to
-    0 or M overflows, where no finite amplitude certifies anything.
+    0 or M, a factor amp^j or an S_j overflows, where no finite amplitude
+    certifies anything.
     """
     if k < 1 or k > field.ambient_dim:
         raise DomainError("order k out of range")
-    if t <= 0 or not (0 <= fsup < math.inf and 0 <= usup < math.inf):
-        raise DomainError("need t > 0 and finite nonnegative bounds fsup, usup")
+    if not (0 < t < math.inf and 0 <= fsup < math.inf and 0 <= usup < math.inf):
+        raise DomainError("need a finite t > 0 and finite nonnegative bounds fsup, usup")
     depths = _collar_depths(field, d0, n_depth)
-    sig = _collar_sigma(field, depths, t / (1.0 + t * depths))[:, :, 1 : k + 1]
+    # sigma_j minimized over samples at every (j, depth), shape (k, D)
+    sig = _collar_sigma_min(field, depths, t / (1.0 + t * depths), k)
     beta = float(np.min(sig))
     if not beta > 0:
         raise SearchError(
@@ -241,9 +285,11 @@ def verify_log_boundary_barrier(field: CurvatureField, k: int, fsup: float,
         raise DomainError(f"barrier amplitude overflows at t = {t!r}, d0 = {d0!r}")
 
     amp = M * t / (1.0 + t * depths)
-    sj = (amp[:, None] ** np.arange(1, k + 1)) * sig
+    with np.errstate(over="ignore", invalid="ignore"):
+        fac = _finite((amp[:, None] ** np.arange(1, k + 1)).T, "barrier factor amp^j", t, d0)
+        sj = _finite(fac * sig, "S_j", t, d0)
     min_sj = float(np.min(sj))
-    worst_margin = float(np.min(sj[:, :, -1] - fsup))
+    worst_margin = float(np.min(sj[-1] - fsup))
     report = {
         "kind": "log-barrier",
         "k": k,

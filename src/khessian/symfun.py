@@ -7,6 +7,12 @@ predicates are built on top of it.  sigma_all also takes an (M, N) array,
 one spectrum per row, and returns (M, N+1) from the same recurrence run
 along the rows, so a batch of spectra costs N vectorized steps rather
 than M Python-level calls.
+
+The recurrence itself is _sigma_columns: it takes a spectrum as N columns
+that broadcast together (scalars, rows, full arrays) and returns the
+orders 0..top stacked along a leading axis.  sigma_all is its transposing
+wrapper; the collar verifiers of geometry call it directly, so a field of
+samples x depths is never laid out as one cell per row.
 """
 
 from __future__ import annotations
@@ -29,6 +35,29 @@ def _check_order(n: int, k: int) -> None:
         raise DomainError(f"order k={k} out of range for an {n}-vector")
 
 
+def _sigma_columns(cols, top: int) -> np.ndarray:
+    """sigma_0..sigma_top of the spectra whose entries are the columns cols.
+
+    cols is a sequence of N entries that broadcast together, or an array
+    whose leading axis runs over the entries.  The result is order-major,
+    shape (top+1,) + the broadcast shape.  Each order j <= top is
+    bit-identical to the full recurrence: e_j never reads a slot above j.
+    No finiteness check is made here.
+    """
+    if isinstance(cols, np.ndarray):
+        shape = cols.shape[1:]
+    else:
+        shape = np.broadcast_shapes(*(np.shape(col) for col in cols))
+    e = np.zeros((top + 1,) + shape)
+    e[0] = 1.0
+    for i in range(len(cols)):
+        m = i + 1 if i < top else top
+        # the product is formed from the pre-update e[0:m] before the
+        # in-place add, so the recurrence never consumes a fresh slot
+        e[1 : m + 1] += cols[i] * e[0:m]
+    return e
+
+
 def sigma_all(values) -> np.ndarray:
     """All elementary symmetric polynomials (sigma_0, ..., sigma_N).
 
@@ -43,19 +72,11 @@ def sigma_all(values) -> np.ndarray:
     lam = np.asarray(values, dtype=float)
     if lam.ndim != 2:
         lam = lam.ravel()
-    if not np.all(np.isfinite(lam)):
+    if not np.isfinite(lam).all():
         raise DomainError("spectrum entries must be finite")
-    # cols[i] is entry i of every spectrum: a scalar for one vector, a row
+    # lam.T[i] is entry i of every spectrum: a scalar for one vector, a row
     # of M values for a batch, which broadcasts across the slots of e
-    cols = lam.T
-    n = cols.shape[0]
-    e = np.zeros((n + 1,) + cols.shape[1:])
-    e[0] = 1.0
-    for i in range(n):
-        # the product is formed from the pre-update e[0:i+1] before the
-        # in-place add, so the recurrence never consumes a fresh slot
-        e[1 : i + 2] += cols[i] * e[0 : i + 1]
-    return e.T
+    return _sigma_columns(lam.T, lam.shape[-1]).T
 
 
 def sigma_k(values, k: int) -> float:

@@ -18,7 +18,7 @@ from khessian.dirichlet import first_integral_solve, make_grid
 from khessian.eigen import IterationResult, default_sup_cap, sphere_area
 from khessian.errors import InconsistencyError
 from khessian.radial import RadialProfile, s_k_on_profile
-from khessian.symfun import sigma_k
+from khessian.symfun import sigma_all, sigma_k
 
 
 def in_gamma_k_korevaar(values, k: int) -> bool:
@@ -149,3 +149,62 @@ def rayleigh_quotient_scipy(profile: RadialProfile) -> float:
     num = -omega * simpson(profile.h * sk * weight, x=profile.r)
     den = omega * simpson(np.abs(profile.h) ** (profile.k + 1) * weight, x=profile.r)
     return float(num / den)
+
+
+def collar_sigma_cells(field, depths, normal) -> np.ndarray:
+    """sigma_0..sigma_N of (kappa_i/(1 - kappa_i d), normal) at every sample x
+    depth cell, shape (S, D, N+1): the cells laid out one per row of an
+    (S D, N+1) array and passed to one batched sigma_all."""
+    kap = field.kappas[:, None, :]
+    tangential = kap / (1.0 - kap * depths[:, None])
+    normal = np.broadcast_to(np.asarray(normal, dtype=float)[..., None],
+                             tangential.shape[:2] + (1,))
+    cells = np.concatenate([tangential, normal], axis=-1)
+    return sigma_all(cells.reshape(-1, cells.shape[-1])).reshape(cells.shape[:2] + (-1,))
+
+
+def exp_barrier_cells(field, k: int, lam: float, t: float, d0: float, n_depth: int) -> dict:
+    """The exp-barrier report with S_j formed at every cell before any minimum."""
+    depths = np.linspace(0.0, d0, n_depth + 1)[1:]
+    sig = collar_sigma_cells(field, depths, t)[:, :, 1 : k + 1]
+    j = np.arange(1, k + 1)
+    sj = t**j * np.exp(-j * t * depths[:, None]) * sig
+    phi = np.exp(-t * depths) - 1.0
+    min_sj = float(np.min(sj))
+    worst_margin = float(np.min(sj[:, :, -1] - lam * np.abs(phi) ** k))
+    return {
+        "kind": "exp-barrier", "k": k, "lam": float(lam), "t": float(t), "d0": float(d0),
+        "samples": field.n_samples, "depth_nodes": int(n_depth),
+        "min_sj": min_sj, "worst_margin": worst_margin,
+        "admissible": bool(min_sj > 0), "passed": bool(min_sj > 0 and worst_margin > 0),
+    }
+
+
+def log_barrier_cells(field, k: int, fsup: float, usup: float, t: float, d0: float,
+                      n_depth: int):
+    """(M, report) of the log barrier with S_j formed at every cell before any
+    minimum; None where beta is not positive."""
+    depths = np.linspace(0.0, d0, n_depth + 1)[1:]
+    sig = collar_sigma_cells(field, depths, t / (1.0 + t * depths))[:, :, 1 : k + 1]
+    beta = float(np.min(sig))
+    if not beta > 0:
+        return None
+    beta_eff = 0.5 * beta
+    log_d0 = math.log1p(t * d0)
+    m_pde = ((1.0 + t * d0) / t) * (fsup / beta_eff) ** (1.0 / k) if fsup > 0 else 0.0
+    m_bc = usup / log_d0 if usup > 0 else 0.0
+    M = max(m_pde, m_bc, 1.0 if fsup == 0 and usup == 0 else 0.0)
+    while M * log_d0 < usup:
+        M = math.nextafter(M, math.inf)
+    amp = M * t / (1.0 + t * depths)
+    sj = (amp[:, None] ** np.arange(1, k + 1)) * sig
+    min_sj = float(np.min(sj))
+    worst_margin = float(np.min(sj[:, :, -1] - fsup))
+    return M, {
+        "kind": "log-barrier", "k": k, "fsup": float(fsup), "usup": float(usup),
+        "t": float(t), "d0": float(d0), "samples": field.n_samples,
+        "depth_nodes": int(n_depth), "beta": beta, "beta_eff": beta_eff, "M": float(M),
+        "min_sj": min_sj, "worst_margin": worst_margin,
+        "boundary_match": bool(M * log_d0 >= usup), "admissible": bool(min_sj > 0),
+        "passed": bool(min_sj > 0 and worst_margin >= 0 and M * log_d0 >= usup),
+    }

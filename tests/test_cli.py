@@ -554,12 +554,33 @@ def test_every_settings_field_is_a_config_key(tmp_path, capsys):
      "--sphere", "1", "--t", "3", "--d0", "0.1"],
     ["verify", "barrier-log", "--dim", "3", "--order", "2", "--fsup", "1", "--usup", "nan",
      "--sphere", "1", "--t", "3", "--d0", "0.1"],
+    # non-finite rates and collar widths, refused before any array is built
+    ["verify", "barrier-exp", "--dim", "3", "--order", "2", "--lam", "1",
+     "--sphere", "1", "--t", "inf", "--d0", "0.1"],
+    ["verify", "barrier-exp", "--dim", "3", "--order", "2", "--lam", "1",
+     "--sphere", "1", "--t", "nan", "--d0", "0.1"],
+    ["verify", "barrier-exp", "--dim", "3", "--order", "2", "--lam", "1",
+     "--sphere", "1", "--t", "3", "--d0", "nan"],
+    ["verify", "barrier-log", "--dim", "3", "--order", "2", "--fsup", "1", "--usup", "1",
+     "--sphere", "1", "--t", "inf", "--d0", "0.1"],
+    ["verify", "barrier-log", "--dim", "3", "--order", "2", "--fsup", "1", "--usup", "1",
+     "--sphere", "1", "--t", "nan", "--d0", "0.1"],
+    ["verify", "barrier-log", "--dim", "3", "--order", "2", "--fsup", "1", "--usup", "1",
+     "--sphere", "1", "--t", "3", "--d0", "nan"],
+    # barrier factors and S_j that overflow, which once gave a NaN FAIL or an inf PASS
+    ["verify", "barrier-exp", "--dim", "3", "--order", "2", "--lam", "0.1",
+     "--sphere", "1", "--t", "1e200", "--d0", "0.1"],
+    ["verify", "barrier-log", "--dim", "3", "--order", "2", "--fsup", "1e308", "--usup", "1",
+     "--sphere", "1", "--t", "3", "--d0", "0.1"],
 ], ids=["radius-1e200", "radius-1e-200", "radius-1e60-k3", "bisect-tol-nan",
         "sup-cap-nan", "bounds-radius-1e-100", "monotone-r2-1e300", "solve-radius-1e200",
         "solve-radius-1e-200", "hopf-radius-1e200", "solve-grid-1e18",
         "minprinciple-grid-1e18", "barrier-log-depth-1e18", "monotone-r2-nan",
         "minprinciple-lam-inf", "minprinciple-lam-nan", "barrier-exp-lam-nan",
-        "barrier-exp-lam-inf", "barrier-log-fsup-nan", "barrier-log-usup-nan"])
+        "barrier-exp-lam-inf", "barrier-log-fsup-nan", "barrier-log-usup-nan",
+        "barrier-exp-t-inf", "barrier-exp-t-nan", "barrier-exp-d0-nan", "barrier-log-t-inf",
+        "barrier-log-t-nan", "barrier-log-d0-nan", "barrier-exp-t-1e200",
+        "barrier-log-fsup-1e308"])
 def test_out_of_range_numbers_are_input_errors(argv, tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -7,6 +7,8 @@ and the collar operators against directly assembled diagonal Hessians.
 """
 
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from khessian.geometry import (
     verify_log_boundary_barrier,
 )
 from khessian.symfun import in_gamma_k, sigma_all, sigma_k
-from reference import s_k_op
+from reference import exp_barrier_cells, log_barrier_cells, s_k_op
 
 
 def test_sphere_field_curvatures():
@@ -366,6 +368,84 @@ def test_batched_verifiers_match_per_cell_reference():
                 assert m_amp == got["M"]
 
 
+def _assert_same_bits(got, ref):
+    assert got.keys() == ref.keys()
+    for key, value in ref.items():
+        assert type(got[key]) is type(value), key
+        if isinstance(value, float):
+            assert struct.pack("<d", got[key]) == struct.pack("<d", value), (key, got[key], value)
+        else:
+            assert got[key] == value, key
+
+
+def _assert_verifiers_match_cells(field, k, t, d0, lam, fsup, usup, n_depth=64):
+    got = verify_exp_boundary_barrier(field, k, lam, t, d0, n_depth=n_depth)
+    _assert_same_bits(got, exp_barrier_cells(field, k, lam, t, d0, n_depth))
+    ref = log_barrier_cells(field, k, fsup, usup, t, d0, n_depth)
+    if ref is None:
+        with pytest.raises(SearchError):
+            verify_log_boundary_barrier(field, k, fsup, usup, t, d0, n_depth=n_depth)
+        return
+    m_amp, got = verify_log_boundary_barrier(field, k, fsup, usup, t, d0, n_depth=n_depth)
+    assert struct.pack("<d", m_amp) == struct.pack("<d", ref[0])
+    _assert_same_bits(got, ref[1])
+
+
+def test_sample_minima_match_cellwise_products_bitwise():
+    # the verifiers scale minima over samples; the batched cell layout
+    # scaled every cell first.  Every report field must agree to the bit,
+    # at three (rate, collar) pairs, with and without lam and the bounds.
+    # The 1024-sample ellipse and the 300-sample ellipsoid span several
+    # sample blocks, the second with a partial last block.
+    fields = [ellipsoid_field([1.0, 0.6], n_samples=1024),
+              ellipsoid_field([1.0, 0.8, 0.6], n_samples=300)] + _reference_fields()
+    for field in fields:
+        mu = field.mu
+        for k in range(1, field.ambient_dim + 1):
+            for rate, collar in ((0.5, 0.25), (3.0, 0.49), (0.01, 0.1)):
+                t, d0 = rate * mu, collar / mu
+                for lam, fsup, usup in ((0.05 * mu ** (2 * k), 1.0, 1.0 / mu**2),
+                                        (0.0, 0.0, 0.0)):
+                    _assert_verifiers_match_cells(field, k, t, d0, lam, fsup, usup)
+
+
+def test_log_barrier_rounding_edge_matches_cellwise_products_bitwise():
+    # the data of test_log_barrier_boundary_match_at_rounding_edge
+    usup, t, d0 = 0.24239879652572363, 1.0155581006666958, 0.12308503070177838
+    scale = 1.0 / (0.36 * 2.0 * t)
+    field = ellipsoid_field([scale, 0.8 * scale, 0.6 * scale], n_samples=16)
+    for k in (1, 2, 3):
+        _assert_verifiers_match_cells(field, k, t, d0, 0.05, 1.0, usup)
+
+
+def test_overflowing_barrier_values_are_domain_errors():
+    field = sphere_field(1.0, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # t^2 overflows, and e^{-2 t d} underflows to 0: their product is NaN
+        with pytest.raises(DomainError, match="t\\^j"):
+            verify_exp_boundary_barrier(field, 2, 0.1, 1e200, 0.1)
+        # every factor is finite, but t^2 sigma_2 is not
+        with pytest.raises(DomainError, match="S_j overflows"):
+            verify_exp_boundary_barrier(field, 2, 0.0, 1e150, 1e-160)
+        # M is finite, but M^2 t^2 / (1 + t d)^2 is not
+        with pytest.raises(DomainError, match="amp\\^j"):
+            verify_log_boundary_barrier(field, 2, 0.0, 1e300, 1e10, 0.1)
+        # amp^2 is finite, but amp^2 sigma_2 is not
+        with pytest.raises(DomainError, match="S_j overflows"):
+            verify_log_boundary_barrier(field, 2, 1e308, 1.0, 3.0, 0.1)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite"):
+                verify_exp_boundary_barrier(field, 2, 0.1, bad, 0.1)
+            with pytest.raises(DomainError, match="finite"):
+                verify_log_boundary_barrier(field, 2, 1.0, 1.0, bad, 0.1)
+            with pytest.raises(DomainError, match="finite"):
+                verify_exp_boundary_barrier(CurvatureField(np.zeros((1, 3)), np.zeros((1, 2))),
+                                            2, 0.1, 3.0, bad)
+            with pytest.raises(DomainError, match="finite"):
+                verify_log_boundary_barrier(field, 2, 1.0, 1.0, 3.0, math.nan)
+
+
 def test_batched_convexity_matches_per_cell_reference(monkeypatch):
     # random boundaries with mixed-sign curvatures, kept strictly
     # (k-1)-convex so augment_r has a nontrivial threshold to find
@@ -381,12 +461,16 @@ def test_batched_convexity_matches_per_cell_reference(monkeypatch):
             verdict = strictly_km1_convex(field, k)
             assert verdict == _ref_strictly_km1_convex(field, k)
             for R in (1e-6, 0.1, 0.37, 1.0, 10.0):
-                assert geometry._augmented_ok(field, k, R) == _ref_augmented_ok(field, k, R)
+                sig = geometry._kappa_sigma(field, k)
+                assert geometry._augmented_ok(sig, R) == _ref_augmented_ok(field, k, R)
             if verdict:
                 results.append((field, k, augment_r(field, k)))
     assert any(r > 1e-3 for _, _, r in results)  # some searches leave the seed
-    monkeypatch.setattr(geometry, "_augmented_ok", _ref_augmented_ok)
     for field, k, r_cert in results:
+        # augment_r hands the predicate sigma(kappa), computed once; the
+        # reference recomputes everything per sample from the field
+        monkeypatch.setattr(geometry, "_augmented_ok",
+                            lambda sig, R, f=field, k=k: _ref_augmented_ok(f, k, R))
         assert augment_r(field, k) == r_cert
 
 

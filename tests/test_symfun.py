@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from khessian.errors import DomainError
-from khessian.symfun import in_gamma_k, sigma_all, sigma_k
+from khessian.symfun import _sigma_columns, in_gamma_k, sigma_all, sigma_k
 from reference import in_gamma_k_korevaar
 
 
@@ -139,3 +139,37 @@ def test_batched_non_finite_raises():
             poisoned[i, i % 3] = bad
             with pytest.raises(DomainError):
                 sigma_all(poisoned)
+
+
+def test_core_truncated_at_top_is_bitwise_sigma_all():
+    # order j never reads a slot above j, so stopping at top changes no bit
+    rng = np.random.default_rng(89)
+    for n in range(1, 8):
+        rows = rng.standard_normal((64, n)) * 10.0 ** rng.integers(-3, 4, (64, 1))
+        full = sigma_all(rows)
+        for top in range(n + 1):
+            core = _sigma_columns(rows.T, top)
+            assert core.shape == (top + 1, 64)
+            assert core.T.tobytes() == full[:, : top + 1].copy().tobytes()
+            assert _sigma_columns(rows[0], top).tobytes() == full[0, : top + 1].tobytes()
+        # orders above n stay exactly zero
+        over = _sigma_columns(rows.T, n + 2)
+        assert over[: n + 1].T.tobytes() == full.tobytes() and not over[n + 1 :].any()
+
+
+def test_core_broadcast_columns_match_materialized_cells():
+    # (S, 1) and (D,) columns and a scalar, as the collar passes them, give
+    # the cells of the materialized (S, D, N) array, bit for bit
+    rng = np.random.default_rng(97)
+    S, D = 7, 5
+    for n_rows in range(3):
+        a = rng.standard_normal((S, 1))
+        b = rng.standard_normal(D)
+        cols = [a, b, 0.75] + [rng.standard_normal((S, D)) for _ in range(n_rows)]
+        cells = np.stack(np.broadcast_arrays(*cols), axis=-1)
+        n = cells.shape[-1]
+        ref = sigma_all(cells.reshape(-1, n)).reshape(S, D, n + 1)
+        for top in range(n + 1):
+            got = _sigma_columns(cols, top)
+            assert got.shape == (top + 1, S, D)
+            assert np.moveaxis(got, 0, -1).copy().tobytes() == ref[..., : top + 1].copy().tobytes()
