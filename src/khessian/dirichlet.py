@@ -6,10 +6,12 @@ For radial k-convex u on a ball, S_k(D^2 u) = f integrates once exactly:
 
 so h' is a k-th root of a cumulative quadrature and h follows by a second
 cumulative pass anchored at h(R) = 0.  No stepping scheme, no stability
-constraint; the only error is quadrature error.  h'' is recovered by
-differentiating the first integral, so the stored triple satisfies the
-equation node-wise by construction, and the stored residual is a
-consistency check, not an error measure (ROADMAP item 4).
+constraint; the only error is quadrature error.  An annulus adds a free
+constant to the integral; first_integral_solve drives both shapes.  h''
+is recovered by differentiating the first integral, so the stored triple
+satisfies the equation wherever h' > 0, and the residual gate is no error
+measure (ROADMAP item 4): it acts only where the moment, clamped at 0,
+zeroes h' while f > 0, as a Simpson quadratic of a steep rise can.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .radial import (
     _check_radius,
     read_csv_columns,
     s_k_on_profile,
-    s_k_radial,
 )
 
 __all__ = [
@@ -117,10 +118,9 @@ class SolverConfig:
     """Quadrature and acceptance knobs for the radial solve.
 
     grid_size counts intervals (>= 64); simpson is fourth order on smooth
-    data, trapezoid second order with nonnegative weights.  The stored
-    (h', h'') satisfies S_k = f by construction, so comparing the two at
-    the interior nodes, doubling the grid up to refine_max times while the
-    defect exceeds tol_residual, is a consistency check, not an error gate.
+    data, trapezoid second order with nonnegative weights.  The grid is
+    doubled up to refine_max times while solution_residual exceeds
+    tol_residual: a consistency check, not an error gate.
     """
 
     grid_size: int = 512
@@ -224,10 +224,11 @@ class _FirstIntegral:
     buffers of the shape of f_nodes, one source per row along the last
     axis: it fills hp with h' and rest with int_r^R h' ds = -h >= 0, both
     sums accumulated in place, the second straight into the reversed view
-    of rest.  Every trapezoid solve, ball or annulus, goes through it.  Its
-    weights are nonnegative, so f >= g nodewise implies h_f <= h_g nodewise
-    exactly in floating point, which the fixed-point iteration depends on,
-    and rest never increases along r.
+    of rest.  moment and profile run its two passes apart, so an annulus
+    can add its constant in between.  The weights are nonnegative, so
+    f >= g nodewise implies h_f <= h_g nodewise exactly in floating point,
+    which the fixed-point iteration depends on, and rest never increases
+    along r.
     """
 
     def __init__(self, r: np.ndarray, N: int, k: int, scheme: str):
@@ -262,14 +263,6 @@ class _FirstIntegral:
         hp = g ** (1.0 / self.k) * self.rpow
         integral = _weighted_moment_cumulative(hp, self.r, 1)
         return integral - integral[-1], hp
-
-    def solve(self, f_nodes: np.ndarray) -> tuple:
-        """(h, h') for the source f_nodes."""
-        if self.trapezoid:
-            hp, rest = np.empty(np.shape(f_nodes)), np.empty(np.shape(f_nodes))
-            self.solve_into(f_nodes, hp, rest)
-            return -rest, hp
-        return self.profile(self.moment(f_nodes))
 
     def solve_into(self, f_nodes: np.ndarray, hp: np.ndarray, rest: np.ndarray) -> None:
         """The trapezoid solve in place: hp = h' and rest = -h of each source.
@@ -328,23 +321,63 @@ class _FirstIntegral:
 
 
 def first_integral_solve(f_nodes: np.ndarray, r: np.ndarray, N: int, k: int,
-                         scheme: str = "simpson") -> tuple:
+                         scheme: str = "simpson",
+                         inner_value: Optional[float] = None) -> tuple:
     """Core inversion on a fixed grid; returns (h, hp, hpp) node arrays.
 
+    On an annulus, inner_value = h(r[0]) fixes the constant c0 >= 0 of
+    r^(N-k) h'^k = g + c0; on a ball (inner_value None) c0 = 0.
     The trapezoid scheme has monotone nonnegative weights, so f >= g
     nodewise implies h_f <= h_g nodewise exactly in floating point; the
     fixed-point iteration depends on that and always uses 'trapezoid'.
     """
+    if inner_value is not None and not r[0] > 0:
+        raise DomainError("an inner boundary value needs an annulus grid, r[0] > 0")
     solver = _FirstIntegral(r, N, k, scheme)
-    h, hp = solver.solve(f_nodes)
+    g = solver.moment(f_nodes)
+    if inner_value is not None:
+        g += _annulus_constant(solver, g, inner_value)
+    h, hp = solver.profile(g)
     return h, hp, solver.hpp(hp, f_nodes)
 
 
-def _stored_residual(hp: np.ndarray, hpp: np.ndarray, r: np.ndarray,
-                     f_nodes: np.ndarray, N: int, k: int) -> float:
-    """Max relative defect of S_k on the stored (h', h'') pair at interior nodes."""
-    sk = s_k_radial(hp[1:-1], hpp[1:-1], r[1:-1], N, k)
-    return float(np.max(np.abs(sk - f_nodes[1:-1]) / (1.0 + np.abs(f_nodes[1:-1]))))
+def _annulus_constant(solver: _FirstIntegral, g: np.ndarray, inner_value: float) -> float:
+    """The constant c0 >= 0 for which g + c0 gives h(r[0]) = inner_value.
+
+    h(r[0]) falls as c0 grows, so c0 is bracketed by doubling and then
+    bisected; each step only re-forms h' and h from g + c0.
+    """
+
+    def h_inner(c0):
+        return solver.profile(g + c0)[0][0]
+
+    tol = 1e-12 * (1.0 + abs(inner_value))
+    h0 = h_inner(0.0)
+    if inner_value > h0 + tol:
+        raise DomainError(
+            f"inner value {inner_value:.6g} unreachable; k-convex branch "
+            f"attains at most {h0:.6g} at the inner radius"
+        )
+    lo, hi = 0.0, 1.0 + abs(inner_value)
+    while h_inner(hi) > inner_value:
+        hi *= 2.0
+        if hi > 1e30:
+            raise ConvergenceError("annulus constant search diverged")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if h_inner(mid) > inner_value:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * (1.0 + hi):
+            break
+    return 0.5 * (lo + hi)
+
+
+def _relative_defect(profile: RadialProfile, f_nodes: np.ndarray) -> float:
+    """Max over the nodes of |S_k(D^2 u) - f| / (1 + |f|) on the stored profile."""
+    sk = s_k_on_profile(profile)
+    return float(np.max(np.abs(sk - f_nodes) / (1.0 + np.abs(f_nodes))))
 
 
 def solve_radial_dirichlet(f: SourceTerm, R: float, N: int, k: int,
@@ -356,8 +389,8 @@ def solve_radial_dirichlet(f: SourceTerm, R: float, N: int, k: int,
     On the solid ball the first integral determines h' >= 0 outright.  On
     an annulus (r_inner > 0) the integration constant is free and is chosen
     by monotone bisection so that h(r_inner) matches inner_value, which
-    must therefore be supplied.  The stored-residual consistency check
-    refines the grid up to cfg.refine_max doublings before giving up.
+    must therefore be supplied.  The grid is doubled up to cfg.refine_max
+    times while solution_residual exceeds cfg.tol_residual.
     """
     if not isinstance(f, SourceTerm):
         raise DomainError("f must be a SourceTerm")
@@ -369,18 +402,18 @@ def solve_radial_dirichlet(f: SourceTerm, R: float, N: int, k: int,
         raise DomainError(f"inner boundary value {inner_value!r} must be finite")
     if r_inner > 0 and inner_value > 0:
         raise DomainError("inner boundary value must be nonpositive")
+    # a ball has no inner boundary, whatever value is passed for it
+    datum = inner_value if r_inner > 0 else None
 
     grid_size = cfg.grid_size
     for attempt in range(cfg.refine_max + 1):
         r = make_grid(R, grid_size, graded=cfg.graded, r_inner=r_inner)
         f_nodes = f.evaluate(r)
-        if r_inner == 0.0:
-            h, hp, hpp = first_integral_solve(f_nodes, r, N, k, cfg.quadrature)
-        else:
-            h, hp, hpp = _annulus_solve(f_nodes, r, N, k, cfg.quadrature, inner_value)
-        residual = _stored_residual(hp, hpp, r, f_nodes, N, k)
+        h, hp, hpp = first_integral_solve(f_nodes, r, N, k, cfg.quadrature, datum)
+        profile = RadialProfile(N=N, k=k, r=r, h=h, hp=hp, hpp=hpp, k_convex=True)
+        residual = _relative_defect(profile, f_nodes)
         if residual <= cfg.tol_residual:
-            return RadialProfile(N=N, k=k, r=r, h=h, hp=hp, hpp=hpp, k_convex=True)
+            return profile
         grid_size *= 2
     raise ConvergenceError(
         f"residual {residual:.3e} above tol {cfg.tol_residual:.3e} "
@@ -388,48 +421,9 @@ def solve_radial_dirichlet(f: SourceTerm, R: float, N: int, k: int,
     )
 
 
-def _annulus_solve(f_nodes, r, N, k, scheme, inner_value):
-    """First integral with a free constant c0, matched to h(r_inner).
-
-    r^(N-k) h'^k = g + c0; the moment g and the power of r do not depend
-    on c0, so each search step only re-assembles h' and h.
-    """
-    solver = _FirstIntegral(r, N, k, scheme)
-    base = solver.moment(f_nodes)
-
-    def assemble(c0):
-        return solver.profile(np.maximum(base + c0, 0.0))
-
-    tol = 1e-12 * (1.0 + abs(inner_value))
-    h0, _ = assemble(0.0)
-    if inner_value > h0[0] + tol:
-        raise DomainError(
-            f"inner value {inner_value:.6g} unreachable; k-convex branch "
-            f"attains at most {h0[0]:.6g} at the inner radius"
-        )
-    lo, hi = 0.0, 1.0 + abs(inner_value)
-    while assemble(hi)[0][0] > inner_value:
-        hi *= 2.0
-        if hi > 1e30:
-            raise ConvergenceError("annulus constant search diverged")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        h_mid, _ = assemble(mid)
-        if h_mid[0] > inner_value:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * (1.0 + hi):
-            break
-    h, hp = assemble(0.5 * (lo + hi))
-    return h, hp, solver.hpp(hp, f_nodes)
-
-
 def solution_residual(profile: RadialProfile, f: SourceTerm) -> float:
     """Max relative defect of the stored profile against the source."""
-    f_nodes = f.evaluate(profile.r)
-    sk = s_k_on_profile(profile)
-    return float(np.max(np.abs(sk - f_nodes) / (1.0 + np.abs(f_nodes))))
+    return _relative_defect(profile, f.evaluate(profile.r))
 
 
 # Nodes per block in holder_seminorm; temporaries stay O(block^2).

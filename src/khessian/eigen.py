@@ -295,8 +295,21 @@ def estimate_lambda1(R: float, N: int, k: int,
     verdict other than (fixed-point, sup-cap) raises InconsistencyError
     with the probe log.  When 2k > N, holder is the exact
     (2 - N/k)-Holder seminorm of the eigenfunction on the grid nodes.
+    An overflow, a division by zero or an invalid operation means that
+    r^(N-1), r^((k-N)/k) or lambda_1 leaves the float range: DomainError.
+    Underflow is allowed; small balls have subnormal weights.
     """
     _check(N, k, R)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _estimate(R, N, k, cfg, solver_cfg)
+    except FloatingPointError as exc:
+        raise DomainError(f"radius {R!r} is out of range for N = {N}, k = {k}: "
+                          f"{exc}") from exc
+
+
+def _estimate(R: float, N: int, k: int, cfg: IterationConfig,
+              solver_cfg: SolverConfig) -> SpectralEstimate:
     r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
     # Each solve is two recursive sums of positive terms, each accurate to
     # r.size ulps relative, plus a few roundings; (v/a)^k multiplies by k.

@@ -96,59 +96,37 @@ def strictly_km1_convex(field: CurvatureField, k: int) -> bool:
     return bool(np.all(_kappa_sigma(field, k)[1:k] > 0))
 
 
-def _augmented_sigma(sig: np.ndarray, R: float) -> np.ndarray:
-    """sigma_1..sigma_k of (kappa(y), R) from sig = sigma_0..sigma_k(kappa).
-
-    This is the last step of the recurrence, with R as the last entry,
-    so it is bit-identical to the recurrence run on (kappa, R).
-    """
-    return sig[1:] + R * sig[:-1]
-
-
 def _augmented_ok(sig: np.ndarray, R: float) -> bool:
     """(kappa(y), R) strictly in the k-th cone at every sample, from
-    sig = _kappa_sigma(field, k)."""
-    return bool(np.all(_augmented_sigma(sig, R) > 0))
+    sig = _kappa_sigma(field, k).
+
+    sigma_j(kappa, R) = sigma_j + R sigma_{j-1} is the last step of the
+    recurrence, with R as the last entry, so it is bit-identical to the
+    recurrence run on (kappa, R).
+    """
+    return bool(np.all(sig[1:] + R * sig[:-1] > 0))
 
 
-def augment_r(field: CurvatureField, k: int, r_max: float = None) -> float:
-    """Smallest certified R with (kappa(y), R) strictly in the k-th cone.
+def augment_r(field: CurvatureField, k: int) -> float:
+    """Smallest certified R with (kappa(y), R) strictly in the k-th cone, to 1e-3.
 
-    sigma_j(kappa, R) = R sigma_{j-1}(kappa) + sigma_j(kappa) is increasing
-    in R under strict (k-1)-convexity, so feasibility is monotone: double
-    from a small seed until the predicate holds, then bisect the bracket
-    and return the certified upper end.  Raises when even r_max fails.
-    sigma(kappa) is computed once; each candidate R costs one step.
+    sigma_j(kappa, R) = sigma_j(kappa) + R sigma_{j-1}(kappa) is affine in
+    R with slope sigma_{j-1}(kappa) > 0 under strict (k-1)-convexity, so
+    the threshold is the maximum of -sigma_j / sigma_{j-1} over samples
+    and j <= k.  The seed 1e-6 (1 + mu) is returned when it certifies;
+    otherwise the threshold raised by 1e-3 of itself, certified on the
+    last recurrence step.  sigma(kappa) is computed once.
     """
     sig = _kappa_sigma(field, k)
     if not np.all(sig[1:k] > 0):
         raise DomainError("augmentation needs a strictly (k-1)-convex field")
-    scale = 1.0 + field.mu
-    if r_max is None:
-        r_max = 1e6 * scale
-    r = 1e-6 * scale
+    r = 1e-6 * (1.0 + field.mu)
     if _augmented_ok(sig, r):
         return r
-    lo = r
-    while not _augmented_ok(sig, r):
-        r *= 2.0
-        if r > r_max:
-            worst = float(np.min(_augmented_sigma(sig, r_max)))
-            raise SearchError(
-                f"no augmentation R <= {r_max:.3g} reaches the k={k} cone",
-                diagnostics={"r_max": r_max, "worst_sigma": worst},
-            )
-        lo = r / 2.0
-    hi = r
-    while hi - lo > 1e-3 * hi:
-        mid = 0.5 * (lo + hi)
-        if _augmented_ok(sig, mid):
-            hi = mid
-        else:
-            lo = mid
-    if not _augmented_ok(sig, hi):
-        raise SearchError("augmentation certification failed", {"candidate": hi})
-    return hi
+    r = float(np.max(-sig[1:] / sig[:-1])) * (1.0 + 1e-3)
+    if not _augmented_ok(sig, r):
+        raise SearchError("augmentation certification failed", {"candidate": r})
+    return r
 
 
 # samples per block of the collar recurrence: a block's sigma array at 64
@@ -178,14 +156,21 @@ def _collar_sigma_min(field: CurvatureField, depths: np.ndarray, normal,
 
     normal is one value or one per depth.  The result has shape (k, D).
     The N-1 tangential entries go to the recurrence as (samples, depths)
-    columns, _SAMPLE_BLOCK samples at a time.
+    columns, _SAMPLE_BLOCK samples at a time.  An overflow anywhere raises
+    DomainError: an overflowed partial sum stays +inf after later negative
+    terms, so such a sigma_j can have the wrong sign, and the minimum over
+    samples would hide it.
     """
     minima = []
-    for start in range(0, field.n_samples, _SAMPLE_BLOCK):
-        kap = field.kappas[start : start + _SAMPLE_BLOCK].T[:, :, None]
-        tangential = kap / (1.0 - kap * depths)
-        sig = _sigma_columns([*tangential, normal], k)
-        minima.append(np.min(sig[1:], axis=1))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for start in range(0, field.n_samples, _SAMPLE_BLOCK):
+                kap = field.kappas[start : start + _SAMPLE_BLOCK].T[:, :, None]
+                tangential = kap / (1.0 - kap * depths)
+                sig = _sigma_columns([*tangential, normal], k)
+                minima.append(np.min(sig[1:], axis=1))
+    except FloatingPointError as exc:
+        raise DomainError(f"sigma_j on the collar overflows ({exc})") from exc
     return np.minimum.reduce(minima)
 
 

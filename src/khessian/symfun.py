@@ -92,9 +92,10 @@ def in_gamma_k(values, k: int, strict: bool = True, slack: float = 0.0) -> bool:
     strict=False tests the closure sigma_j >= -slack instead; slack must be
     nonnegative and defaults to 0 so the predicates reduce to the exact
     definitions.  Admissibility checks on computed data pass a scale-aware
-    slack through here.
+    slack through here.  sigma is evaluated on the ascending spectrum, so
+    a verdict does not depend on the order of values, even at rounding ties.
     """
-    lam = np.asarray(values, dtype=float).ravel()
+    lam = np.sort(np.asarray(values, dtype=float).ravel())
     _check_order(lam.size, k)
     if k == 0:
         return True

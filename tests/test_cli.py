@@ -214,6 +214,23 @@ def test_cone_spectrum_and_matrix(tmp_path, capsys):
     assert "in_sigma_k: False" in out and "in_dual_sigma_k: True" in out
 
 
+@pytest.mark.parametrize("order, values", [
+    (1, "0.5,-0.6,0.1"), (1, "0.1,-0.6,0.5"), (2, "-1,1"), (2, "1.5,-0.25,2"),
+    (3, "1.5,-0.25,2"), (2, "0.3,0.2,-0.1,-0.1"),
+])
+def test_cone_verdicts_follow_the_reported_sigma(order, values, tmp_path, capsys):
+    # 0.5 - 0.6 + 0.1 rounds to +2.8e-17 in the order given, and to 0 in
+    # the ascending order the report uses; the verdicts are read off the
+    # same ascending spectrum
+    assert run(["cone", "--order", order, f"--lambda={values}", "--out", tmp_path]) == 0
+    rep = json.loads((tmp_path / "cone.json").read_text())
+    sig = rep["sigma"][:order]
+    assert rep["verdicts"]["in_gamma_k"] == all(s > 0 for s in sig)
+    assert rep["verdicts"]["in_gamma_k_closed"] == all(s >= 0 for s in sig)
+    out = capsys.readouterr().out
+    assert f"in_gamma_k: {rep['verdicts']['in_gamma_k']}" in out
+
+
 def test_cone_requires_exactly_one_input(tmp_path):
     assert run(["cone", "--order", "2"]) == 1
     path = tmp_path / "m.json"
@@ -526,6 +543,13 @@ def test_every_settings_field_is_a_config_key(tmp_path, capsys):
     ["eigen", "--dim", "2", "--order", "1", "--radius", "1e200"],
     ["eigen", "--dim", "2", "--order", "1", "--radius", "1e-200"],
     ["eigen", "--dim", "3", "--order", "3", "--radius", "1e60"],
+    # radii that pass the R^(2k) check, but where r^(N-1), r^((k-N)/k) or
+    # lambda_1 leaves the float range inside the estimate
+    ["eigen", "--dim", "4", "--order", "1", "--radius", "1e80"],
+    ["eigen", "--dim", "6", "--order", "1", "--radius", "1e60"],
+    ["eigen", "--dim", "6", "--order", "1", "--radius", "1e-60"],
+    ["eigen", "--dim", "2", "--order", "1", "--radius", "1e-150"],
+    ["eigen", "--dim", "3", "--order", "3", "--radius", "1e40"],
     ["eigen", "--dim", "2", "--order", "1", "--radius", "1", "--bisect-tol", "nan"],
     ["eigen", "--dim", "2", "--order", "1", "--radius", "1", "--sup-cap", "nan"],
     ["verify", "bounds", "--dim", "2", "--order", "2", "--radius", "1e-100"],
@@ -572,7 +596,9 @@ def test_every_settings_field_is_a_config_key(tmp_path, capsys):
      "--sphere", "1", "--t", "1e200", "--d0", "0.1"],
     ["verify", "barrier-log", "--dim", "3", "--order", "2", "--fsup", "1e308", "--usup", "1",
      "--sphere", "1", "--t", "3", "--d0", "0.1"],
-], ids=["radius-1e200", "radius-1e-200", "radius-1e60-k3", "bisect-tol-nan",
+], ids=["radius-1e200", "radius-1e-200", "radius-1e60-k3", "radius-1e80-n4",
+        "radius-1e60-n6", "radius-1e-60-n6", "radius-1e-150-n2", "radius-1e40-k3",
+        "bisect-tol-nan",
         "sup-cap-nan", "bounds-radius-1e-100", "monotone-r2-1e300", "solve-radius-1e200",
         "solve-radius-1e-200", "hopf-radius-1e200", "solve-grid-1e18",
         "minprinciple-grid-1e18", "barrier-log-depth-1e18", "monotone-r2-nan",
@@ -604,6 +630,25 @@ def test_overflowing_spectra_are_input_errors(argv, tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(argv + ["--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflows" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "barrier-exp", "--dim", "3", "--order", "3", "--lam", "0"],
+    ["verify", "barrier-log", "--dim", "3", "--order", "3", "--fsup", "1", "--usup", "1"],
+], ids=["barrier-exp", "barrier-log"])
+def test_overflowing_collar_sigma_is_input_error(argv, tmp_path, capsys):
+    # curvatures near 1e200 overflow sigma_2 of the collar, which once
+    # printed a numpy warning before the error line
+    field = tmp_path / "f.json"
+    field.write_text(json.dumps([{"point": p, "kappa": [1e200, 1e200]}
+                                 for p in ([1, 0, 0], [0, 1, 0])]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--field", field, "--t", "1", "--d0", "1e-201",
+                           "--out", tmp_path / "o"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "overflows" in err
     assert not (tmp_path / "o").exists()

@@ -241,6 +241,25 @@ def test_stored_residual_gate_and_fd_witness():
     assert fd_witness_residual(fine, src, skip=4) <= 1e-5
 
 
+@pytest.mark.parametrize("N, k", [(2, 1), (3, 2), (5, 3)])
+def test_residual_gate_refines_where_the_clamp_zeroes_hprime(N, k):
+    # f rises from 0 to 1 within the pair of Simpson intervals around node
+    # 257 of grid 512; the pair's quadratic dips below 0 at that mid node,
+    # the moment's clamp zeroes h' where f > 0, and S_k of the stored
+    # profile misses f there.  The gate doubles the grid once.  Trapezoid
+    # moments never dip, so its solve stays on grid 512.
+    h = 1.0 / 512
+    src = SourceTerm.from_samples([0.0, 257 * h - 0.01 * h, 258 * h, 1.0], [0, 0, 1, 1])
+    simpson = solve_radial_dirichlet(src, 1.0, N, k, SolverConfig(grid_size=512))
+    assert simpson.r.size - 1 == 1024
+    assert solution_residual(simpson, src) <= 1e-14
+    trapezoid = solve_radial_dirichlet(src, 1.0, N, k,
+                                       SolverConfig(grid_size=512, quadrature="trapezoid"))
+    assert trapezoid.r.size - 1 == 512
+    with pytest.raises(ConvergenceError, match="final grid 512"):
+        solve_radial_dirichlet(src, 1.0, N, k, SolverConfig(grid_size=512, refine_max=0))
+
+
 def test_holder_seminorm_closed_forms():
     # Lipschitz seminorm of the paraboloid approaches max |h'| = a R from
     # below: the best grid pair gives (r_M + r_{M-1}) / 2 = 1 - dr / 2;
@@ -385,6 +404,23 @@ def test_annulus_validation():
     )
     assert abs(p.h[0] + 2.0) <= 1e-9
 
+
+
+@pytest.mark.parametrize("scheme", ["simpson", "trapezoid"])
+def test_annulus_solve_is_first_integral_solve(scheme):
+    # the annulus datum is a parameter of the one driver, which the
+    # profile solve calls on its grid
+    src = SourceTerm.from_callable(lambda r: np.exp(3 * r) * (1 + 0.5 * np.sin(7 * r)))
+    cfg = SolverConfig(grid_size=513, quadrature=scheme, graded=True)
+    p = solve_radial_dirichlet(src, 0.9, 3, 2, cfg, r_inner=0.27, inner_value=-1.0)
+    h, hp, hpp = first_integral_solve(src.evaluate(p.r), p.r, 3, 2, scheme, inner_value=-1.0)
+    assert h.tobytes() == p.h.tobytes() and hp.tobytes() == p.hp.tobytes()
+    assert hpp.tobytes() == p.hpp.tobytes()
+    assert abs(h[0] + 1.0) <= 1e-9 and h[-1] == 0.0
+    # on a ball grid the constant would make h' blow up at the origin
+    ball = make_grid(0.9, 513)
+    with pytest.raises(DomainError, match="annulus"):
+        first_integral_solve(src.evaluate(ball), ball, 3, 2, scheme, inner_value=-1.0)
 
 
 @pytest.mark.parametrize("N, k", [(2.5, 1), (2, 1.0), (0, 1), (2, 3)])

@@ -94,6 +94,18 @@ def test_augment_r_linear_oracle():
     assert 0.125 < r_cert <= 0.125 * 1.002
 
 
+def test_augment_r_is_the_largest_ratio_raised_by_1e3():
+    # off the seed the threshold is max over samples and j of
+    # -sigma_j / sigma_{j-1}, here about 1e9
+    field = CurvatureField(
+        points=np.zeros((2, 3)), kappas=np.array([[1.0, -1.0 + 1e-9], [2.0, -1.0]])
+    )
+    ratios = [-sigma_k(kap, j) / sigma_k(kap, j - 1) for kap in field.kappas for j in (1, 2)]
+    r_cert = augment_r(field, 2)
+    assert r_cert == pytest.approx(max(ratios) * 1.001, rel=1e-12)
+    assert _ref_augmented_ok(field, 2, r_cert)
+
+
 def test_augment_r_requires_strict_convexity():
     field = CurvatureField(
         points=np.zeros((1, 4)), kappas=np.array([[1.0, -1.0, -1.0]])
@@ -434,6 +446,14 @@ def test_overflowing_barrier_values_are_domain_errors():
         # amp^2 is finite, but amp^2 sigma_2 is not
         with pytest.raises(DomainError, match="S_j overflows"):
             verify_log_boundary_barrier(field, 2, 1e308, 1.0, 3.0, 0.1)
+        # every factor is finite, but sigma_2 of the collar curvatures is
+        # not: refused in the recurrence, where a sample's +inf would hide
+        # under the minimum over samples
+        huge = CurvatureField(points=np.eye(3)[:2], kappas=np.full((2, 2), 1e200))
+        with pytest.raises(DomainError, match="sigma_j on the collar overflows"):
+            verify_exp_boundary_barrier(huge, 3, 0.0, 1.0, 1e-201)
+        with pytest.raises(DomainError, match="sigma_j on the collar overflows"):
+            verify_log_boundary_barrier(huge, 3, 1.0, 1.0, 1.0, 1e-201)
         for bad in (math.inf, math.nan):
             with pytest.raises(DomainError, match="finite"):
                 verify_exp_boundary_barrier(field, 2, 0.1, bad, 0.1)
@@ -472,19 +492,6 @@ def test_batched_convexity_matches_per_cell_reference(monkeypatch):
         monkeypatch.setattr(geometry, "_augmented_ok",
                             lambda sig, R, f=field, k=k: _ref_augmented_ok(f, k, R))
         assert augment_r(field, k) == r_cert
-
-
-def test_augment_r_worst_sigma_matches_reference():
-    field = CurvatureField(
-        points=np.zeros((2, 4)), kappas=np.array([[1.0, 1.0, -0.1], [2.0, 1.0, -0.5]])
-    )
-    r_max = 0.01
-    with pytest.raises(SearchError) as info:
-        augment_r(field, 3, r_max=r_max)
-    ref = min(
-        sigma_k(np.append(kap, r_max), j) for kap in field.kappas for j in range(1, 4)
-    )
-    assert info.value.diagnostics["worst_sigma"] == ref
 
 
 def test_collar_needs_a_depth_node():

@@ -109,6 +109,14 @@ def test_gamma_1_is_positive_trace():
     assert in_gamma_k([-1.0, 0.0, 1.0], 1, strict=False)
 
 
+def test_in_gamma_k_ignores_the_order_at_rounding_ties():
+    # 0.5 - 0.6 + 0.1 rounds to +2.8e-17 in this order and to 0 ascending;
+    # every order gets the verdict of the ascending spectrum
+    for lam in itertools.permutations([0.5, -0.6, 0.1]):
+        assert not in_gamma_k(lam, 1)
+        assert in_gamma_k(lam, 1, strict=False)
+
+
 def test_closed_cone_slack():
     lam = np.array([0.0, 1.0])
     assert not in_gamma_k(lam, 2, strict=True)
