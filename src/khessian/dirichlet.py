@@ -17,6 +17,7 @@ zeroes h' while f > 0, as a Simpson quadratic of a steep rise can.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -167,6 +168,20 @@ def make_grid(R: float, grid_size: int, graded: bool = False,
     if np.any(np.diff(grid) <= 0):
         raise DomainError(f"graded grid of {grid_size} intervals repeats nodes near R")
     return grid
+
+
+@contextmanager
+def _float_range(what: str, N: int, k: int):
+    """Turn an overflow, a division by zero or an invalid operation into
+    DomainError: then r^(N-1), r^((k-N)/k) or the solution has left the
+    float range, and no result computed from it means anything.
+    Underflow is allowed; small balls have subnormal weights.
+    """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DomainError(f"{what} is out of range for N = {N}, k = {k}: {exc}") from exc
 
 
 def _weighted_moment_cumulative(f_nodes: np.ndarray, r: np.ndarray, N: int) -> np.ndarray:
@@ -389,8 +404,10 @@ def solve_radial_dirichlet(f: SourceTerm, R: float, N: int, k: int,
     On the solid ball the first integral determines h' >= 0 outright.  On
     an annulus (r_inner > 0) the integration constant is free and is chosen
     by monotone bisection so that h(r_inner) matches inner_value, which
-    must therefore be supplied.  The grid is doubled up to cfg.refine_max
-    times while solution_residual exceeds cfg.tol_residual.
+    must therefore be supplied; a ball refuses one.  The grid is doubled
+    up to cfg.refine_max times while solution_residual exceeds
+    cfg.tol_residual.  A solve that leaves the float range raises
+    DomainError.
     """
     if not isinstance(f, SourceTerm):
         raise DomainError("f must be a SourceTerm")
@@ -402,16 +419,16 @@ def solve_radial_dirichlet(f: SourceTerm, R: float, N: int, k: int,
         raise DomainError(f"inner boundary value {inner_value!r} must be finite")
     if r_inner > 0 and inner_value > 0:
         raise DomainError("inner boundary value must be nonpositive")
-    # a ball has no inner boundary, whatever value is passed for it
-    datum = inner_value if r_inner > 0 else None
 
     grid_size = cfg.grid_size
     for attempt in range(cfg.refine_max + 1):
         r = make_grid(R, grid_size, graded=cfg.graded, r_inner=r_inner)
         f_nodes = f.evaluate(r)
-        h, hp, hpp = first_integral_solve(f_nodes, r, N, k, cfg.quadrature, datum)
-        profile = RadialProfile(N=N, k=k, r=r, h=h, hp=hp, hpp=hpp, k_convex=True)
-        residual = _relative_defect(profile, f_nodes)
+        with _float_range(f"radius {R!r} or the source size", N, k):
+            h, hp, hpp = first_integral_solve(f_nodes, r, N, k, cfg.quadrature,
+                                              inner_value)
+            profile = RadialProfile(N=N, k=k, r=r, h=h, hp=hp, hpp=hpp, k_convex=True)
+            residual = _relative_defect(profile, f_nodes)
         if residual <= cfg.tol_residual:
             return profile
         grid_size *= 2

@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dirichlet import (SolverConfig, _FirstIntegral, _weighted_moment_cumulative,
-                        holder_seminorm, make_grid)
+from .dirichlet import (SolverConfig, _FirstIntegral, _float_range,
+                        _weighted_moment_cumulative, holder_seminorm, make_grid)
 from .errors import DomainError, InconsistencyError
 from .radial import RadialProfile, _check_dim_order, _check_radius, s_k_on_profile
 from .symfun import sigma_all
@@ -125,11 +125,13 @@ def iterate_fixed_lambda(lam: float, R: float, N: int, k: int,
     violation is therefore a real fault and raises InconsistencyError.
     This is the one-row call of the lockstep core that estimate_lambda1
     runs its two probes on; a row's result does not depend on the others.
+    A run that leaves the float range raises DomainError.
     """
     _check(N, k, R)
     _check_lam(lam)
     r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
-    return _iterate_rows([lam], r, N, k, cfg, _sup_cap(cfg, N, k, R))[0]
+    with _float_range(f"radius {R!r}", N, k):
+        return _iterate_rows([lam], r, N, k, cfg, _sup_cap(cfg, N, k, R))[0]
 
 
 def _sup_cap(cfg: IterationConfig, N: int, k: int, R: float) -> float:
@@ -214,11 +216,6 @@ def _iterate_rows(lams: list, r: np.ndarray, N: int, k: int, cfg: IterationConfi
     return results
 
 
-# The diagnostics to_json_dict writes out: deterministic, so two identical
-# runs give byte-identical JSON; timings never go here.
-_JSON_DIAGNOSTICS = ("probes", "power_solves", "effective_bisect_tol")
-
-
 @dataclass
 class SpectralEstimate:
     """Principal eigenvalue estimate on the ball of radius R.
@@ -228,9 +225,9 @@ class SpectralEstimate:
     the PDE's lambda_1, so the PDE value can lie outside it.  lambda_best
     is its midpoint.  bounds holds the certified lower and upper bounds on
     the PDE's lambda_1.  diagnostics records the two cross-check probes
-    (lam, reason, n_iter), the power-iteration solve count, the final
-    bracket width and the eigenfunction's normalization; the JSON form
-    carries all of them but the normalization.
+    (lam, reason, n_iter), the power-iteration solve count and the final
+    bracket width; all are deterministic, so two identical runs give
+    byte-identical JSON, and timings never go here.
     """
 
     N: int
@@ -261,8 +258,7 @@ class SpectralEstimate:
         }
         if self.holder is not None:
             out["holder_seminorm"] = self.holder
-        out["diagnostics"] = {key: self.diagnostics[key] for key in _JSON_DIAGNOSTICS
-                              if key in self.diagnostics}
+        out["diagnostics"] = dict(self.diagnostics)
         return out
 
 
@@ -295,17 +291,12 @@ def estimate_lambda1(R: float, N: int, k: int,
     verdict other than (fixed-point, sup-cap) raises InconsistencyError
     with the probe log.  When 2k > N, holder is the exact
     (2 - N/k)-Holder seminorm of the eigenfunction on the grid nodes.
-    An overflow, a division by zero or an invalid operation means that
-    r^(N-1), r^((k-N)/k) or lambda_1 leaves the float range: DomainError.
-    Underflow is allowed; small balls have subnormal weights.
+    A run in which r^(N-1), r^((k-N)/k) or lambda_1 leaves the float
+    range raises DomainError.
     """
     _check(N, k, R)
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _estimate(R, N, k, cfg, solver_cfg)
-    except FloatingPointError as exc:
-        raise DomainError(f"radius {R!r} is out of range for N = {N}, k = {k}: "
-                          f"{exc}") from exc
+    with _float_range(f"radius {R!r}", N, k):
+        return _estimate(R, N, k, cfg, solver_cfg)
 
 
 def _estimate(R: float, N: int, k: int, cfg: IterationConfig,
@@ -374,7 +365,6 @@ def _estimate(R: float, N: int, k: int, cfg: IterationConfig,
             "probes": probes,
             "power_solves": n_solves,
             "effective_bisect_tol": hi - lo,
-            "normalization": s,
         },
     )
 

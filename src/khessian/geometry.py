@@ -297,43 +297,35 @@ def verify_log_boundary_barrier(field: CurvatureField, k: int, fsup: float,
 
 
 def sphere_field(R: float, N: int, n_samples: int = 32) -> CurvatureField:
-    """Sphere of radius R: every principal curvature equals 1/R."""
+    """Sphere of radius R: every principal curvature equals 1/R.
+
+    The points are seeded normal draws projected onto the sphere; only
+    |p| = R is read from them.
+    """
     if R <= 0 or N < 2 or n_samples < 1:
         raise DomainError("need R > 0, N >= 2 and at least one sample")
-    if N == 2:
-        angles = np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False)
-        pts = R * np.column_stack([np.cos(angles), np.sin(angles)])
-    elif N == 3:
-        # Fibonacci lattice: deterministic, roughly uniform
-        i = np.arange(n_samples)
-        z = 1.0 - 2.0 * (i + 0.5) / n_samples
-        phi = i * math.pi * (3.0 - math.sqrt(5.0))
-        rho = np.sqrt(1.0 - z**2)
-        pts = R * np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
-    else:
-        rng = np.random.default_rng(20240901)
-        raw = rng.standard_normal((n_samples, N))
-        pts = R * raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    raw = np.random.default_rng(20240901).standard_normal((n_samples, N))
+    pts = R * raw / np.linalg.norm(raw, axis=1, keepdims=True)
     kap = np.full((n_samples, N - 1), 1.0 / R)
     return CurvatureField(points=pts, kappas=kap)
 
 
-def _level_set_curvatures(point: np.ndarray, semi_axes: np.ndarray) -> np.ndarray:
-    """Inner-normal principal curvatures of an ellipsoid at a surface point.
+def _level_set_curvatures(points: np.ndarray, semi_axes: np.ndarray) -> np.ndarray:
+    """Inner-normal principal curvatures of an ellipsoid at surface points.
 
-    The shape operator of the level set F = sum (x_i/a_i)^2 - 1 restricted
-    to the tangent space is T^t (D^2 F) T / |grad F| for any orthonormal
-    tangent basis T, and D^2 F is the constant diagonal 2/a_i^2.
+    The shape operator of the level set F = sum (x_i/a_i)^2 - 1 is
+    P (D^2 F) P / |grad F| with P = I - n n^t the tangent projection, and
+    D^2 F is the constant diagonal 2/a_i^2.  Its eigenvalues are the N-1
+    curvatures and a zero for the normal, the smallest because every
+    curvature of an ellipsoid is positive.  One row per point, ascending.
     """
-    grad = 2.0 * point / semi_axes**2
-    gnorm = np.linalg.norm(grad)
-    n_hat = (grad / gnorm).reshape(1, -1)
-    # rows 2..N of the SVD right factor span the tangent space
-    _, _, vt = np.linalg.svd(n_hat)
-    tangent = vt[1:].T
-    hess = np.diag(2.0 / semi_axes**2)
-    shape_op = tangent.T @ hess @ tangent / gnorm
-    return np.sort(np.linalg.eigvalsh(shape_op))
+    hess = 2.0 / semi_axes**2
+    grad = points * hess
+    gnorm = np.linalg.norm(grad, axis=1)
+    n_hat = grad / gnorm[:, None]
+    proj = np.eye(points.shape[1]) - n_hat[:, :, None] * n_hat[:, None, :]
+    shape_op = (proj * hess) @ proj / gnorm[:, None, None]
+    return np.ascontiguousarray(np.linalg.eigvalsh(shape_op)[:, 1:])
 
 
 def ellipsoid_field(semi_axes, n_samples: int = 32) -> CurvatureField:
@@ -351,19 +343,12 @@ def ellipsoid_field(semi_axes, n_samples: int = 32) -> CurvatureField:
         n_v = max(2, (n_samples + n_u - 1) // n_u)
         uu = np.linspace(0.0, math.pi, n_u + 2)[1:-1]
         vv = np.linspace(0.0, 2.0 * math.pi, n_v, endpoint=False)
-        pts = np.array(
-            [
-                [
-                    axes[0] * math.sin(u) * math.cos(v),
-                    axes[1] * math.sin(u) * math.sin(v),
-                    axes[2] * math.cos(u),
-                ]
-                for u in uu
-                for v in vv
-            ]
-        )[:n_samples]
-    kap = np.array([_level_set_curvatures(p, axes) for p in pts])
-    return CurvatureField(points=pts, kappas=kap)
+        # u outer, v inner
+        u, v = (g.ravel()[:n_samples] for g in np.meshgrid(uu, vv, indexing="ij"))
+        pts = np.column_stack([axes[0] * np.sin(u) * np.cos(v),
+                               axes[1] * np.sin(u) * np.sin(v),
+                               axes[2] * np.cos(u)])
+    return CurvatureField(points=pts, kappas=_level_set_curvatures(pts, axes))
 
 
 def load_field_json(path) -> CurvatureField:

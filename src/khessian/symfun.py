@@ -22,7 +22,6 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "sigma_k",
     "sigma_all",
     "in_gamma_k",
 ]
@@ -77,13 +76,6 @@ def sigma_all(values) -> np.ndarray:
     # lam.T[i] is entry i of every spectrum: a scalar for one vector, a row
     # of M values for a batch, which broadcasts across the slots of e
     return _sigma_columns(lam.T, lam.shape[-1]).T
-
-
-def sigma_k(values, k: int) -> float:
-    """sigma_k of a spectrum, e.g. sigma_2(1,2,3) = 11."""
-    lam = np.asarray(values, dtype=float).ravel()
-    _check_order(lam.size, k)
-    return float(sigma_all(lam)[k])
 
 
 def in_gamma_k(values, k: int, strict: bool = True, slack: float = 0.0) -> bool:

@@ -18,7 +18,7 @@ from khessian.dirichlet import first_integral_solve, make_grid
 from khessian.eigen import IterationResult, default_sup_cap, sphere_area
 from khessian.errors import InconsistencyError
 from khessian.radial import RadialProfile, s_k_on_profile
-from khessian.symfun import sigma_all, sigma_k
+from khessian.symfun import sigma_all
 
 
 def in_gamma_k_korevaar(values, k: int) -> bool:
@@ -34,11 +34,11 @@ def in_gamma_k_korevaar(values, k: int) -> bool:
     n = lam.size
     if k == 0:
         return True
-    if sigma_k(lam, k) <= 0.0:
+    if sigma_all(lam)[k] <= 0.0:
         return False
     for m in range(1, k):
         for subset in combinations(range(n), m):
-            if sigma_k(np.delete(lam, subset), k - m) <= 0.0:
+            if sigma_all(np.delete(lam, subset))[k - m] <= 0.0:
                 return False
     return True
 
@@ -52,7 +52,7 @@ def residual_scale(hp, hpp, r, k: int) -> np.ndarray:
 
 def s_k_op(matrix, k: int) -> float:
     """S_k(A) = sigma_k of the spectrum; S_1 = trace, S_N = det."""
-    return sigma_k(eigenvalues(matrix), k)
+    return float(sigma_all(eigenvalues(matrix))[k])
 
 
 def holder_dense(r, h, alpha: float) -> float:
@@ -208,3 +208,21 @@ def log_barrier_cells(field, k: int, fsup: float, usup: float, t: float, d0: flo
         "boundary_match": bool(M * log_d0 >= usup), "admissible": bool(min_sj > 0),
         "passed": bool(min_sj > 0 and worst_margin >= 0 and M * log_d0 >= usup),
     }
+
+
+def ellipsoid_curvatures_pointwise(points, semi_axes) -> np.ndarray:
+    """Principal curvatures of sum (x_i/a_i)^2 = 1, one point at a time.
+
+    Rows 2..N of the SVD right factor of the unit normal span the tangent
+    space T, and the eigenvalues of T^t (D^2 F) T / |grad F| are the
+    curvatures, ascending in each row.
+    """
+    axes = np.asarray(semi_axes, dtype=float)
+    hess = np.diag(2.0 / axes**2)
+    rows = []
+    for point in np.asarray(points, dtype=float):
+        grad = 2.0 * point / axes**2
+        gnorm = np.linalg.norm(grad)
+        tangent = np.linalg.svd((grad / gnorm)[None, :])[2][1:].T
+        rows.append(np.sort(np.linalg.eigvalsh(tangent.T @ hess @ tangent / gnorm)))
+    return np.array(rows)

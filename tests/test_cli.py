@@ -596,6 +596,10 @@ def test_every_settings_field_is_a_config_key(tmp_path, capsys):
      "--sphere", "1", "--t", "1e200", "--d0", "0.1"],
     ["verify", "barrier-log", "--dim", "3", "--order", "2", "--fsup", "1e308", "--usup", "1",
      "--sphere", "1", "--t", "3", "--d0", "0.1"],
+    # radii inside the R^(2k) check whose solve still leaves the float range
+    ["solve", "--dim", "6", "--order", "1", "--radius", "1e100", "--source", "const:1"],
+    ["solve", "--dim", "6", "--order", "1", "--radius", "1e-100", "--source", "const:1"],
+    ["verify", "hopf", "--dim", "6", "--order", "1", "--radius", "1e80"],
 ], ids=["radius-1e200", "radius-1e-200", "radius-1e60-k3", "radius-1e80-n4",
         "radius-1e60-n6", "radius-1e-60-n6", "radius-1e-150-n2", "radius-1e40-k3",
         "bisect-tol-nan",
@@ -606,7 +610,8 @@ def test_every_settings_field_is_a_config_key(tmp_path, capsys):
         "barrier-exp-lam-inf", "barrier-log-fsup-nan", "barrier-log-usup-nan",
         "barrier-exp-t-inf", "barrier-exp-t-nan", "barrier-exp-d0-nan", "barrier-log-t-inf",
         "barrier-log-t-nan", "barrier-log-d0-nan", "barrier-exp-t-1e200",
-        "barrier-log-fsup-1e308"])
+        "barrier-log-fsup-1e308", "solve-radius-1e100-n6", "solve-radius-1e-100-n6",
+        "hopf-radius-1e80-n6"])
 def test_out_of_range_numbers_are_input_errors(argv, tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

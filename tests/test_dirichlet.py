@@ -423,6 +423,13 @@ def test_annulus_solve_is_first_integral_solve(scheme):
         first_integral_solve(src.evaluate(ball), ball, 3, 2, scheme, inner_value=-1.0)
 
 
+def test_ball_refuses_an_inner_value():
+    # a ball has no inner boundary; the value was once dropped silently
+    with pytest.raises(DomainError, match="annulus"):
+        solve_radial_dirichlet(SourceTerm.constant(1.0), 1.0, 3, 2,
+                               r_inner=0.0, inner_value=-5.0)
+
+
 @pytest.mark.parametrize("N, k", [(2.5, 1), (2, 1.0), (0, 1), (2, 3)])
 def test_solve_refuses_bad_dimension_or_order(N, k):
     with pytest.raises(DomainError, match="N="):

@@ -6,6 +6,7 @@ frozen here with their derivations.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import mpmath
@@ -95,6 +96,15 @@ def test_lambda_zero_fixed_point_in_two_steps():
 def test_negative_lambda_rejected():
     with pytest.raises(DomainError):
         iterate_fixed_lambda(-0.5, 1.0, 2, 1)
+
+
+def test_probe_out_of_float_range_is_a_domain_error():
+    # R^2 passes the radius check, but r^3 at N = 4 overflows in the first
+    # moment; the probe once warned and then refused a malformed profile
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="radius 1e[+]80 is out of range"):
+            iterate_fixed_lambda(1.0, 1e80, 4, 1, IterationConfig(n_max=20))
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf])

@@ -28,8 +28,9 @@ from khessian.geometry import (
     verify_exp_boundary_barrier,
     verify_log_boundary_barrier,
 )
-from khessian.symfun import in_gamma_k, sigma_all, sigma_k
-from reference import exp_barrier_cells, log_barrier_cells, s_k_op
+from khessian.symfun import in_gamma_k, sigma_all
+from reference import (ellipsoid_curvatures_pointwise, exp_barrier_cells, log_barrier_cells,
+                       s_k_op)
 
 
 def test_sphere_field_curvatures():
@@ -100,7 +101,7 @@ def test_augment_r_is_the_largest_ratio_raised_by_1e3():
     field = CurvatureField(
         points=np.zeros((2, 3)), kappas=np.array([[1.0, -1.0 + 1e-9], [2.0, -1.0]])
     )
-    ratios = [-sigma_k(kap, j) / sigma_k(kap, j - 1) for kap in field.kappas for j in (1, 2)]
+    ratios = [-sigma_all(kap)[j] / sigma_all(kap)[j - 1] for kap in field.kappas for j in (1, 2)]
     r_cert = augment_r(field, 2)
     assert r_cert == pytest.approx(max(ratios) * 1.001, rel=1e-12)
     assert _ref_augmented_ok(field, 2, r_cert)
@@ -501,3 +502,33 @@ def test_collar_needs_a_depth_node():
             verify_exp_boundary_barrier(field, 2, 1.0, 3.0, 0.1, n_depth=n_depth)
         with pytest.raises(DomainError):
             verify_log_boundary_barrier(field, 2, 1.0, 1.0, 3.0, 0.1, n_depth=n_depth)
+
+
+def test_sphere_points_lie_on_the_sphere_in_every_dimension():
+    for n in range(2, 7):
+        field = sphere_field(1.5, n, n_samples=40)
+        np.testing.assert_allclose(np.linalg.norm(field.points, axis=1), 1.5, rtol=1e-12)
+        assert np.all(field.kappas == 1.0 / 1.5)
+
+
+def test_needle_ellipse_curvature_to_rounding():
+    # a / b = 1e4: the curvature runs from b / a^2 = 1e-6 to a / b^2 = 1e6,
+    # and every sample matches a b / (a^2 sin^2 t + b^2 cos^2 t)^{3/2}
+    a, b = 100.0, 0.01
+    field = ellipsoid_field([a, b], n_samples=1024)
+    t = np.linspace(0.0, 2.0 * np.pi, 1024, endpoint=False)
+    expected = a * b / (a * a * np.sin(t) ** 2 + b * b * np.cos(t) ** 2) ** 1.5
+    np.testing.assert_allclose(field.kappas[:, 0], expected, rtol=1e-13)
+
+
+def test_batched_ellipsoid_curvatures_match_the_pointwise_loop():
+    # the stacked eigvalsh reorders the arithmetic, so agreement is to a
+    # few hundred ulps, with the largest spread on the flattest ellipsoid
+    for axes in [(1.0, 0.6), (2.0, 0.5), (1.0, 0.8, 0.6), (2.0, 1.0, 1.0),
+                 (1.3, 0.7, 0.9), (5.0, 0.1, 1.0)]:
+        for n in (1, 7, 32, 160, 1024):
+            field = ellipsoid_field(axes, n_samples=n)
+            assert field.kappas.flags.c_contiguous
+            np.testing.assert_allclose(
+                field.kappas, ellipsoid_curvatures_pointwise(field.points, axes),
+                rtol=2e-13, atol=0.0)
