@@ -5,9 +5,10 @@ it and, given an output directory, writes its files and a manifest.json.
 The manifest holds the command, its parameters (every parsed argument
 but --out), its config (the solver and iteration settings the command
 resolved from defaults, --config and flags; empty for cone and the
-barrier checks), its inputs (the sha256 of every input file it read,
-by path), a sha256 config_hash of those four, the version, the output
-paths and the wall time.  Re-running the same command reproduces
+barrier checks; a --config key the command does not read is refused),
+its inputs (the sha256 of every input file it read, by path), a sha256
+config_hash of those four, the version, the output paths and the wall
+time.  Re-running the same command reproduces
 the output files byte for byte; wall time lives only in the manifest.
 A write that fails removes the files the run had created and exits 1.
 Exit codes: 0 success, 1 usage, input or write error, 2 numerical
@@ -76,10 +77,18 @@ def _config_keys(cls) -> dict:
 
 _SOLVER_FIELDS = _config_keys(SolverConfig)
 _ITER_FIELDS = _config_keys(IterationConfig)
+# the --config keys each command reads: the eigen engine reads the grid,
+# the bracket tolerance and the probes' step limit; a solve every
+# SolverConfig key
+_ENGINE_KEYS = ("grid_size", "graded", "bisect_tol", "n_max")
+_SOLVE_KEYS = tuple(_SOLVER_FIELDS)
 
 
-def read_config(path: str) -> dict:
-    """key=value config file; # comments and blank lines are skipped."""
+def read_config(path: str, reads, command: str) -> dict:
+    """key=value config file; # comments and blank lines are skipped.
+
+    A key of SolverConfig or IterationConfig that is not in reads, the
+    keys the command reads, is refused as an unknown key is."""
     overrides = {}
     try:
         lines = Path(path).read_text().splitlines()
@@ -97,6 +106,9 @@ def read_config(path: str) -> dict:
         conv = _SOLVER_FIELDS.get(key) or _ITER_FIELDS.get(key)
         if conv is None:
             raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key not in reads:
+            raise DomainError(f"{path}:{lineno}: config key {key!r} is not read by "
+                              f"khess {command}")
         try:
             overrides[key] = conv(val)
         except ValueError as exc:
@@ -104,18 +116,23 @@ def read_config(path: str) -> dict:
     return overrides
 
 
-def resolve_configs(args) -> tuple:
-    """Defaults, then --config file entries, then explicit flags."""
-    overrides = read_config(args.config) if getattr(args, "config", None) else {}
+def resolve_configs(args, reads) -> tuple:
+    """Defaults, then --config file entries, then explicit flags; reads
+    names the --config keys the command reads."""
+    overrides = (read_config(args.config, reads, _command(args))
+                 if getattr(args, "config", None) else {})
     solver_kw = {k: v for k, v in overrides.items() if k in _SOLVER_FIELDS}
     iter_kw = {k: v for k, v in overrides.items() if k in _ITER_FIELDS}
     if getattr(args, "grid", None) is not None:
         solver_kw["grid_size"] = args.grid
     if getattr(args, "bisect_tol", None) is not None:
         iter_kw["bisect_tol"] = args.bisect_tol
-    if getattr(args, "sup_cap", None) is not None:
-        iter_kw["sup_cap"] = args.sup_cap
     return SolverConfig(**solver_kw), IterationConfig(**iter_kw)
+
+
+def _command(args) -> str:
+    """The subcommand of args, with its check for verify: "verify bounds"."""
+    return " ".join(filter(None, (args.command, getattr(args, "check", None))))
 
 
 def _jsonable(obj):
@@ -200,7 +217,7 @@ class Run:
 
 
 def cmd_eigen(args) -> Run:
-    solver_cfg, iter_cfg = resolve_configs(args)
+    solver_cfg, iter_cfg = resolve_configs(args, _ENGINE_KEYS)
     est = estimate_lambda1(args.radius, args.dim, args.order, iter_cfg, solver_cfg)
     profile_name = f"eigenfunction.{args.format}"
     return Run(
@@ -216,7 +233,7 @@ def cmd_eigen(args) -> Run:
 
 
 def cmd_solve(args) -> Run:
-    solver_cfg, _ = resolve_configs(args)
+    solver_cfg, _ = resolve_configs(args, _SOLVE_KEYS)
     src = SourceTerm.parse(args.source)
     profile = solve_radial_dirichlet(src, args.radius, args.dim, args.order,
                                      solver_cfg)
@@ -289,7 +306,7 @@ def _load_field(args):
 
 
 def cmd_bounds(args) -> Run:
-    solver_cfg, iter_cfg = resolve_configs(args)
+    solver_cfg, iter_cfg = resolve_configs(args, _ENGINE_KEYS)
     est = estimate_lambda1(args.radius, args.dim, args.order, iter_cfg, solver_cfg)
     lb, ub = est.bounds["lower"], est.bounds["upper"]
     report = est.to_json_dict()
@@ -301,7 +318,7 @@ def cmd_bounds(args) -> Run:
 
 
 def cmd_monotone(args) -> Run:
-    solver_cfg, iter_cfg = resolve_configs(args)
+    solver_cfg, iter_cfg = resolve_configs(args, _ENGINE_KEYS)
     report = domain_monotonicity_check(args.dim, args.order, args.r1, args.r2,
                                        iter_cfg, solver_cfg)
     line = (f"lambda({report['R_big']!r}) = {report['lambda_big']!r} "
@@ -312,7 +329,7 @@ def cmd_monotone(args) -> Run:
 
 
 def cmd_hopf(args) -> Run:
-    solver_cfg, _ = resolve_configs(args)
+    solver_cfg, _ = resolve_configs(args, _SOLVE_KEYS)
     profile = solve_radial_dirichlet(SourceTerm.constant(1.0), args.radius,
                                      args.dim, args.order, solver_cfg)
     report = hopf_linear_bound(profile)
@@ -323,7 +340,8 @@ def cmd_hopf(args) -> Run:
 
 
 def cmd_minprinciple(args) -> Run:
-    solver_cfg, _ = resolve_configs(args)
+    # only the quartic is built on a grid
+    solver_cfg, _ = resolve_configs(args, ("grid_size",))
     if args.quartic:
         profile = quartic_test_profile(args.radius, args.dim, args.order,
                                        solver_cfg.grid_size)
@@ -367,12 +385,12 @@ def _add_problem_flags(p, radius=True):
 def _add_config_flags(p):
     p.add_argument("--grid", type=int, default=None, help="grid intervals")
     p.add_argument("--config", default=None,
-                   help="key=value file mirroring SolverConfig/IterationConfig")
+                   help="key=value file of the SolverConfig/IterationConfig "
+                        "fields the command reads")
 
 
 def _add_iter_flags(p):
     p.add_argument("--bisect-tol", type=float, default=None, dest="bisect_tol")
-    p.add_argument("--sup-cap", type=float, default=None, dest="sup_cap")
 
 
 def _add_field_flags(p):
@@ -494,7 +512,6 @@ def main(argv=None) -> int:
             print(f"{args.check}: {'PASS' if run.passed else 'FAIL'}")
         if args.out is not None:
             params = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
-            command = " ".join(params[k] for k in ("command", "check") if k in params)
             configs = {name: asdict(cfg) for name, cfg in run.configs.items()}
             inputs = _input_hashes(args)
             paths = [args.out / name for name in run.outputs]
@@ -507,7 +524,7 @@ def main(argv=None) -> int:
                         payload(path)
                     else:
                         _write_json(path, payload)
-                manifest = write_manifest(args.out, command, params, configs, inputs,
+                manifest = write_manifest(args.out, _command(args), params, configs, inputs,
                                           paths, t0)
             except OSError as exc:
                 for path in fresh:

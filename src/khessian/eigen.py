@@ -8,12 +8,14 @@ enclose it, min (v/A(v))^k <= lambda_1 <= max (v/A(v))^k (Lemmens and
 Nussbaum, Nonlinear Perron-Frobenius Theory, 2012), and the power
 iteration v <- A(v) / max A(v) closes that bracket geometrically.
 
-The paper's own characterisation is kept as an independent cross-check:
-the monotone scheme S_k(D^2 u_n) = 1 + lam |u_{n-1}|^k with zero
-boundary data, started from u_0 = 0, stays bounded below lambda_1 and
-blows up above it, so a probe just below the estimate must settle and a
-probe just above it must diverge.  Rayleigh, residual and
-minimum-principle diagnostics close the loop.
+The paper's own characterisation is kept as an independent, certified
+cross-check: the monotone scheme S_k(D^2 u_n) = 1 + lam |u_{n-1}|^k with
+zero boundary data, started from u_0 = 0, stays bounded below lambda_1
+and blows up above it.  A probe just below the estimate ends once an
+iterate yields a positive supersolution that bounds every later iterate,
+and a probe just above it once an iterate is a Collatz-Wielandt growth
+witness.  Rayleigh, residual and minimum-principle diagnostics close the
+loop.
 """
 
 from __future__ import annotations
@@ -71,13 +73,14 @@ def _check_lam(lam: float) -> None:
 class IterationConfig:
     """Knobs for the fixed-point iteration and the eigenvalue bracket.
 
-    sup_cap defaults to 1e6 times the sup norm of the f = 1 solution on
-    the same ball; a probe that reaches n_max before settling or passing
-    the cap is undecided.  A probe settles once no node moves by more than
-    fixed_point_tol R^2: iterates scale as R^2, so the test, and with it
-    every probe's step count, is the same on every ball.  bisect_tol caps
-    the width of the returned bracket and defaults to 1e-10 times its
-    upper end.
+    sup_cap and fixed_point_tol govern only iterate_fixed_lambda: the
+    estimate's probes stop on certificates instead.  sup_cap defaults to
+    1e6 times the sup norm of the f = 1 solution on the same ball.  A run
+    settles once no node moves by more than fixed_point_tol R^2: iterates
+    scale as R^2, so the test, and with it every step count, is the same
+    on every ball.  A run or probe that reaches n_max undecided ends
+    n-max.  bisect_tol caps the width of the returned bracket and
+    defaults to 1e-10 times its upper end.
     """
 
     sup_cap: Optional[float] = None
@@ -99,12 +102,17 @@ class IterationConfig:
 
 @dataclass
 class IterationResult:
+    """One fixed-lambda run: converged is true when the iterates settled
+    (fixed-point) or are certified bounded (supersolution); certificate
+    holds c or q of a certified verdict, else it is empty."""
+
     converged: bool
     reason: str
     n_iter: int
     sup_trace: list
     profile: Optional[RadialProfile]
     lam: float
+    certificate: dict = field(default_factory=dict)
 
 
 def default_sup_cap(N: int, k: int, R: float) -> float:
@@ -123,23 +131,47 @@ def iterate_fixed_lambda(lam: float, R: float, N: int, k: int,
     pointwise smaller solution exactly in floating point and the iterates
     are genuinely monotone node-wise, not just up to tolerance.  A
     violation is therefore a real fault and raises InconsistencyError.
-    This is the one-row call of the lockstep core that estimate_lambda1
-    runs its two probes on; a row's result does not depend on the others.
-    A run that leaves the float range raises DomainError.
+    The run ends at fixed-point, sup-cap or n-max.  It is the one-row call
+    of the lockstep core that estimate_lambda1 runs its two certificate
+    probes on; a row's result does not depend on the others.  A run that
+    leaves the float range raises DomainError.
     """
     _check(N, k, R)
     _check_lam(lam)
     r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
+    sup_cap = cfg.sup_cap if cfg.sup_cap is not None else default_sup_cap(N, k, R)
     with _float_range(f"radius {R!r}", N, k):
-        return _iterate_rows([lam], r, N, k, cfg, _sup_cap(cfg, N, k, R))[0]
+        return _iterate_rows([lam], r, N, k, cfg, sup_cap)[0]
 
 
-def _sup_cap(cfg: IterationConfig, N: int, k: int, R: float) -> float:
-    return cfg.sup_cap if cfg.sup_cap is not None else default_sup_cap(N, k, R)
+def _rounding(k: int, size: int) -> float:
+    """Relative rounding allowance of a ratio of solves on size nodes.
+
+    Each solve is two recursive sums of positive terms, each accurate to
+    size ulps relative, plus a few roundings; a k-th power multiplies by k.
+    """
+    return k * (2 * size + 16) * float(np.finfo(float).eps)
+
+
+def _scheme_source(rest: np.ndarray, lam_col: np.ndarray, k: int, out: np.ndarray,
+                   one=1.0) -> None:
+    """out = one + lam rest^k, by the operations of every step's source."""
+    if k == 1:
+        np.multiply(rest, lam_col, out=out)
+    else:
+        np.power(rest, k, out=out)
+        out *= lam_col
+    out += one
+
+
+# The certificates the estimate's probes seek, below and above lambda_1.
+# The supersolution is w = 2 rest_n: a power of two, so w is exact.
+_CERTIFICATES = ("supersolution", "growth")
+_SUPERSOLUTION_C = 2.0
 
 
 def _iterate_rows(lams: list, r: np.ndarray, N: int, k: int, cfg: IterationConfig,
-                  sup_cap: float) -> list:
+                  sup_cap: Optional[float], seek: Optional[tuple] = None) -> list:
     """The monotone scheme at every lam of lams in lockstep, one row each.
 
     Each step is one in-place trapezoid solve of the rows still running.
@@ -148,12 +180,26 @@ def _iterate_rows(lams: list, r: np.ndarray, N: int, k: int, cfg: IterationConfi
     negative entry is an iterate that rose, and the row maximum is the
     fixed-point step.  rest never increases along r, so the sup norm is
     rest[:, 0].  The (rows, nodes) buffers are allocated once and swapped
-    each step, and again only when a row leaves: once it reaches
-    fixed-point (the step is at most fixed_point_tol R^2), sup-cap or
-    n-max.  h'' is recovered once, for the profile a row returns.  Every
-    row's IterationResult is bitwise the one it would get alone.  A
-    monotonicity fault in any row raises InconsistencyError whose trace
-    carries that row's lam, step n and sup trace.
+    each step, and again only when a row leaves.  h'' is recovered once,
+    for the profile a row returns.  Every row's IterationResult is bitwise
+    the one it would get alone.  A monotonicity fault in any row raises
+    InconsistencyError whose trace carries that row's lam, step n and sup
+    trace.
+
+    Without seek a row leaves at fixed-point (the step is at most
+    fixed_point_tol R^2), sup-cap or n-max.  With seek, row i leaves once
+    it holds the certificate seek[i], or at n-max; each step then adds one
+    batched certificate solve of the rows still running.  Write A for the
+    solve, so rest_n = A(1 + lam rest_(n-1)^k): A is exactly order-
+    preserving in floating point, and homogeneous of degree 1/k up to
+    rounding.
+    - supersolution: w = 2 rest_n has A(1 + lam w^k) <= w at every node.
+      That source is built by the step's own operations, so by induction
+      on the floating-point map every later iterate stays <= w.
+    - growth: q = min over the interior nodes of A(lam rest_n^k) / rest_n
+      exceeds 1 + the power iteration's rounding allowance, so the
+      iterates grow at least like q^m.
+    The row's certificate records c = 2 or q.
     """
     solver = _FirstIntegral(r, N, k, "trapezoid")
     # iterates scale as R^2, so the fixed-point test does too
@@ -162,15 +208,17 @@ def _iterate_rows(lams: list, r: np.ndarray, N: int, k: int, cfg: IterationConfi
     traces: list = [[] for _ in lams]
     rows = list(range(len(lams)))
     lam_col = np.array(lams, dtype=float)[:, None]
+    n_buffers = 4
+    if seek is not None:
+        n_buffers = 8
+        super_rows = np.array([s == "supersolution" for s in seek])[:, None]
+        c_col = np.where(super_rows, _SUPERSOLUTION_C, 1.0)
+        one_col = np.where(super_rows, 1.0, 0.0)
+        q_min = 1.0 + _rounding(k, r.size)
     rest_prev = np.zeros((len(lams), r.size))
-    f_nodes, hp, rest, d = (np.empty(rest_prev.shape) for _ in range(4))
+    f_nodes, hp, rest, d, *cert = (np.empty(rest_prev.shape) for _ in range(n_buffers))
     for n in range(1, cfg.n_max + 1):
-        if k == 1:
-            np.multiply(rest_prev, lam_col, out=f_nodes)
-        else:
-            np.power(rest_prev, k, out=f_nodes)
-            f_nodes *= lam_col
-        f_nodes += 1.0
+        _scheme_source(rest_prev, lam_col, k, f_nodes)
         solver.solve_into(f_nodes, hp, rest)
         np.subtract(rest, rest_prev, out=d)
         # fmin skips NaN, as the comparison h > h_prev does
@@ -181,12 +229,34 @@ def _iterate_rows(lams: list, r: np.ndarray, N: int, k: int, cfg: IterationConfi
                 trace={"lam": lams[i], "n": n, "sup_trace": traces[i]},
             )
         sups = rest[:, 0].tolist()
-        diffs = d.max(axis=1).tolist()
+        if seek is None:
+            diffs = d.max(axis=1).tolist()
+        else:
+            # w = c rest, then A(one + lam w^k): A(1 + lam w^k) below,
+            # A(lam rest^k) above
+            w, cert_f, cert_hp, cert_a = cert
+            np.multiply(rest, c_col, out=w)
+            _scheme_source(w, lam_col, k, cert_f, one_col)
+            solver.solve_into(cert_f, cert_hp, cert_a)
+            holds = np.all(cert_a <= w, axis=1).tolist()
+            qs = np.min(cert_a[:, :-1] / rest[:, :-1], axis=1).tolist()
         running = []
         for j, i in enumerate(rows):
             sup_trace = traces[i]
             sup_trace.append(sups[j])
-            if diffs[j] <= tol:
+            certificate = {}
+            if seek is not None:
+                reason = seek[i]
+                if reason == "supersolution" and holds[j]:
+                    certificate = {"c": _SUPERSOLUTION_C}
+                elif reason == "growth" and qs[j] > q_min:
+                    certificate = {"q": qs[j]}
+                elif n == cfg.n_max:
+                    reason = "n-max"
+                else:
+                    running.append(j)
+                    continue
+            elif diffs[j] <= tol:
                 reason = "fixed-point"
             elif sups[j] > sup_cap:
                 tail = np.diff(np.asarray(sup_trace[-10:]))
@@ -203,14 +273,17 @@ def _iterate_rows(lams: list, r: np.ndarray, N: int, k: int, cfg: IterationConfi
                 continue
             profile = RadialProfile(N=N, k=k, r=r, h=-rest[j], hp=hp[j].copy(),
                                     hpp=solver.hpp(hp[j], f_nodes[j]), k_convex=True)
-            results[i] = IterationResult(reason == "fixed-point", reason, n, sup_trace,
-                                         profile, lams[i])
+            results[i] = IterationResult(reason in ("fixed-point", "supersolution"), reason,
+                                         n, sup_trace, profile, lams[i], certificate)
         if len(running) < len(rows):
             rows = [rows[j] for j in running]
             if not rows:
                 break
             lam_col, rest_prev = lam_col[running], rest[running]
-            f_nodes, hp, rest, d = (np.empty(rest_prev.shape) for _ in range(4))
+            if seek is not None:
+                c_col, one_col = c_col[running], one_col[running]
+            f_nodes, hp, rest, d, *cert = (np.empty(rest_prev.shape)
+                                           for _ in range(n_buffers))
         else:
             rest_prev, rest = rest, rest_prev
     return results
@@ -225,7 +298,8 @@ class SpectralEstimate:
     the PDE's lambda_1, so the PDE value can lie outside it.  lambda_best
     is its midpoint.  bounds holds the certified lower and upper bounds on
     the PDE's lambda_1.  diagnostics records the two cross-check probes
-    (lam, reason, n_iter), the power-iteration solve count and the final
+    (lam, reason, n_iter, and c below or q above lambda_1), the
+    power-iteration solve count and the final
     bracket width; all are deterministic, so two identical runs give
     byte-identical JSON, and timings never go here.
     """
@@ -284,12 +358,15 @@ def estimate_lambda1(R: float, N: int, k: int,
     lambda_1 of the discretized problem, not the PDE's: at 512 intervals
     the PDE value lies about 2e-6 to 5e-6 (relative) below it.
     lambda_best is its midpoint and the eigenfunction is the last solve
-    normalized to minimum value -1.  Two fixed-lambda probes then confirm
-    the paper's dichotomy around lambda_best; they run in lockstep, one
-    batched trapezoid solve per step, with each verdict and iteration
-    count the same as a separate iterate_fixed_lambda call gives.  Any
-    verdict other than (fixed-point, sup-cap) raises InconsistencyError
-    with the probe log.  When 2k > N, holder is the exact
+    normalized to minimum value -1.  Two fixed-lambda probes then certify
+    the paper's dichotomy around lambda_best: the scheme at
+    lambda_best (1 - 0.1) ends on a supersolution 2 rest_n that bounds
+    every later iterate, and at lambda_best (1 + 0.1)^k on a growth
+    witness whose ratio q > 1 makes the iterates grow at least like q^m.
+    They run in lockstep, a step and a certificate solve per step, each
+    row bitwise the scheme run alone.  Any verdict pair other than
+    (supersolution, growth) within n_max raises InconsistencyError with
+    the probe log.  When 2k > N, holder is the exact
     (2 - N/k)-Holder seminorm of the eigenfunction on the grid nodes.
     A run in which r^(N-1), r^((k-N)/k) or lambda_1 leaves the float
     range raises DomainError.
@@ -302,9 +379,7 @@ def estimate_lambda1(R: float, N: int, k: int,
 def _estimate(R: float, N: int, k: int, cfg: IterationConfig,
               solver_cfg: SolverConfig) -> SpectralEstimate:
     r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
-    # Each solve is two recursive sums of positive terms, each accurate to
-    # r.size ulps relative, plus a few roundings; (v/a)^k multiplies by k.
-    rounding = k * (2 * r.size + 16) * float(np.finfo(float).eps)
+    rounding = _rounding(k, r.size)
     solver = _FirstIntegral(r, N, k, "trapezoid")
     v = R**2 - r**2
     f_nodes, hp, a = (np.empty(r.size) for _ in range(3))
@@ -330,9 +405,9 @@ def _estimate(R: float, N: int, k: int, cfg: IterationConfig,
     lam_best = 0.5 * (lo + hi)
 
     lams = [lam_best * (1.0 - _PROBE_EPS), lam_best * (1.0 + _PROBE_EPS) ** k]
-    probes = [{"lam": res.lam, "reason": res.reason, "n_iter": res.n_iter}
-              for res in _iterate_rows(lams, r, N, k, cfg, _sup_cap(cfg, N, k, R))]
-    if [p["reason"] for p in probes] != ["fixed-point", "sup-cap"]:
+    probes = [{"lam": res.lam, "reason": res.reason, "n_iter": res.n_iter, **res.certificate}
+              for res in _iterate_rows(lams, r, N, k, cfg, None, _CERTIFICATES)]
+    if tuple(p["reason"] for p in probes) != _CERTIFICATES:
         raise InconsistencyError(
             "fixed-lambda iteration disagrees with the power-iteration bracket",
             trace={"lambda_lo": lo, "lambda_hi": hi, "probes": probes},

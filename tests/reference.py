@@ -123,6 +123,41 @@ def iterate_fixed_lambda_unbatched(lam, R, N, k, cfg, solver_cfg) -> IterationRe
     return IterationResult(False, "n-max", cfg.n_max, sup_trace, profile, lam)
 
 
+def certificate_probe_unbatched(lam, R, N, k, cfg, solver_cfg, seek) -> IterationResult:
+    """The paper's monotone scheme at one lam, one full first_integral_solve
+    (h, h', h'') per step, ending once the iterate rest_n = -h_n holds the
+    certificate seek, each checked by one more full solve:
+    - supersolution: w = 2 rest_n gives -h(1 + lam w^k) <= w at every node;
+    - growth: q = min over the interior nodes of -h(lam rest_n^k) / rest_n
+      exceeds 1 + k (2 nodes + 16) eps.
+    A run that holds neither by n_max ends n-max."""
+    r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
+    q_min = 1.0 + k * (2 * r.size + 16) * float(np.finfo(float).eps)
+    h_prev = np.zeros_like(r)
+    sup_trace = []
+    for n in range(1, cfg.n_max + 1):
+        f_nodes = 1.0 + lam * np.abs(h_prev) ** k
+        h, hp, hpp = first_integral_solve(f_nodes, r, N, k, scheme="trapezoid")
+        if np.any(h > h_prev):
+            raise InconsistencyError("iterate increased",
+                                     trace={"lam": lam, "n": n, "sup_trace": sup_trace})
+        sup_trace.append(float(np.max(np.abs(h))))
+        h_prev = h
+        profile = RadialProfile(N=N, k=k, r=r, h=h, hp=hp, hpp=hpp, k_convex=True)
+        rest = -h
+        if seek == "supersolution":
+            w = 2.0 * rest
+            bound = -first_integral_solve(1.0 + lam * w**k, r, N, k, scheme="trapezoid")[0]
+            if np.all(bound <= w):
+                return IterationResult(True, seek, n, sup_trace, profile, lam, {"c": 2.0})
+        else:
+            grown = -first_integral_solve(lam * rest**k, r, N, k, scheme="trapezoid")[0]
+            q = float(np.min(grown[:-1] / rest[:-1]))
+            if q > q_min:
+                return IterationResult(False, seek, n, sup_trace, profile, lam, {"q": q})
+    return IterationResult(False, "n-max", cfg.n_max, sup_trace, profile, lam)
+
+
 def trapezoid_solve_scipy(f_nodes, r, N: int, k: int) -> tuple:
     """(h, h') of the first-integral solve with both cumulative integrals
     by scipy's cumulative_trapezoid: the moment from the origin, then h

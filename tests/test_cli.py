@@ -157,7 +157,7 @@ def test_eigen_determinism(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
     diag = json.loads((a / "estimate.json").read_text())["diagnostics"]
     assert set(diag) == {"probes", "power_solves", "effective_bisect_tol"}
-    assert [p["reason"] for p in diag["probes"]] == ["fixed-point", "sup-cap"]
+    assert [p["reason"] for p in diag["probes"]] == ["supersolution", "growth"]
     ma = json.loads((a / "manifest.json").read_text())
     mb = json.loads((b / "manifest.json").read_text())
     assert ma["config_hash"] == mb["config_hash"]
@@ -165,8 +165,9 @@ def test_eigen_determinism(tmp_path):
 
 @pytest.mark.parametrize("radius", ["1e-4", "1e-5"])
 def test_eigen_on_a_small_ball(radius, tmp_path):
-    # the probes' fixed-point test scales with R^2; an absolute one
-    # stopped both probes at step 1 and exited 2
+    # the probes' certificates compare iterates that scale as R^2; an
+    # absolute fixed-point test once stopped both probes at step 1 and
+    # exited 2
     out = tmp_path / "small"
     assert run(["eigen", "--dim", "2", "--order", "1", "--radius", radius,
                 "--out", out]) == 0
@@ -174,6 +175,7 @@ def test_eigen_on_a_small_ball(radius, tmp_path):
     diag = json.loads((out / "estimate.json").read_text())["diagnostics"]
     assert [(p["reason"], p["n_iter"]) for p in diag["probes"]] == [
         (p["reason"], p["n_iter"]) for p in unit]
+    assert [p["reason"] for p in unit] == ["supersolution", "growth"]
 
 
 def test_eigen_json_format(tmp_path):
@@ -517,18 +519,44 @@ CONFIG_VALUES = {
 }
 
 
+# the --config keys each command reads; it refuses the others
+ENGINE_KEYS = {"grid_size", "graded", "bisect_tol", "n_max"}
+SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
+READS = {
+    "eigen": ENGINE_KEYS,
+    "verify bounds": ENGINE_KEYS,
+    "verify monotone": ENGINE_KEYS,
+    "solve": SOLVER_KEYS,
+    "verify hopf": SOLVER_KEYS,
+    "verify minprinciple": {"grid_size"},
+}
+PROBLEM = {
+    "eigen": ["--dim", "2", "--order", "1", "--radius", "1"],
+    "verify bounds": ["--dim", "2", "--order", "1", "--radius", "1"],
+    "verify monotone": ["--dim", "2", "--order", "1", "--r1", "1", "--r2", "1.5"],
+    "solve": ["--dim", "2", "--order", "1", "--radius", "1", "--source", "const:1"],
+    "verify hopf": ["--dim", "2", "--order", "1", "--radius", "1"],
+    "verify minprinciple": ["--dim", "2", "--order", "1", "--radius", "1", "--quartic"],
+}
+
+
+def _config_text(keys) -> str:
+    return "".join(f"{key} = {str(CONFIG_VALUES[key]).lower()}\n" for key in sorted(keys))
+
+
 def test_every_settings_field_is_a_config_key(tmp_path, capsys):
-    solver = {f.name for f in dataclasses.fields(SolverConfig)}
     iteration = {f.name for f in dataclasses.fields(IterationConfig)}
-    assert set(CONFIG_VALUES) == solver | iteration
+    assert set(CONFIG_VALUES) == SOLVER_KEYS | iteration
+    # every key a command reads is taken and recorded in its manifest
     cfg = tmp_path / "all.cfg"
-    cfg.write_text("".join(f"{key} = {str(val).lower()}\n" for key, val in CONFIG_VALUES.items()))
-    out = tmp_path / "all"
-    assert run(["eigen", "--dim", "2", "--order", "1", "--radius", "1",
-                "--config", cfg, "--out", out]) == 0
-    man = json.loads((out / "manifest.json").read_text())
-    assert man["config"]["solver"] == {key: CONFIG_VALUES[key] for key in solver}
-    assert man["config"]["iteration"] == {key: CONFIG_VALUES[key] for key in iteration}
+    for command in ("eigen", "solve"):
+        cfg.write_text(_config_text(READS[command]))
+        out = tmp_path / command
+        assert run([command, *PROBLEM[command], "--config", cfg, "--out", out]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        recorded = {**man["config"]["solver"], **man["config"].get("iteration", {})}
+        assert {key: recorded[key] for key in READS[command]} == {
+            key: CONFIG_VALUES[key] for key in READS[command]}
 
     capsys.readouterr()
     cfg.write_text("grid_size = 64\nsimpson = true\n")
@@ -537,6 +565,35 @@ def test_every_settings_field_is_a_config_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "'simpson'" in err
     assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_config_keys_a_command_does_not_read_are_refused(command, tmp_path, capsys):
+    # quadrature = trapezoid was once accepted by eigen and recorded in its
+    # manifest, yet changed nothing
+    cfg = tmp_path / "c.cfg"
+    for key in sorted(set(CONFIG_VALUES) - READS[command]):
+        cfg.write_text(f"# one key the command does not read\n{_config_text([key])}")
+        assert run([*command.split(), *PROBLEM[command], "--config", cfg,
+                    "--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {cfg}:2: config key {key!r} is not read by "
+                       f"khess {command}\n")
+        assert not (tmp_path / "o").exists()
+
+
+def test_config_keys_a_command_reads_are_recorded_as_flags_are(tmp_path, capsys):
+    # a config of keys the command reads gives the manifest the same config
+    # as the flags that set them
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("grid_size = 64\nbisect_tol = 0.1\n")
+    mans = []
+    for extra, out in ((["--config", cfg], "a"), (FAST, "b")):
+        assert run(["eigen", *PROBLEM["eigen"], *extra, "--out", tmp_path / out]) == 0
+        mans.append(json.loads((tmp_path / out / "manifest.json").read_text()))
+    assert mans[0]["config"] == mans[1]["config"]
+    assert mans[0]["config"]["iteration"] == {"sup_cap": None, "n_max": 500,
+                                              "fixed_point_tol": 1e-8, "bisect_tol": 0.1}
 
 
 @pytest.mark.parametrize("argv", [
@@ -551,7 +608,6 @@ def test_every_settings_field_is_a_config_key(tmp_path, capsys):
     ["eigen", "--dim", "2", "--order", "1", "--radius", "1e-150"],
     ["eigen", "--dim", "3", "--order", "3", "--radius", "1e40"],
     ["eigen", "--dim", "2", "--order", "1", "--radius", "1", "--bisect-tol", "nan"],
-    ["eigen", "--dim", "2", "--order", "1", "--radius", "1", "--sup-cap", "nan"],
     ["verify", "bounds", "--dim", "2", "--order", "2", "--radius", "1e-100"],
     ["verify", "monotone", "--dim", "2", "--order", "1", "--r1", "1", "--r2", "1e300"],
     ["solve", "--dim", "3", "--order", "2", "--radius", "1e200", "--source", "const:1"],
@@ -603,7 +659,7 @@ def test_every_settings_field_is_a_config_key(tmp_path, capsys):
 ], ids=["radius-1e200", "radius-1e-200", "radius-1e60-k3", "radius-1e80-n4",
         "radius-1e60-n6", "radius-1e-60-n6", "radius-1e-150-n2", "radius-1e40-k3",
         "bisect-tol-nan",
-        "sup-cap-nan", "bounds-radius-1e-100", "monotone-r2-1e300", "solve-radius-1e200",
+        "bounds-radius-1e-100", "monotone-r2-1e300", "solve-radius-1e200",
         "solve-radius-1e-200", "hopf-radius-1e200", "solve-grid-1e18",
         "minprinciple-grid-1e18", "barrier-log-depth-1e18", "monotone-r2-nan",
         "minprinciple-lam-inf", "minprinciple-lam-nan", "barrier-exp-lam-nan",
@@ -720,7 +776,7 @@ _GRID = st.sampled_from(["-1", "63", "64", "96", "256"])
 _COMMON = {"--dim": _SMALL, "--order": _SMALL}
 _RADIUS = {"--radius": _NUMBER}
 _SOLVER = {"--grid": _GRID}
-_ITER = {"--bisect-tol": _NUMBER, "--sup-cap": _NUMBER}
+_ITER = {"--bisect-tol": _NUMBER}
 _FIELD = {"--sphere": _NUMBER, "--samples": st.integers(-1, 64).map(str),
           "--t": _NUMBER, "--d0": _NUMBER, "--depth": st.integers(-1, 16).map(str)}
 _SUBCOMMANDS = {

@@ -15,7 +15,8 @@ import pytest
 
 import khessian.eigen as eigen
 from khessian.cones import as_symmetric, in_sigma_k
-from khessian.dirichlet import SolverConfig, SourceTerm, make_grid, solve_radial_dirichlet
+from khessian.dirichlet import (SolverConfig, SourceTerm, first_integral_solve, make_grid,
+                                solve_radial_dirichlet)
 from khessian.eigen import (
     IterationConfig,
     default_sup_cap,
@@ -30,7 +31,8 @@ from khessian.eigen import (
 )
 from khessian.errors import DomainError, InconsistencyError
 from khessian.radial import RadialProfile, quartic_test_profile
-from reference import iterate_fixed_lambda_unbatched, rayleigh_quotient_scipy, s_k_op
+from reference import (certificate_probe_unbatched, iterate_fixed_lambda_unbatched,
+                       rayleigh_quotient_scipy, s_k_op)
 
 # h'' + h'/r = lambda |h| on (0,1), h'(0) = 0, h(1) = 0: the first
 # eigenvalue is the squared Bessel zero j_{0,1}^2, reproduced to 2e-12
@@ -417,7 +419,7 @@ def test_bessel_zero_at_fine_grid():
 def test_dichotomy_probes_and_tight_bracket(n, k):
     est = estimate_lambda1(1.0, n, k)
     reasons = [p["reason"] for p in est.diagnostics["probes"]]
-    assert reasons == ["fixed-point", "sup-cap"]
+    assert reasons == ["supersolution", "growth"]
     assert 0.0 < est.lambda_hi - est.lambda_lo <= 1e-9 * est.lambda_hi
 
 
@@ -432,8 +434,10 @@ def test_bisect_tol_caps_bracket_and_encloses(est21):
 def test_n_max_is_undecided_and_fails_the_cross_check():
     res = iterate_fixed_lambda(5.0, 1.0, 2, 1, IterationConfig(n_max=10))
     assert not res.converged and res.reason == "n-max" and res.n_iter == 10
-    with pytest.raises(InconsistencyError):
-        estimate_lambda1(1.0, 2, 1, IterationConfig(n_max=10))
+    # (6, 1) is the pair whose subcritical probe needs more than ten steps
+    with pytest.raises(InconsistencyError) as info:
+        estimate_lambda1(1.0, 6, 1, IterationConfig(n_max=10))
+    assert [p["reason"] for p in info.value.trace["probes"]] == ["n-max", "growth"]
 
 
 # the nine (N, k) pairs of the shooting-oracle table
@@ -462,16 +466,25 @@ def _assert_same_iteration(a, b):
                          ids=[f"{N}{k}-{c.grid_size}{'g' if c.graded else ''}"
                               + ("" if R == 1.0 else f"-R{R}") for N, k, R, c in PROBE_CASES])
 def test_lockstep_probes_match_separate_calls(N, k, R, solver_cfg):
-    # each row of the batched core is bitwise the one-lam run, and that is
-    # bitwise the paper's scheme written out one full solve per step
+    # each certificate row of the batched core is bitwise the paper's scheme
+    # written out one full solve per step, certificates included; run to a
+    # fixed point or the cap instead, each row is bitwise the one-lam run
+    # and that is bitwise the unbatched scheme
     cfg = IterationConfig()
     est = estimate_lambda1(R, N, k, cfg, solver_cfg)
     probes = est.diagnostics["probes"]
     lams = [p["lam"] for p in probes]
     r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
+    certified = eigen._iterate_rows(lams, r, N, k, cfg, None, ("supersolution", "growth"))
+    for probe, row, seek in zip(probes, certified, ("supersolution", "growth")):
+        assert probe == {"lam": row.lam, "reason": seek, "n_iter": row.n_iter,
+                         **row.certificate}
+        ref = certificate_probe_unbatched(row.lam, R, N, k, cfg, solver_cfg, seek)
+        _assert_same_iteration(row, ref)
+        assert row.certificate == ref.certificate
     rows = eigen._iterate_rows(lams, r, N, k, cfg, default_sup_cap(N, k, R))
-    for probe, row in zip(probes, rows):
-        assert (probe["reason"], probe["n_iter"]) == (row.reason, row.n_iter)
+    assert [row.reason for row in rows] == ["fixed-point", "sup-cap"]
+    for row in rows:
         _assert_same_iteration(row, iterate_fixed_lambda(row.lam, R, N, k, cfg, solver_cfg))
         _assert_same_iteration(
             row, iterate_fixed_lambda_unbatched(row.lam, R, N, k, cfg, solver_cfg))
@@ -500,12 +513,12 @@ def test_lockstep_rows_end_in_each_reason(N, k, R, solver_cfg):
 
 @pytest.mark.parametrize("N, k", [(2, 1), (3, 2), (5, 3), (6, 1)])
 def test_probe_counts_do_not_depend_on_the_radius(N, k):
-    # the fixed-point test scales with R^2 as the iterates do; an absolute
-    # 1e-8 stopped both probes at step 1 on small balls
+    # both certificates compare iterates that scale as R^2 with each other,
+    # so they are issued at the same step on every ball
     counts = {R: [(p["reason"], p["n_iter"])
                   for p in estimate_lambda1(R, N, k).diagnostics["probes"]]
               for R in (1.0, 1e-5, 1e-4, 1e3)}
-    assert counts[1.0][0][0] == "fixed-point" and counts[1.0][1][0] == "sup-cap"
+    assert counts[1.0][0][0] == "supersolution" and counts[1.0][1][0] == "growth"
     for R in (1e-5, 1e-4, 1e3):
         assert counts[R] == counts[1.0], R
 
@@ -546,4 +559,53 @@ def test_estimate_json_diagnostics(est21):
     assert d == {"probes": est21.diagnostics["probes"],
                  "power_solves": est21.diagnostics["power_solves"],
                  "effective_bisect_tol": est21.diagnostics["effective_bisect_tol"]}
-    assert [p["reason"] for p in d["probes"]] == ["fixed-point", "sup-cap"]
+    assert [p["reason"] for p in d["probes"]] == ["supersolution", "growth"]
+    below, above = d["probes"]
+    assert set(below) == {"lam", "reason", "n_iter", "c"} and below["c"] == 2.0
+    assert set(above) == {"lam", "reason", "n_iter", "q"} and above["q"] > 1.0
+
+
+def _certificate_solve(f_nodes, r, N, k):
+    """rest = -h of one trapezoid solve, the map A of the certificates."""
+    return -first_integral_solve(f_nodes, r, N, k, scheme="trapezoid")[0]
+
+
+@pytest.mark.parametrize("N, k", ORACLE_PAIRS)
+def test_certificates_hold_on_the_oracle_pairs(N, k):
+    # each probe's last iterate, checked again by an independent full solve
+    est = estimate_lambda1(1.0, N, k)
+    r = est.eigenfunction.r
+    below, above = est.diagnostics["probes"]
+    assert (below["reason"], above["reason"]) == ("supersolution", "growth")
+    assert below["n_iter"] < 20 and above["n_iter"] < 20
+    rows = eigen._iterate_rows([below["lam"], above["lam"]], r, N, k, IterationConfig(),
+                               None, ("supersolution", "growth"))
+    # below: A(1 + lam w^k) <= w for w = 2 rest_n, so every later iterate
+    # of the scheme stays under w, and lam lies under the bracket's top
+    w = 2.0 * -rows[0].profile.h
+    assert np.all(_certificate_solve(1.0 + below["lam"] * w**k, r, N, k) <= w)
+    assert below["lam"] <= est.lambda_hi
+    rest = -rows[0].profile.h
+    for _ in range(30):
+        rest = _certificate_solve(1.0 + below["lam"] * rest**k, r, N, k)
+        assert np.all(rest <= w)
+    # above: q is recomputed exactly, and the iterates outgrow q^m
+    rest = -rows[1].profile.h
+    q = float(np.min(_certificate_solve(above["lam"] * rest**k, r, N, k)[:-1] / rest[:-1]))
+    assert q == above["q"] > 1.0 + eigen._rounding(k, r.size)
+    grown = rest
+    for m in range(1, 31):
+        grown = _certificate_solve(1.0 + above["lam"] * grown**k, r, N, k)
+        assert np.all(grown[:-1] >= q**m * rest[:-1] * (1.0 - 1e-12))
+
+
+@pytest.mark.parametrize("N, k", ORACLE_PAIRS)
+def test_certificates_are_never_issued_on_the_wrong_side(N, k):
+    # just above the bracket no supersolution, just below it no growth
+    # witness, in n_max steps of the scheme
+    est = estimate_lambda1(1.0, N, k)
+    cfg = IterationConfig()
+    lams = [est.lambda_hi * (1 + 1e-6), est.lambda_lo * (1 - 1e-6)]
+    rows = eigen._iterate_rows(lams, est.eigenfunction.r, N, k, cfg, None,
+                               ("supersolution", "growth"))
+    assert [(row.reason, row.n_iter) for row in rows] == [("n-max", cfg.n_max)] * 2
