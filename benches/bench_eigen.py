@@ -9,9 +9,10 @@ Inputs are fixed, all on the unit ball: estimate_lambda1 for (N, k) in
 (2,1), (2,2), (3,2), (3,3), (5,2) at grids 512 and 2048 with default
 settings; iterate_fixed_lambda at grid 512 for (3,2) at 0.9 and 1.1^2
 times the oracle lambda_1, the two sides of the paper's dichotomy; the
-lockstep certificate probes of an estimate, _iterate_rows on its two
-probe lambdas seeking the supersolution and the growth certificate, for
-(2,1), (3,2) and (5,3) at grids 512 and 2048; and holder_seminorm on
+certificate probes of an estimate, _iterate on each of its two probe
+lambdas seeking the supersolution and the growth certificate as the
+estimate runs them, for (2,1), (3,2) and (5,3) at grids 512 and 2048;
+and holder_seminorm on
 the 2049-node eigenfunctions of (3,2) (alpha = 1/2) and (3,3)
 (alpha = 1).  Each bench records what it computed in extra_info (the
 bracket width and the error against the shooting oracle, the probe
@@ -22,8 +23,7 @@ never read without the numbers it produced.
 import pytest
 
 from khessian.dirichlet import SolverConfig, holder_seminorm, make_grid
-from khessian.eigen import (_CERTIFICATES, IterationConfig, _iterate_rows, estimate_lambda1,
-                            iterate_fixed_lambda)
+from khessian.eigen import IterationConfig, _iterate, estimate_lambda1, iterate_fixed_lambda
 
 # lambda_1 of the unit ball from the solve_ivp shooting oracle (rtol 1e-12)
 ORACLE = {
@@ -57,15 +57,20 @@ def test_iterate_fixed_lambda(benchmark, factor):
 
 @pytest.mark.parametrize("grid", [512, 2048])
 @pytest.mark.parametrize("N, k", [(2, 1), (3, 2), (5, 3)])
-def test_lockstep_probes(benchmark, N, k, grid):
+def test_certificate_probes(benchmark, N, k, grid):
     cfg = IterationConfig()
     est = estimate_lambda1(1.0, N, k, cfg, SolverConfig(grid_size=grid))
     lams = [p["lam"] for p in est.diagnostics["probes"]]
     r = make_grid(1.0, grid)
-    rows = benchmark(_iterate_rows, lams, r, N, k, cfg, None, _CERTIFICATES)
+
+    def probes():
+        return [_iterate(lam, r, N, k, cfg.n_max, seek)
+                for lam, seek in zip(lams, ("supersolution", "growth"))]
+
+    runs = benchmark(probes)
     benchmark.extra_info.update({
         "lams": lams,
-        "probes": [(row.reason, row.n_iter, row.certificate) for row in rows],
+        "probes": [(res.reason, res.n_iter, res.certificate) for res in runs],
     })
 
 

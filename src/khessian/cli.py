@@ -3,9 +3,10 @@
 Each subcommand handler computes and returns a Run; main() alone prints
 it and, given an output directory, writes its files and a manifest.json.
 The manifest holds the command, its parameters (every parsed argument
-but --out), its config (the solver and iteration settings the command
-resolved from defaults, --config and flags; empty for cone and the
-barrier checks; a --config key the command does not read is refused),
+but --out), its config (the value of each settings key the command
+reads, resolved from defaults, --config and flags, grouped by settings
+object; empty for cone and the barrier checks; a --config key the
+command does not read is refused),
 its inputs (the sha256 of every input file it read, by path), a sha256
 config_hash of those four, the version, the output paths and the wall
 time.  Re-running the same command reproduces
@@ -24,7 +25,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -77,11 +78,20 @@ def _config_keys(cls) -> dict:
 
 _SOLVER_FIELDS = _config_keys(SolverConfig)
 _ITER_FIELDS = _config_keys(IterationConfig)
-# the --config keys each command reads: the eigen engine reads the grid,
-# the bracket tolerance and the probes' step limit; a solve every
-# SolverConfig key
-_ENGINE_KEYS = ("grid_size", "graded", "bisect_tol", "n_max")
+# the settings keys each command reads, the one source both for refusing
+# a --config key and for the manifest's config: the eigen engine reads
+# the grid and every IterationConfig key, a solve every SolverConfig key
+_ENGINE_KEYS = ("grid_size", "graded", *_ITER_FIELDS)
 _SOLVE_KEYS = tuple(_SOLVER_FIELDS)
+_READS = {
+    "eigen": _ENGINE_KEYS,
+    "verify bounds": _ENGINE_KEYS,
+    "verify monotone": _ENGINE_KEYS,
+    "solve": _SOLVE_KEYS,
+    "verify hopf": _SOLVE_KEYS,
+    # only the quartic is built on a grid
+    "verify minprinciple": ("grid_size",),
+}
 
 
 def read_config(path: str, reads, command: str) -> dict:
@@ -117,8 +127,8 @@ def read_config(path: str, reads, command: str) -> dict:
 
 
 def resolve_configs(args, reads) -> tuple:
-    """Defaults, then --config file entries, then explicit flags; reads
-    names the --config keys the command reads."""
+    """(SolverConfig, IterationConfig) from defaults, then --config file
+    entries, then explicit flags; reads names the keys the command reads."""
     overrides = (read_config(args.config, reads, _command(args))
                  if getattr(args, "config", None) else {})
     solver_kw = {k: v for k, v in overrides.items() if k in _SOLVER_FIELDS}
@@ -128,6 +138,17 @@ def resolve_configs(args, reads) -> tuple:
     if getattr(args, "bisect_tol", None) is not None:
         iter_kw["bisect_tol"] = args.bisect_tol
     return SolverConfig(**solver_kw), IterationConfig(**iter_kw)
+
+
+def _recorded(reads, solver_cfg, iter_cfg) -> dict:
+    """The manifest's config: {settings name: {key: value}} for each key in
+    reads, defaults included; a settings object with no such key is left out."""
+    config: dict = {}
+    for key in reads:
+        name, cfg = (("solver", solver_cfg) if key in _SOLVER_FIELDS
+                     else ("iteration", iter_cfg))
+        config.setdefault(name, {})[key] = getattr(cfg, key)
+    return config
 
 
 def _command(args) -> str:
@@ -169,15 +190,15 @@ def _input_hashes(args) -> dict:
 
 
 def write_manifest(out_dir: Path, command: str, parameters: dict,
-                   configs: dict, inputs: dict, outputs: list, t0: float) -> Path:
-    identity = {"command": command, "parameters": parameters, "config": configs,
+                   config: dict, inputs: dict, outputs: list, t0: float) -> Path:
+    identity = {"command": command, "parameters": parameters, "config": config,
                 "inputs": inputs}
     blob = json.dumps(identity, sort_keys=True, separators=(",", ":"),
                       default=_jsonable)
     manifest = {
         "command": command,
         "parameters": parameters,
-        "config": configs,
+        "config": config,
         "inputs": inputs,
         "config_hash": hashlib.sha256(blob.encode()).hexdigest(),
         "version": __version__,
@@ -207,17 +228,15 @@ def _out_dir(path: str) -> tuple:
 class Run:
     """What a subcommand computed: its output files (name -> a dict written
     as JSON, or a callable that writes the file at a path), its summary
-    lines, the settings objects it used, and the verdict of a verify check.
+    lines and the verdict of a verify check.
     """
 
     outputs: dict
     lines: list
-    configs: dict = field(default_factory=dict)
     passed: Optional[bool] = None
 
 
-def cmd_eigen(args) -> Run:
-    solver_cfg, iter_cfg = resolve_configs(args, _ENGINE_KEYS)
+def cmd_eigen(args, solver_cfg, iter_cfg) -> Run:
     est = estimate_lambda1(args.radius, args.dim, args.order, iter_cfg, solver_cfg)
     profile_name = f"eigenfunction.{args.format}"
     return Run(
@@ -228,12 +247,10 @@ def cmd_eigen(args) -> Run:
                f"bounds      [{est.bounds['lower']!r}, {est.bounds['upper']!r}]",
                f"rayleigh    {est.rayleigh!r}",
                f"residual_max {est.residual_max!r}"],
-        configs={"solver": solver_cfg, "iteration": iter_cfg},
     )
 
 
-def cmd_solve(args) -> Run:
-    solver_cfg, _ = resolve_configs(args, _SOLVE_KEYS)
+def cmd_solve(args, solver_cfg, _) -> Run:
     src = SourceTerm.parse(args.source)
     profile = solve_radial_dirichlet(src, args.radius, args.dim, args.order,
                                      solver_cfg)
@@ -253,11 +270,10 @@ def cmd_solve(args) -> Run:
         outputs={"profile.csv": profile.save_csv, "solve.json": report},
         lines=[f"residual = {residual!r} (tol {solver_cfg.tol_residual!r})",
                f"sup norm = {profile.sup_norm!r}"],
-        configs={"solver": solver_cfg},
     )
 
 
-def cmd_cone(args) -> Run:
+def cmd_cone(args, *_) -> Run:
     k = args.order
     if (args.matrix is None) == (args.lam_values is None):
         raise DomainError("provide exactly one of --matrix or --lambda")
@@ -305,43 +321,34 @@ def _load_field(args):
     return sphere_field(args.sphere, args.dim, n_samples=args.samples)
 
 
-def cmd_bounds(args) -> Run:
-    solver_cfg, iter_cfg = resolve_configs(args, _ENGINE_KEYS)
+def cmd_bounds(args, solver_cfg, iter_cfg) -> Run:
     est = estimate_lambda1(args.radius, args.dim, args.order, iter_cfg, solver_cfg)
     lb, ub = est.bounds["lower"], est.bounds["upper"]
     report = est.to_json_dict()
     report["passed"] = lb <= est.lambda_best <= ub
     return Run({"report.json": report},
                [f"{lb!r} <= lambda_hat = {est.lambda_best!r} <= {ub!r}"],
-               configs={"solver": solver_cfg, "iteration": iter_cfg},
                passed=report["passed"])
 
 
-def cmd_monotone(args) -> Run:
-    solver_cfg, iter_cfg = resolve_configs(args, _ENGINE_KEYS)
+def cmd_monotone(args, solver_cfg, iter_cfg) -> Run:
     report = domain_monotonicity_check(args.dim, args.order, args.r1, args.r2,
                                        iter_cfg, solver_cfg)
     line = (f"lambda({report['R_big']!r}) = {report['lambda_big']!r} "
             f"vs lambda({report['R_small']!r}) = {report['lambda_small']!r}")
-    return Run({"report.json": report}, [line],
-               configs={"solver": solver_cfg, "iteration": iter_cfg},
-               passed=report["passed"])
+    return Run({"report.json": report}, [line], passed=report["passed"])
 
 
-def cmd_hopf(args) -> Run:
-    solver_cfg, _ = resolve_configs(args, _SOLVE_KEYS)
+def cmd_hopf(args, solver_cfg, _) -> Run:
     profile = solve_radial_dirichlet(SourceTerm.constant(1.0), args.radius,
                                      args.dim, args.order, solver_cfg)
     report = hopf_linear_bound(profile)
     line = (f"h <= -C1 (R - r) on [{report['r_in']!r}, R] with "
             f"C1 = {report['C1']!r}, worst margin {report['worst_margin']!r}")
-    return Run({"report.json": report}, [line], configs={"solver": solver_cfg},
-               passed=report["passed"])
+    return Run({"report.json": report}, [line], passed=report["passed"])
 
 
-def cmd_minprinciple(args) -> Run:
-    # only the quartic is built on a grid
-    solver_cfg, _ = resolve_configs(args, ("grid_size",))
+def cmd_minprinciple(args, solver_cfg, _) -> Run:
     if args.quartic:
         profile = quartic_test_profile(args.radius, args.dim, args.order,
                                        solver_cfg.grid_size)
@@ -355,11 +362,11 @@ def cmd_minprinciple(args) -> Run:
     line = (f"supersolution at lam = {lam!r}: "
             f"{report['supersolution_everywhere']}, interior min "
             f"{report['interior_min']!r} at r = {report['argmin_r']!r}")
-    return Run({"report.json": report}, [line], configs={"solver": solver_cfg},
+    return Run({"report.json": report}, [line],
                passed=report["violates_minimum_principle"])
 
 
-def cmd_barrier_exp(args) -> Run:
+def cmd_barrier_exp(args, *_) -> Run:
     report = verify_exp_boundary_barrier(_load_field(args), args.order, args.lam,
                                          args.t, args.d0, n_depth=args.depth)
     line = (f"min S_j margin {report['worst_margin']!r} over "
@@ -367,7 +374,7 @@ def cmd_barrier_exp(args) -> Run:
     return Run({"report.json": report}, [line], passed=report["passed"])
 
 
-def cmd_barrier_log(args) -> Run:
+def cmd_barrier_log(args, *_) -> Run:
     M, report = verify_log_boundary_barrier(_load_field(args), args.order,
                                             args.fsup, args.usup, args.t,
                                             args.d0, n_depth=args.depth)
@@ -505,14 +512,16 @@ def main(argv=None) -> int:
         # --out costs no run
         if args.out is not None:
             args.out, made = _out_dir(args.out)
-        run = args.func(args)
+        reads = _READS.get(_command(args), ())
+        solver_cfg, iter_cfg = resolve_configs(args, reads)
+        run = args.func(args, solver_cfg, iter_cfg)
         for line in run.lines:
             print(line)
         if run.passed is not None:
             print(f"{args.check}: {'PASS' if run.passed else 'FAIL'}")
         if args.out is not None:
             params = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
-            configs = {name: asdict(cfg) for name, cfg in run.configs.items()}
+            config = _recorded(reads, solver_cfg, iter_cfg)
             inputs = _input_hashes(args)
             paths = [args.out / name for name in run.outputs]
             # a failed write takes back the files this run created, never
@@ -524,7 +533,7 @@ def main(argv=None) -> int:
                         payload(path)
                     else:
                         _write_json(path, payload)
-                manifest = write_manifest(args.out, _command(args), params, configs, inputs,
+                manifest = write_manifest(args.out, _command(args), params, config, inputs,
                                           paths, t0)
             except OSError as exc:
                 for path in fresh:

@@ -11,7 +11,7 @@ iteration v <- A(v) / max A(v) closes that bracket geometrically.
 The paper's own characterisation is kept as an independent, certified
 cross-check: the monotone scheme S_k(D^2 u_n) = 1 + lam |u_{n-1}|^k with
 zero boundary data, started from u_0 = 0, stays bounded below lambda_1
-and blows up above it.  A probe just below the estimate ends once an
+and blows up above it.  A probe just below the bracket ends once an
 iterate yields a positive supersolution that bounds every later iterate,
 and a probe just above it once an iterate is a Collatz-Wielandt growth
 witness.  Rayleigh, residual and minimum-principle diagnostics close the
@@ -71,31 +71,20 @@ def _check_lam(lam: float) -> None:
 
 @dataclass(frozen=True)
 class IterationConfig:
-    """Knobs for the fixed-point iteration and the eigenvalue bracket.
+    """Knobs for the eigenvalue bracket and the fixed-lambda runs.
 
-    sup_cap and fixed_point_tol govern only iterate_fixed_lambda: the
-    estimate's probes stop on certificates instead.  sup_cap defaults to
-    1e6 times the sup norm of the f = 1 solution on the same ball.  A run
-    settles once no node moves by more than fixed_point_tol R^2: iterates
-    scale as R^2, so the test, and with it every step count, is the same
-    on every ball.  A run or probe that reaches n_max undecided ends
-    n-max.  bisect_tol caps the width of the returned bracket and
-    defaults to 1e-10 times its upper end.
+    bisect_tol caps the width of the returned bracket and defaults to
+    1e-10 times its upper end.  A run or probe that reaches n_max
+    undecided ends n-max.
     """
 
-    sup_cap: Optional[float] = None
     n_max: int = 500
-    fixed_point_tol: float = 1e-8
     bisect_tol: Optional[float] = None
 
     def __post_init__(self):
-        # "not x > 0" also refuses NaN
-        if self.sup_cap is not None and not self.sup_cap > 0:
-            raise DomainError("sup_cap must be positive")
         if self.n_max < 10:
             raise DomainError("n_max must be at least 10")
-        if not self.fixed_point_tol > 0:
-            raise DomainError("fixed_point_tol must be positive")
+        # "not x > 0" also refuses NaN
         if self.bisect_tol is not None and not self.bisect_tol > 0:
             raise DomainError("bisect_tol must be positive")
 
@@ -121,6 +110,12 @@ def default_sup_cap(N: int, k: int, R: float) -> float:
     return 1e6 * 0.5 * a * R**2
 
 
+# A run without a certificate to seek settles once no node moves by more
+# than this times R^2: iterates scale as R^2, so the test, and with it
+# every step count, is the same on every ball.
+_FIXED_POINT_TOL = 1e-8
+
+
 def iterate_fixed_lambda(lam: float, R: float, N: int, k: int,
                          cfg: IterationConfig = IterationConfig(),
                          solver_cfg: SolverConfig = SolverConfig()) -> IterationResult:
@@ -131,17 +126,15 @@ def iterate_fixed_lambda(lam: float, R: float, N: int, k: int,
     pointwise smaller solution exactly in floating point and the iterates
     are genuinely monotone node-wise, not just up to tolerance.  A
     violation is therefore a real fault and raises InconsistencyError.
-    The run ends at fixed-point, sup-cap or n-max.  It is the one-row call
-    of the lockstep core that estimate_lambda1 runs its two certificate
-    probes on; a row's result does not depend on the others.  A run that
+    The run ends at fixed-point (no node moves by more than 1e-8 R^2),
+    sup-cap (the sup norm passes default_sup_cap) or n-max.  A run that
     leaves the float range raises DomainError.
     """
     _check(N, k, R)
     _check_lam(lam)
     r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
-    sup_cap = cfg.sup_cap if cfg.sup_cap is not None else default_sup_cap(N, k, R)
     with _float_range(f"radius {R!r}", N, k):
-        return _iterate_rows([lam], r, N, k, cfg, sup_cap)[0]
+        return _iterate(lam, r, N, k, cfg.n_max)
 
 
 def _rounding(k: int, size: int) -> float:
@@ -153,140 +146,97 @@ def _rounding(k: int, size: int) -> float:
     return k * (2 * size + 16) * float(np.finfo(float).eps)
 
 
-def _scheme_source(rest: np.ndarray, lam_col: np.ndarray, k: int, out: np.ndarray,
+def _scheme_source(rest: np.ndarray, lam: float, k: int, out: np.ndarray,
                    one=1.0) -> None:
     """out = one + lam rest^k, by the operations of every step's source."""
     if k == 1:
-        np.multiply(rest, lam_col, out=out)
+        np.multiply(rest, lam, out=out)
     else:
         np.power(rest, k, out=out)
-        out *= lam_col
+        out *= lam
     out += one
 
 
-# The certificates the estimate's probes seek, below and above lambda_1.
-# The supersolution is w = 2 rest_n: a power of two, so w is exact.
-_CERTIFICATES = ("supersolution", "growth")
+# The supersolution the probe below lambda_1 seeks is w = 2 rest_n: a
+# power of two, so w is exact.
 _SUPERSOLUTION_C = 2.0
 
 
-def _iterate_rows(lams: list, r: np.ndarray, N: int, k: int, cfg: IterationConfig,
-                  sup_cap: Optional[float], seek: Optional[tuple] = None) -> list:
-    """The monotone scheme at every lam of lams in lockstep, one row each.
+def _iterate(lam: float, r: np.ndarray, N: int, k: int, n_max: int,
+             seek: Optional[str] = None) -> IterationResult:
+    """The monotone scheme at lam on the grid r, one trapezoid solve a step.
 
-    Each step is one in-place trapezoid solve of the rows still running.
-    It carries rest = -h >= 0, so the source is 1 + lam rest_prev^k.  One
+    Each step solves in place on buffers allocated once and swapped.  It
+    carries rest = -h >= 0, so the source is 1 + lam rest_prev^k.  One
     difference d = rest - rest_prev = h_prev - h gives both checks: a
-    negative entry is an iterate that rose, and the row maximum is the
-    fixed-point step.  rest never increases along r, so the sup norm is
-    rest[:, 0].  The (rows, nodes) buffers are allocated once and swapped
-    each step, and again only when a row leaves.  h'' is recovered once,
-    for the profile a row returns.  Every row's IterationResult is bitwise
-    the one it would get alone.  A monotonicity fault in any row raises
-    InconsistencyError whose trace carries that row's lam, step n and sup
-    trace.
+    negative entry is an iterate that rose, which raises
+    InconsistencyError with lam, the step n and the sup trace, and the
+    maximum is the fixed-point step.  rest never increases along r, so the
+    sup norm is rest[0].  h'' is recovered once, for the returned profile.
 
-    Without seek a row leaves at fixed-point (the step is at most
-    fixed_point_tol R^2), sup-cap or n-max.  With seek, row i leaves once
-    it holds the certificate seek[i], or at n-max; each step then adds one
-    batched certificate solve of the rows still running.  Write A for the
-    solve, so rest_n = A(1 + lam rest_(n-1)^k): A is exactly order-
-    preserving in floating point, and homogeneous of degree 1/k up to
-    rounding.
+    Without seek the run ends at fixed-point (the step is at most
+    _FIXED_POINT_TOL R^2), sup-cap or n-max.  With seek it ends once it
+    holds that certificate, or at n-max; each step then adds one
+    certificate solve.  Write A for the solve, so rest_n = A(1 + lam
+    rest_(n-1)^k): A is exactly order-preserving in floating point, and
+    homogeneous of degree 1/k up to rounding.
     - supersolution: w = 2 rest_n has A(1 + lam w^k) <= w at every node.
       That source is built by the step's own operations, so by induction
       on the floating-point map every later iterate stays <= w.
     - growth: q = min over the interior nodes of A(lam rest_n^k) / rest_n
       exceeds 1 + the power iteration's rounding allowance, so the
       iterates grow at least like q^m.
-    The row's certificate records c = 2 or q.
+    The certificate records c = 2 or q.
     """
     solver = _FirstIntegral(r, N, k, "trapezoid")
-    # iterates scale as R^2, so the fixed-point test does too
-    tol = cfg.fixed_point_tol * float(r[-1]) ** 2
-    results: list = [None] * len(lams)
-    traces: list = [[] for _ in lams]
-    rows = list(range(len(lams)))
-    lam_col = np.array(lams, dtype=float)[:, None]
-    n_buffers = 4
-    if seek is not None:
-        n_buffers = 8
-        super_rows = np.array([s == "supersolution" for s in seek])[:, None]
-        c_col = np.where(super_rows, _SUPERSOLUTION_C, 1.0)
-        one_col = np.where(super_rows, 1.0, 0.0)
-        q_min = 1.0 + _rounding(k, r.size)
-    rest_prev = np.zeros((len(lams), r.size))
-    f_nodes, hp, rest, d, *cert = (np.empty(rest_prev.shape) for _ in range(n_buffers))
-    for n in range(1, cfg.n_max + 1):
-        _scheme_source(rest_prev, lam_col, k, f_nodes)
+    R = float(r[-1])
+    tol = _FIXED_POINT_TOL * R**2
+    sup_cap = default_sup_cap(N, k, R)
+    q_min = 1.0 + _rounding(k, r.size)
+    sup_trace: list = []
+    rest_prev = np.zeros(r.size)
+    f_nodes, hp, rest, d, w, cert_f, cert_hp, cert_a = (np.empty(r.size) for _ in range(8))
+    for n in range(1, n_max + 1):
+        _scheme_source(rest_prev, lam, k, f_nodes)
         solver.solve_into(f_nodes, hp, rest)
         np.subtract(rest, rest_prev, out=d)
         # fmin skips NaN, as the comparison h > h_prev does
-        if np.fmin.reduce(d, axis=None) < 0:
-            i = rows[int(np.argmax((d < 0).any(axis=1)))]
+        if np.fmin.reduce(d) < 0:
             raise InconsistencyError(
                 "iterate increased somewhere despite a larger source",
-                trace={"lam": lams[i], "n": n, "sup_trace": traces[i]},
+                trace={"lam": lam, "n": n, "sup_trace": sup_trace},
             )
-        sups = rest[:, 0].tolist()
+        sup_trace.append(float(rest[0]))
+        reason, certificate = None, {}
         if seek is None:
-            diffs = d.max(axis=1).tolist()
-        else:
-            # w = c rest, then A(one + lam w^k): A(1 + lam w^k) below,
-            # A(lam rest^k) above
-            w, cert_f, cert_hp, cert_a = cert
-            np.multiply(rest, c_col, out=w)
-            _scheme_source(w, lam_col, k, cert_f, one_col)
-            solver.solve_into(cert_f, cert_hp, cert_a)
-            holds = np.all(cert_a <= w, axis=1).tolist()
-            qs = np.min(cert_a[:, :-1] / rest[:, :-1], axis=1).tolist()
-        running = []
-        for j, i in enumerate(rows):
-            sup_trace = traces[i]
-            sup_trace.append(sups[j])
-            certificate = {}
-            if seek is not None:
-                reason = seek[i]
-                if reason == "supersolution" and holds[j]:
-                    certificate = {"c": _SUPERSOLUTION_C}
-                elif reason == "growth" and qs[j] > q_min:
-                    certificate = {"q": qs[j]}
-                elif n == cfg.n_max:
-                    reason = "n-max"
-                else:
-                    running.append(j)
-                    continue
-            elif diffs[j] <= tol:
+            if d.max() <= tol:
                 reason = "fixed-point"
-            elif sups[j] > sup_cap:
-                tail = np.diff(np.asarray(sup_trace[-10:]))
-                if np.any(tail < 0):
+            elif sup_trace[-1] > sup_cap:
+                if np.any(np.diff(sup_trace[-10:]) < 0):
                     raise InconsistencyError(
                         "sup norms not monotone while exceeding the cap",
-                        trace={"lam": lams[i], "n": n, "sup_trace": sup_trace},
+                        trace={"lam": lam, "n": n, "sup_trace": sup_trace},
                     )
                 reason = "sup-cap"
-            elif n == cfg.n_max:
-                reason = "n-max"
-            else:
-                running.append(j)
-                continue
-            profile = RadialProfile(N=N, k=k, r=r, h=-rest[j], hp=hp[j].copy(),
-                                    hpp=solver.hpp(hp[j], f_nodes[j]), k_convex=True)
-            results[i] = IterationResult(reason in ("fixed-point", "supersolution"), reason,
-                                         n, sup_trace, profile, lams[i], certificate)
-        if len(running) < len(rows):
-            rows = [rows[j] for j in running]
-            if not rows:
-                break
-            lam_col, rest_prev = lam_col[running], rest[running]
-            if seek is not None:
-                c_col, one_col = c_col[running], one_col[running]
-            f_nodes, hp, rest, d, *cert = (np.empty(rest_prev.shape)
-                                           for _ in range(n_buffers))
+        elif seek == "supersolution":
+            np.multiply(rest, _SUPERSOLUTION_C, out=w)
+            _scheme_source(w, lam, k, cert_f)
+            solver.solve_into(cert_f, cert_hp, cert_a)
+            if np.all(cert_a <= w):
+                reason, certificate = seek, {"c": _SUPERSOLUTION_C}
         else:
-            rest_prev, rest = rest, rest_prev
-    return results
+            _scheme_source(rest, lam, k, cert_f, 0.0)
+            solver.solve_into(cert_f, cert_hp, cert_a)
+            q = float(np.min(cert_a[:-1] / rest[:-1]))
+            if q > q_min:
+                reason, certificate = seek, {"q": q}
+        if reason is not None or n == n_max:
+            break
+        rest_prev, rest = rest, rest_prev
+    profile = RadialProfile(N=N, k=k, r=r, h=-rest, hp=hp,
+                            hpp=solver.hpp(hp, f_nodes), k_convex=True)
+    return IterationResult(reason in ("fixed-point", "supersolution"), reason or "n-max",
+                           n, sup_trace, profile, lam, certificate)
 
 
 @dataclass
@@ -339,9 +289,10 @@ class SpectralEstimate:
 # Power-iteration solves allowed before an unclosed bracket is an error;
 # the bracket contracts by the spectral gap each step and closes in tens.
 _POWER_MAX_SOLVES = 200
-# Cross-check probes sit at lam_hat (1 - eps) and lam_hat (1 + eps)^k: the
-# blow-up rate per iteration is about (lam / lambda_1)^(1/k), so the k-th
-# power keeps the divergent probe's length independent of k.
+# Cross-check probes sit at lambda_lo (1 - eps) and lambda_hi (1 + eps)^k,
+# on either side of the certified bracket however wide it is: the blow-up
+# rate per iteration is about (lam / lambda_1)^(1/k), so the k-th power
+# keeps the divergent probe's length independent of k.
 _PROBE_EPS = 0.1
 
 
@@ -359,12 +310,12 @@ def estimate_lambda1(R: float, N: int, k: int,
     the PDE value lies about 2e-6 to 5e-6 (relative) below it.
     lambda_best is its midpoint and the eigenfunction is the last solve
     normalized to minimum value -1.  Two fixed-lambda probes then certify
-    the paper's dichotomy around lambda_best: the scheme at
-    lambda_best (1 - 0.1) ends on a supersolution 2 rest_n that bounds
-    every later iterate, and at lambda_best (1 + 0.1)^k on a growth
+    the paper's dichotomy around the bracket: the scheme at
+    lambda_lo (1 - 0.1) ends on a supersolution 2 rest_n that bounds
+    every later iterate, and at lambda_hi (1 + 0.1)^k on a growth
     witness whose ratio q > 1 makes the iterates grow at least like q^m.
-    They run in lockstep, a step and a certificate solve per step, each
-    row bitwise the scheme run alone.  Any verdict pair other than
+    Each probe is one run of the scheme, a step and a certificate solve
+    per step.  Any verdict pair other than
     (supersolution, growth) within n_max raises InconsistencyError with
     the probe log.  When 2k > N, holder is the exact
     (2 - N/k)-Holder seminorm of the eigenfunction on the grid nodes.
@@ -404,10 +355,13 @@ def _estimate(R: float, N: int, k: int, cfg: IterationConfig,
         )
     lam_best = 0.5 * (lo + hi)
 
-    lams = [lam_best * (1.0 - _PROBE_EPS), lam_best * (1.0 + _PROBE_EPS) ** k]
-    probes = [{"lam": res.lam, "reason": res.reason, "n_iter": res.n_iter, **res.certificate}
-              for res in _iterate_rows(lams, r, N, k, cfg, None, _CERTIFICATES)]
-    if tuple(p["reason"] for p in probes) != _CERTIFICATES:
+    probes = []
+    for lam, seek in ((lo * (1.0 - _PROBE_EPS), "supersolution"),
+                      (hi * (1.0 + _PROBE_EPS) ** k, "growth")):
+        res = _iterate(lam, r, N, k, cfg.n_max, seek)
+        probes.append({"lam": lam, "reason": res.reason, "n_iter": res.n_iter,
+                       **res.certificate})
+    if [p["reason"] for p in probes] != ["supersolution", "growth"]:
         raise InconsistencyError(
             "fixed-lambda iteration disagrees with the power-iteration bracket",
             trace={"lambda_lo": lo, "lambda_hi": hi, "probes": probes},

@@ -35,21 +35,23 @@ def _check_dim_order(N: int, k: int) -> None:
         raise DomainError(f"order k={k!r} must satisfy 1 <= k <= N={N}")
 
 
-def _check_radius(R: float, k: int) -> None:
+def _check_radius(R: float, k: int, powers: Optional[dict] = None) -> None:
     """Refuse a ball radius that is not positive and finite, or at which
-    R^(2k) or R^(-2k) is not a finite nonzero float.
+    R^p is not a finite nonzero float for a p of powers ({name: p}), by
+    default R^(2k) and R^(-2k).
 
     lambda_1 scales as R^(-2k) and the source that sets a solution's size
     as R^(2k); outside that range an estimate or a solve is void.
     """
     if not 0 < R < math.inf:
         raise DomainError("radius must be positive and finite")
+    powers = powers or {"R^(2k)": 2 * k, "R^(-2k)": -2 * k}
     try:
-        scales = (float(R) ** (2 * k), float(R) ** (-2 * k))
+        scales = [float(R) ** p for p in powers.values()]
     except OverflowError:
-        scales = (math.inf,)
+        scales = [math.inf]
     if not all(0 < s < math.inf for s in scales):
-        raise DomainError(f"radius {R!r} is out of range: R^(2k) and R^(-2k) "
+        raise DomainError(f"radius {R!r} is out of range: {' and '.join(powers)} "
                           f"must be finite and nonzero for k = {k}")
 
 
@@ -198,8 +200,10 @@ def quartic_test_profile(R: float, N: int, k: int, grid_size: int) -> RadialProf
     the Hessian leaves the cone near the boundary.
     """
     _check_dim_order(N, k)
-    if R <= 0 or grid_size < 2:
-        raise DomainError("need R > 0 and at least two grid intervals")
+    if grid_size < 2:
+        raise DomainError("need at least two grid intervals")
+    # the depth R^4 / 4, and S_k of a Hessian of order R^2
+    _check_radius(R, k, {"R^4": 4, "R^(2k)": 2 * k})
     r = np.linspace(0.0, R, grid_size + 1)
     h = -0.25 * (R**2 - r**2) ** 2
     hp = r * (R**2 - r**2)

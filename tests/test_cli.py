@@ -178,6 +178,17 @@ def test_eigen_on_a_small_ball(radius, tmp_path):
     assert [p["reason"] for p in unit] == ["supersolution", "growth"]
 
 
+def test_eigen_with_a_loose_bisect_tol(tmp_path, capsys):
+    # a probe placed under the midpoint of a wide bracket once sat above
+    # lambda_1, ran to n-max and exited 2 with "disagrees with the bracket"
+    out = tmp_path / "loose"
+    assert run(["eigen", "--dim", "2", "--order", "1", "--radius", "1",
+                "--bisect-tol", "5", "--out", out]) == 0
+    est = json.loads((out / "estimate.json").read_text())
+    assert est["lambda_hi"] - est["lambda_lo"] > 1.0
+    assert [p["reason"] for p in est["diagnostics"]["probes"]] == ["supersolution", "growth"]
+
+
 def test_eigen_json_format(tmp_path):
     out = tmp_path / "j"
     assert run(["eigen", "--dim", "2", "--order", "1", "--radius", "1",
@@ -514,8 +525,7 @@ def test_failed_write_removes_only_the_files_it_created(tmp_path, capsys):
 # one non-default value for every field of SolverConfig and IterationConfig
 CONFIG_VALUES = {
     "grid_size": 64, "quadrature": "trapezoid", "tol_residual": 1e-3, "refine_max": 1,
-    "graded": True, "sup_cap": 1e9, "n_max": 400, "fixed_point_tol": 1e-7,
-    "bisect_tol": 0.1,
+    "graded": True, "n_max": 400, "bisect_tol": 0.1,
 }
 
 
@@ -592,8 +602,8 @@ def test_config_keys_a_command_reads_are_recorded_as_flags_are(tmp_path, capsys)
         assert run(["eigen", *PROBLEM["eigen"], *extra, "--out", tmp_path / out]) == 0
         mans.append(json.loads((tmp_path / out / "manifest.json").read_text()))
     assert mans[0]["config"] == mans[1]["config"]
-    assert mans[0]["config"]["iteration"] == {"sup_cap": None, "n_max": 500,
-                                              "fixed_point_tol": 1e-8, "bisect_tol": 0.1}
+    assert mans[0]["config"] == {"solver": {"grid_size": 64, "graded": False},
+                                 "iteration": {"n_max": 500, "bisect_tol": 0.1}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -626,6 +636,13 @@ def test_config_keys_a_command_reads_are_recorded_as_flags_are(tmp_path, capsys)
      "--lam", "inf"],
     ["verify", "minprinciple", "--quartic", "--dim", "3", "--order", "2", "--radius", "1",
      "--lam", "nan"],
+    # quartics whose depth R^4 / 4 or S_k, of order R^(2k), leaves the float
+    # range: once a traceback, or a numpy warning before the error line
+    ["verify", "minprinciple", "--quartic", "--dim", "2", "--order", "1", "--radius", "1e200"],
+    ["verify", "minprinciple", "--quartic", "--dim", "3", "--order", "2", "--radius", "1e100"],
+    ["verify", "minprinciple", "--quartic", "--dim", "2", "--order", "1", "--radius", "1e-100"],
+    ["verify", "minprinciple", "--quartic", "--dim", "2", "--order", "1", "--radius", "inf"],
+    ["verify", "minprinciple", "--quartic", "--dim", "2", "--order", "1", "--radius", "nan"],
     ["verify", "barrier-exp", "--dim", "3", "--order", "2", "--lam", "nan",
      "--sphere", "1", "--t", "3", "--d0", "0.1"],
     ["verify", "barrier-exp", "--dim", "3", "--order", "2", "--lam", "inf",
@@ -662,7 +679,9 @@ def test_config_keys_a_command_reads_are_recorded_as_flags_are(tmp_path, capsys)
         "bounds-radius-1e-100", "monotone-r2-1e300", "solve-radius-1e200",
         "solve-radius-1e-200", "hopf-radius-1e200", "solve-grid-1e18",
         "minprinciple-grid-1e18", "barrier-log-depth-1e18", "monotone-r2-nan",
-        "minprinciple-lam-inf", "minprinciple-lam-nan", "barrier-exp-lam-nan",
+        "minprinciple-lam-inf", "minprinciple-lam-nan", "quartic-radius-1e200",
+        "quartic-radius-1e100-k2", "quartic-radius-1e-100", "quartic-radius-inf",
+        "quartic-radius-nan", "barrier-exp-lam-nan",
         "barrier-exp-lam-inf", "barrier-log-fsup-nan", "barrier-log-usup-nan",
         "barrier-exp-t-inf", "barrier-exp-t-nan", "barrier-exp-d0-nan", "barrier-log-t-inf",
         "barrier-log-t-nan", "barrier-log-d0-nan", "barrier-exp-t-1e200",
@@ -715,7 +734,7 @@ def test_overflowing_collar_sigma_is_input_error(argv, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("key", ["tol_residual", "fixed_point_tol", "sup_cap", "bisect_tol"])
+@pytest.mark.parametrize("key", ["tol_residual", "bisect_tol"])
 def test_nan_config_tolerance_is_input_error(key, tmp_path, capsys):
     cfg = tmp_path / "nan.cfg"
     cfg.write_text(f"{key} = nan\n")
@@ -921,9 +940,7 @@ _CONFIG_VALUES = {
     "tol_residual": ["1e-3", "1e-300", "0", "-1", "nan", "inf", "1e400", "1e-400"],
     "refine_max": ["0", "1", "-1", "1.5", "nan"],
     "graded": ["true", "false", "yes", "2", ""],
-    "sup_cap": ["1e9", "1e-300", "0", "nan", "inf", "1e400"],
     "n_max": ["10", "50", "9", "-1", "1e3"],
-    "fixed_point_tol": ["1e-7", "1e-300", "0", "nan", "inf"],
     "bisect_tol": ["0.1", "1e-300", "0", "nan", "inf", "1e400"],
 }
 

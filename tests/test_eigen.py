@@ -75,8 +75,9 @@ def test_estimate_values_are_python_floats(est21):
 def test_iteration_config_validation():
     with pytest.raises(DomainError):
         IterationConfig(n_max=5)
-    with pytest.raises(DomainError):
-        IterationConfig(fixed_point_tol=-1.0)
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            IterationConfig(bisect_tol=tol)
 
 
 def test_default_sup_cap_scaling():
@@ -466,28 +467,39 @@ def _assert_same_iteration(a, b):
                          ids=[f"{N}{k}-{c.grid_size}{'g' if c.graded else ''}"
                               + ("" if R == 1.0 else f"-R{R}") for N, k, R, c in PROBE_CASES])
 def test_lockstep_probes_match_separate_calls(N, k, R, solver_cfg):
-    # each certificate row of the batched core is bitwise the paper's scheme
-    # written out one full solve per step, certificates included; run to a
-    # fixed point or the cap instead, each row is bitwise the one-lam run
-    # and that is bitwise the unbatched scheme
+    # each certificate probe, run as the estimate runs it, is bitwise the
+    # paper's scheme written out one full solve per step, certificates
+    # included; run to a fixed point or the cap instead, each probe lam is
+    # bitwise the unbatched scheme
     cfg = IterationConfig()
     est = estimate_lambda1(R, N, k, cfg, solver_cfg)
     probes = est.diagnostics["probes"]
-    lams = [p["lam"] for p in probes]
     r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
-    certified = eigen._iterate_rows(lams, r, N, k, cfg, None, ("supersolution", "growth"))
-    for probe, row, seek in zip(probes, certified, ("supersolution", "growth")):
-        assert probe == {"lam": row.lam, "reason": seek, "n_iter": row.n_iter,
-                         **row.certificate}
-        ref = certificate_probe_unbatched(row.lam, R, N, k, cfg, solver_cfg, seek)
-        _assert_same_iteration(row, ref)
-        assert row.certificate == ref.certificate
-    rows = eigen._iterate_rows(lams, r, N, k, cfg, default_sup_cap(N, k, R))
-    assert [row.reason for row in rows] == ["fixed-point", "sup-cap"]
-    for row in rows:
-        _assert_same_iteration(row, iterate_fixed_lambda(row.lam, R, N, k, cfg, solver_cfg))
+    for probe, seek in zip(probes, ("supersolution", "growth")):
+        res = eigen._iterate(probe["lam"], r, N, k, cfg.n_max, seek)
+        assert probe == {"lam": res.lam, "reason": seek, "n_iter": res.n_iter,
+                         **res.certificate}
+        ref = certificate_probe_unbatched(res.lam, R, N, k, cfg, solver_cfg, seek)
+        _assert_same_iteration(res, ref)
+        assert res.certificate == ref.certificate
+    for probe, reason in zip(probes, ("fixed-point", "sup-cap")):
+        res = iterate_fixed_lambda(probe["lam"], R, N, k, cfg, solver_cfg)
+        assert res.reason == reason
         _assert_same_iteration(
-            row, iterate_fixed_lambda_unbatched(row.lam, R, N, k, cfg, solver_cfg))
+            res, iterate_fixed_lambda_unbatched(res.lam, R, N, k, cfg, solver_cfg))
+
+
+def _assert_runs_as_unbatched(lams, reasons, R, N, k, cfg, solver_cfg) -> list:
+    """Run iterate_fixed_lambda at each lam of lams: each ends in its reason
+    and is bitwise the unbatched scheme.  Returns the step counts."""
+    counts = []
+    for lam, reason in zip(lams, reasons, strict=True):
+        res = iterate_fixed_lambda(lam, R, N, k, cfg, solver_cfg)
+        assert res.reason == reason, lam
+        _assert_same_iteration(
+            res, iterate_fixed_lambda_unbatched(lam, R, N, k, cfg, solver_cfg))
+        counts.append(res.n_iter)
+    return counts
 
 
 @pytest.mark.parametrize("N, k, R, solver_cfg", [
@@ -496,19 +508,15 @@ def test_lockstep_probes_match_separate_calls(N, k, R, solver_cfg):
     (5, 3, 1.0, SolverConfig(grid_size=512, graded=True)),
 ], ids=["21-513", "32-2048g-R0.9", "53-512g"])
 def test_lockstep_rows_end_in_each_reason(N, k, R, solver_cfg):
-    # five rows leave at different steps for all three reasons, and every
-    # one is bitwise the paper's scheme run alone
+    # five lams end at different steps for all three reasons, and every
+    # run is bitwise the paper's scheme
     cfg = IterationConfig(n_max=200)
     lam = estimate_lambda1(R, N, k, cfg, solver_cfg).lambda_best
     lams = [lam * c for c in (1.1**k, 1.0001, 0.9, 0.0, 1.5**k)]
-    r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
-    rows = eigen._iterate_rows(lams, r, N, k, cfg, default_sup_cap(N, k, R))
-    assert [row.reason for row in rows] == ["sup-cap", "n-max", "fixed-point",
-                                            "fixed-point", "sup-cap"]
-    assert len({row.n_iter for row in rows}) == 5
-    for row in rows:
-        _assert_same_iteration(
-            row, iterate_fixed_lambda_unbatched(row.lam, R, N, k, cfg, solver_cfg))
+    counts = _assert_runs_as_unbatched(
+        lams, ["sup-cap", "n-max", "fixed-point", "fixed-point", "sup-cap"],
+        R, N, k, cfg, solver_cfg)
+    assert len(set(counts)) == 5
 
 
 @pytest.mark.parametrize("N, k", [(2, 1), (3, 2), (5, 3), (6, 1)])
@@ -524,16 +532,11 @@ def test_probe_counts_do_not_depend_on_the_radius(N, k):
 
 
 def test_lockstep_rows_leave_independently():
-    # rows end at steps 2 (fixed-point), 10 (n-max) and 10 (n-max)
+    # runs end at steps 10 (n-max), 2 (fixed-point) and 10 (n-max)
     cfg = IterationConfig(n_max=10)
-    solver_cfg = SolverConfig(grid_size=64)
-    lams = [5.0, 0.0, 1.0]
-    r = make_grid(1.0, 64)
-    rows = eigen._iterate_rows(lams, r, 2, 1, cfg, default_sup_cap(2, 1, 1.0))
-    assert [row.reason for row in rows] == ["n-max", "fixed-point", "n-max"]
-    for row in rows:
-        _assert_same_iteration(
-            row, iterate_fixed_lambda_unbatched(row.lam, 1.0, 2, 1, cfg, solver_cfg))
+    counts = _assert_runs_as_unbatched([5.0, 0.0, 1.0], ["n-max", "fixed-point", "n-max"],
+                                       1.0, 2, 1, cfg, SolverConfig(grid_size=64))
+    assert counts == [10, 2, 10]
 
 
 def test_monotonicity_fault_in_one_row_names_its_lambda(monkeypatch):
@@ -544,12 +547,11 @@ def test_monotonicity_fault_in_one_row_names_its_lambda(monkeypatch):
             super().solve_into(f_nodes, hp, rest)
             steps.append(rest.shape)
             if len(steps) == 5:
-                rest[1, 10] = -0.5  # h = 0.5: the second row rises above its last iterate
+                rest[10] = -0.5  # h = 0.5: the iterate rises above its last one
 
     monkeypatch.setattr(eigen, "_FirstIntegral", Faulty)
-    r = make_grid(1.0, 64)
     with pytest.raises(InconsistencyError, match="increased") as info:
-        eigen._iterate_rows([2.0, 3.0], r, 2, 1, IterationConfig(), default_sup_cap(2, 1, 1.0))
+        iterate_fixed_lambda(3.0, 1.0, 2, 1, solver_cfg=SolverConfig(grid_size=64))
     trace = info.value.trace
     assert trace["lam"] == 3.0 and trace["n"] == 5 and len(trace["sup_trace"]) == 4
 
@@ -578,8 +580,8 @@ def test_certificates_hold_on_the_oracle_pairs(N, k):
     below, above = est.diagnostics["probes"]
     assert (below["reason"], above["reason"]) == ("supersolution", "growth")
     assert below["n_iter"] < 20 and above["n_iter"] < 20
-    rows = eigen._iterate_rows([below["lam"], above["lam"]], r, N, k, IterationConfig(),
-                               None, ("supersolution", "growth"))
+    rows = [eigen._iterate(p["lam"], r, N, k, IterationConfig().n_max, p["reason"])
+            for p in (below, above)]
     # below: A(1 + lam w^k) <= w for w = 2 rest_n, so every later iterate
     # of the scheme stays under w, and lam lies under the bracket's top
     w = 2.0 * -rows[0].profile.h
@@ -599,6 +601,20 @@ def test_certificates_hold_on_the_oracle_pairs(N, k):
         assert np.all(grown[:-1] >= q**m * rest[:-1] * (1.0 - 1e-12))
 
 
+@pytest.mark.parametrize("bisect_tol", [5.0, 50.0, math.inf])
+def test_probes_sit_outside_a_loose_bracket(bisect_tol):
+    # probes placed around the midpoint of a loose bracket once sat above
+    # lambda_1 and ran to n-max: (2,1) at 5, (3,3) and (6,1) at 50, (5,3)
+    # at inf; placed from the bracket's ends they certify either side
+    cfg = IterationConfig(bisect_tol=bisect_tol)
+    for N, k in ORACLE_PAIRS + [(6, 1), (5, 4)]:
+        est = estimate_lambda1(1.0, N, k, cfg)
+        below, above = est.diagnostics["probes"]
+        assert (below["reason"], above["reason"]) == ("supersolution", "growth"), (N, k)
+        assert below["lam"] == est.lambda_lo * 0.9
+        assert above["lam"] == est.lambda_hi * 1.1**k
+
+
 @pytest.mark.parametrize("N, k", ORACLE_PAIRS)
 def test_certificates_are_never_issued_on_the_wrong_side(N, k):
     # just above the bracket no supersolution, just below it no growth
@@ -606,6 +622,6 @@ def test_certificates_are_never_issued_on_the_wrong_side(N, k):
     est = estimate_lambda1(1.0, N, k)
     cfg = IterationConfig()
     lams = [est.lambda_hi * (1 + 1e-6), est.lambda_lo * (1 - 1e-6)]
-    rows = eigen._iterate_rows(lams, est.eigenfunction.r, N, k, cfg, None,
-                               ("supersolution", "growth"))
+    rows = [eigen._iterate(lam, est.eigenfunction.r, N, k, cfg.n_max, seek)
+            for lam, seek in zip(lams, ("supersolution", "growth"))]
     assert [(row.reason, row.n_iter) for row in rows] == [("n-max", cfg.n_max)] * 2
