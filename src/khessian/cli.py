@@ -48,7 +48,8 @@ from .eigen import (
     minimum_principle_probe,
     upper_bound,
 )
-from .errors import ConvergenceError, DomainError, InconsistencyError, SearchError
+from .errors import (ConvergenceError, DomainError, InconsistencyError, SearchError,
+                     float_range)
 from .geometry import (
     load_field_json,
     sphere_field,
@@ -291,11 +292,9 @@ def cmd_cone(args, *_) -> Run:
     if k < 1 or k > vals.size:
         raise DomainError(f"need 1 <= k <= {vals.size}")
     # sigma_j (degree j) and the slack (degree k) overflow on large finite input
-    with np.errstate(over="ignore", invalid="ignore"):
+    with float_range(f"sigma_j of the {subject} or the cone slack overflows a float"):
         sig = sigma_all(np.sort(vals))
         slack = 0.0 if a is None else membership_slack(a, k)
-    if not (np.all(np.isfinite(sig)) and np.isfinite(slack)):
-        raise DomainError(f"sigma_j of the {subject} or the cone slack overflows a float")
     if a is None:
         verdicts = {"in_gamma_k": in_gamma_k(vals, k, strict=True),
                     "in_gamma_k_closed": in_gamma_k(vals, k, strict=False)}

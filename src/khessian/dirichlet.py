@@ -17,13 +17,12 @@ zeroes h' while f > 0, as a Simpson quadratic of a steep rise can.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, float_range
 from .radial import (
     RadialProfile,
     _check_dim_order,
@@ -168,20 +167,6 @@ def make_grid(R: float, grid_size: int, graded: bool = False,
     if np.any(np.diff(grid) <= 0):
         raise DomainError(f"graded grid of {grid_size} intervals repeats nodes near R")
     return grid
-
-
-@contextmanager
-def _float_range(what: str, N: int, k: int):
-    """Turn an overflow, a division by zero or an invalid operation into
-    DomainError: then r^(N-1), r^((k-N)/k) or the solution has left the
-    float range, and no result computed from it means anything.
-    Underflow is allowed; small balls have subnormal weights.
-    """
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise DomainError(f"{what} is out of range for N = {N}, k = {k}: {exc}") from exc
 
 
 def _weighted_moment_cumulative(f_nodes: np.ndarray, r: np.ndarray, N: int) -> np.ndarray:
@@ -423,8 +408,9 @@ def solve_radial_dirichlet(f: SourceTerm, R: float, N: int, k: int,
     grid_size = cfg.grid_size
     for attempt in range(cfg.refine_max + 1):
         r = make_grid(R, grid_size, graded=cfg.graded, r_inner=r_inner)
-        f_nodes = f.evaluate(r)
-        with _float_range(f"radius {R!r} or the source size", N, k):
+        with float_range(f"radius {R!r} or the source size is out of range "
+                         f"for N = {N}, k = {k}"):
+            f_nodes = f.evaluate(r)
             h, hp, hpp = first_integral_solve(f_nodes, r, N, k, cfg.quadrature,
                                               inner_value)
             profile = RadialProfile(N=N, k=k, r=r, h=h, hp=hp, hpp=hpp, k_convex=True)

@@ -26,9 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dirichlet import (SolverConfig, _FirstIntegral, _float_range,
-                        _weighted_moment_cumulative, holder_seminorm, make_grid)
-from .errors import DomainError, InconsistencyError
+from .dirichlet import (SolverConfig, _FirstIntegral, _weighted_moment_cumulative,
+                        holder_seminorm, make_grid)
+from .errors import DomainError, InconsistencyError, float_range
 from .radial import RadialProfile, _check_dim_order, _check_radius, s_k_on_profile
 from .symfun import sigma_all
 
@@ -133,7 +133,7 @@ def iterate_fixed_lambda(lam: float, R: float, N: int, k: int,
     _check(N, k, R)
     _check_lam(lam)
     r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
-    with _float_range(f"radius {R!r}", N, k):
+    with float_range(f"radius {R!r} is out of range for N = {N}, k = {k}"):
         return _iterate(lam, r, N, k, cfg.n_max)
 
 
@@ -323,7 +323,7 @@ def estimate_lambda1(R: float, N: int, k: int,
     range raises DomainError.
     """
     _check(N, k, R)
-    with _float_range(f"radius {R!r}", N, k):
+    with float_range(f"radius {R!r} is out of range for N = {N}, k = {k}"):
         return _estimate(R, N, k, cfg, solver_cfg)
 
 
@@ -438,17 +438,18 @@ def minimum_principle_probe(profile: RadialProfile, lam: float,
     h'' repeated N times at the origin, so one batched sigma_all over the
     sorted spectra decides every node.  Cone membership allows the slack
     1e-10 (1 + |spectrum|_2)^k, the Frobenius norm of that Hessian, as in
-    cones.membership_slack.
+    cones.membership_slack.  Leaving the float range raises DomainError.
     """
     _check_lam(lam)
     N, k = profile.N, profile.k
     r, h, hpp = profile.r, profile.h, profile.hpp
-    tangential = np.divide(profile.hp, r, out=hpp.copy(), where=r > 0)
-    spectra = np.column_stack([hpp] + [tangential] * (N - 1))
-    slack = 1e-10 * (1.0 + np.linalg.norm(spectra, axis=1)) ** k
-    sig = sigma_all(np.sort(spectra, axis=1))
-    admissible = np.all(sig[:, 1 : k + 1] >= -slack[:, None], axis=1)
-    ok = (sig[:, k] + lam * h * np.abs(h) ** (k - 1) <= rhs) | ~admissible
+    with float_range(f"the profile or lam = {lam!r} is out of range for N = {N}, k = {k}"):
+        tangential = np.divide(profile.hp, r, out=hpp.copy(), where=r > 0)
+        spectra = np.column_stack([hpp] + [tangential] * (N - 1))
+        slack = 1e-10 * (1.0 + np.linalg.norm(spectra, axis=1)) ** k
+        sig = sigma_all(np.sort(spectra, axis=1))
+        admissible = np.all(sig[:, 1 : k + 1] >= -slack[:, None], axis=1)
+        ok = (sig[:, k] + lam * h * np.abs(h) ** (k - 1) <= rhs) | ~admissible
     interior = profile.r < profile.R
     interior_min = float(np.min(profile.h[interior]))
     argmin = int(np.argmin(profile.h))

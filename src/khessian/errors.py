@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and its float-range guard.
 
 The CLI maps these onto exit codes: bad input is a usage error (exit 1),
 while a numerical inconsistency detected mid-computation exits with 2.
 """
+
+import numpy as np
 
 
 class KHessianError(Exception):
@@ -11,6 +13,24 @@ class KHessianError(Exception):
 
 class DomainError(KHessianError):
     """Input outside the documented domain of an operation."""
+
+
+class float_range(np.errstate):
+    """Raise DomainError(f"{message}: {reason}") where numpy overflows,
+    divides by zero or turns invalid in the block: a value has left the
+    float range and nothing computed from it means anything.  Underflow
+    is allowed; small balls have subnormal weights.  A block of two steps
+    may set .message between them to name the one that runs.
+    """
+
+    def __init__(self, message: str):
+        super().__init__(over="raise", divide="raise", invalid="raise")
+        self.message = message
+
+    def __exit__(self, kind, exc, tb):
+        super().__exit__(kind, exc, tb)
+        if kind is not None and issubclass(kind, FloatingPointError):
+            raise DomainError(f"{self.message}: {exc}") from exc
 
 
 class ConvergenceError(KHessianError):

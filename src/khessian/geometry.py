@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SearchError
+from .errors import DomainError, SearchError, float_range
 from .symfun import _sigma_columns
 
 __all__ = [
@@ -162,23 +162,13 @@ def _collar_sigma_min(field: CurvatureField, depths: np.ndarray, normal,
     samples would hide it.
     """
     minima = []
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for start in range(0, field.n_samples, _SAMPLE_BLOCK):
-                kap = field.kappas[start : start + _SAMPLE_BLOCK].T[:, :, None]
-                tangential = kap / (1.0 - kap * depths)
-                sig = _sigma_columns([*tangential, normal], k)
-                minima.append(np.min(sig[1:], axis=1))
-    except FloatingPointError as exc:
-        raise DomainError(f"sigma_j on the collar overflows ({exc})") from exc
+    with float_range("sigma_j on the collar overflows"):
+        for start in range(0, field.n_samples, _SAMPLE_BLOCK):
+            kap = field.kappas[start : start + _SAMPLE_BLOCK].T[:, :, None]
+            tangential = kap / (1.0 - kap * depths)
+            sig = _sigma_columns([*tangential, normal], k)
+            minima.append(np.min(sig[1:], axis=1))
     return np.minimum.reduce(minima)
-
-
-def _finite(values: np.ndarray, what: str, t: float, d0: float) -> np.ndarray:
-    """values, refused when an entry overflowed: no certificate rests on inf."""
-    if not np.isfinite(values).all():
-        raise DomainError(f"{what} overflows at t = {t!r}, d0 = {d0!r}")
-    return values
 
 
 def verify_exp_boundary_barrier(field: CurvatureField, k: int, lam: float,
@@ -200,15 +190,14 @@ def verify_exp_boundary_barrier(field: CurvatureField, k: int, lam: float,
         raise DomainError("need a finite positive rate t and a finite nonnegative lam")
     depths = _collar_depths(field, d0, n_depth)
     j = np.arange(1, k + 1)
-    # t^j e^{-j t d} at every (j, depth), shape (k, D), checked before the
-    # recurrence: a rate whose powers overflow is refused without warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        fac = _finite((t**j * np.exp(-j * t * depths[:, None])).T,
-                      "barrier factor t^j e^{-j t d}", t, d0)
+    # t^j e^{-j t d} at every (j, depth), shape (k, D), checked before the recurrence
+    with float_range("barrier factor t^j e^{-j t d} overflows "
+                     f"at t = {t!r}, d0 = {d0!r}"):
+        fac = (t**j * np.exp(-j * t * depths[:, None])).T
     sig = _collar_sigma_min(field, depths, t, k)
     # S_j minimized over samples at every (j, depth)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sj = _finite(fac * sig, "S_j", t, d0)
+    with float_range(f"S_j overflows at t = {t!r}, d0 = {d0!r}"):
+        sj = fac * sig
     phi = np.exp(-t * depths) - 1.0
     min_sj = float(np.min(sj))
     worst_margin = float(np.min(sj[-1] - lam * np.abs(phi) ** k))
@@ -269,10 +258,13 @@ def verify_log_boundary_barrier(field: CurvatureField, k: int, fsup: float,
     if not math.isfinite(M):
         raise DomainError(f"barrier amplitude overflows at t = {t!r}, d0 = {d0!r}")
 
-    amp = M * t / (1.0 + t * depths)
-    with np.errstate(over="ignore", invalid="ignore"):
-        fac = _finite((amp[:, None] ** np.arange(1, k + 1)).T, "barrier factor amp^j", t, d0)
-        sj = _finite(fac * sig, "S_j", t, d0)
+    guard = float_range(f"barrier factor amp^j overflows at t = {t!r}, d0 = {d0!r}")
+    with guard:
+        # a numpy M t raises on overflow, where a Python float turns inf
+        amp = np.float64(M) * t / (1.0 + t * depths)
+        fac = (amp[:, None] ** np.arange(1, k + 1)).T
+        guard.message = f"S_j overflows at t = {t!r}, d0 = {d0!r}"
+        sj = fac * sig
     min_sj = float(np.min(sj))
     worst_margin = float(np.min(sj[-1] - fsup))
     report = {

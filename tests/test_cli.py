@@ -673,6 +673,10 @@ def test_config_keys_a_command_reads_are_recorded_as_flags_are(tmp_path, capsys)
     ["solve", "--dim", "6", "--order", "1", "--radius", "1e100", "--source", "const:1"],
     ["solve", "--dim", "6", "--order", "1", "--radius", "1e-100", "--source", "const:1"],
     ["verify", "hopf", "--dim", "6", "--order", "1", "--radius", "1e80"],
+    # |h|^2 of the quartic overflows in the probe, which once warned and passed
+    ["verify", "minprinciple", "--quartic", "--dim", "3", "--order", "3", "--radius", "1e50"],
+    # the source overflows in its own evaluation, which once warned first
+    ["solve", "--dim", "2", "--order", "2", "--radius", "1", "--source", "poly:1e308,1e308"],
 ], ids=["radius-1e200", "radius-1e-200", "radius-1e60-k3", "radius-1e80-n4",
         "radius-1e60-n6", "radius-1e-60-n6", "radius-1e-150-n2", "radius-1e40-k3",
         "bisect-tol-nan",
@@ -686,7 +690,7 @@ def test_config_keys_a_command_reads_are_recorded_as_flags_are(tmp_path, capsys)
         "barrier-exp-t-inf", "barrier-exp-t-nan", "barrier-exp-d0-nan", "barrier-log-t-inf",
         "barrier-log-t-nan", "barrier-log-d0-nan", "barrier-exp-t-1e200",
         "barrier-log-fsup-1e308", "solve-radius-1e100-n6", "solve-radius-1e-100-n6",
-        "hopf-radius-1e80-n6"])
+        "hopf-radius-1e80-n6", "quartic-radius-1e50-k3", "solve-source-poly-1e308"])
 def test_out_of_range_numbers_are_input_errors(argv, tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -983,11 +987,14 @@ def _non_integer_size(content: bytes) -> bool:
 @given(case=_input_file())
 @example(case=(b'{"n": 2.5, "entries": [1, 0, 0, 1]}', ["cone", "--order", "1", "--matrix"]))
 @example(case=(b'{"n": true, "entries": [1]}', ["cone", "--order", "1", "--matrix"]))
+@example(case=(b"r,h,hp,hpp\n0,-1e200,0,1e200\n0.5,1e200,-1e200,-1e200\n1,0,1e200,1e200\n",
+               ["verify", "minprinciple", "--dim", "2", "--order", "1", "--radius", "1",
+                "--profile"]))
 def test_fuzzed_input_files_never_raise(case):
     content, argv = case
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err, warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error")
         path = Path(tmp) / "input"
         path.write_bytes(content)
         code = main(argv + [str(path), f"--out={tmp}/out"])

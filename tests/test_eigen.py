@@ -108,6 +108,10 @@ def test_probe_out_of_float_range_is_a_domain_error():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="radius 1e[+]80 is out of range"):
             iterate_fixed_lambda(1.0, 1e80, 4, 1, IterationConfig(n_max=20))
+        # lam |h|^k = 1e308 * 2500 overflows: the probe once warned and
+        # reported a verdict computed from inf
+        with pytest.raises(DomainError, match="lam = 1e[+]308 is out of range"):
+            minimum_principle_probe(quartic_test_profile(10.0, 2, 1, 64), 1e308)
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf])

@@ -1,4 +1,5 @@
-"""Every name a module lists in __all__ has a caller outside the tests.
+"""Every name a module lists in __all__ has a caller outside the tests,
+and the float-range policy lives in errors.py alone.
 
 A name counts as used when code in the library modules, the benchmark or
 the benches refers to it: a loaded ast.Name, an ast.Attribute or an
@@ -46,3 +47,15 @@ def test_every_public_name_has_a_caller():
               for name in importlib.import_module(f"khessian.{short}").__all__
               if name not in names]
     assert unused == []
+
+
+def test_float_range_policy_lives_in_errors():
+    # numpy's error state and its FloatingPointError are handled only by
+    # errors.float_range, so every numeric entry point shares one policy
+    found = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "khessian").glob("*.py")) if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _referenced(node) in ("errstate", "FloatingPointError")
+    )
+    assert found == []
