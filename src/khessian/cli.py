@@ -291,10 +291,12 @@ def cmd_cone(args, *_) -> Run:
         a, subject = None, "eigenvalue list"
     if k < 1 or k > vals.size:
         raise DomainError(f"need 1 <= k <= {vals.size}")
-    # sigma_j (degree j) and the slack (degree k) overflow on large finite input
-    with float_range(f"sigma_j of the {subject} or the cone slack overflows a float"):
+    overflow = f"sigma_j of the {subject} or the cone slack overflows a float"
+    with float_range(overflow):
         sig = sigma_all(np.sort(vals))
         slack = 0.0 if a is None else membership_slack(a, k)
+    if not np.isfinite(slack):  # its norm is a dot product, which need not flag it
+        raise DomainError(overflow)
     if a is None:
         verdicts = {"in_gamma_k": in_gamma_k(vals, k, strict=True),
                     "in_gamma_k_closed": in_gamma_k(vals, k, strict=False)}

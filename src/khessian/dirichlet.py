@@ -61,7 +61,10 @@ class SourceTerm:
     @classmethod
     def polynomial(cls, coeffs) -> "SourceTerm":
         coeffs = np.asarray(coeffs, dtype=float)
-        return cls(lambda r: np.polynomial.polynomial.polyval(r, coeffs))
+        def poly(r):
+            with float_range("source evaluated to a non-finite value"):
+                return np.polynomial.polynomial.polyval(r, coeffs)
+        return cls(poly)
 
     @classmethod
     def from_samples(cls, nodes, samples) -> "SourceTerm":
@@ -408,9 +411,9 @@ def solve_radial_dirichlet(f: SourceTerm, R: float, N: int, k: int,
     grid_size = cfg.grid_size
     for attempt in range(cfg.refine_max + 1):
         r = make_grid(R, grid_size, graded=cfg.graded, r_inner=r_inner)
+        f_nodes = f.evaluate(r)
         with float_range(f"radius {R!r} or the source size is out of range "
                          f"for N = {N}, k = {k}"):
-            f_nodes = f.evaluate(r)
             h, hp, hpp = first_integral_solve(f_nodes, r, N, k, cfg.quadrature,
                                               inner_value)
             profile = RadialProfile(N=N, k=k, r=r, h=h, hp=hp, hpp=hpp, k_convex=True)

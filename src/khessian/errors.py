@@ -19,8 +19,7 @@ class float_range(np.errstate):
     """Raise DomainError(f"{message}: {reason}") where numpy overflows,
     divides by zero or turns invalid in the block: a value has left the
     float range and nothing computed from it means anything.  Underflow
-    is allowed; small balls have subnormal weights.  A block of two steps
-    may set .message between them to name the one that runs.
+    is allowed; small balls have subnormal weights.
     """
 
     def __init__(self, message: str):

@@ -150,11 +150,11 @@ def _collar_depths(field: CurvatureField, d0: float, n_depth: int) -> np.ndarray
     return np.linspace(0.0, d0, n_depth + 1)[1:]
 
 
-def _collar_sigma_min(field: CurvatureField, depths: np.ndarray, normal,
-                      k: int) -> np.ndarray:
-    """min over samples of sigma_j(kappa_i/(1 - kappa_i d), normal), j = 1..k.
+def _collar_sigma_min(field: CurvatureField, depths: np.ndarray, t: float,
+                      k: int, damped: bool = False) -> np.ndarray:
+    """min over samples of sigma_j(kappa_i/(1 - kappa_i d), n), j = 1..k.
 
-    normal is one value or one per depth.  The result has shape (k, D).
+    The normal entry n is t, or t/(1 + t d) when damped; the result has shape (k, D).
     The N-1 tangential entries go to the recurrence as (samples, depths)
     columns, _SAMPLE_BLOCK samples at a time.  An overflow anywhere raises
     DomainError: an overflowed partial sum stays +inf after later negative
@@ -163,6 +163,7 @@ def _collar_sigma_min(field: CurvatureField, depths: np.ndarray, normal,
     """
     minima = []
     with float_range("sigma_j on the collar overflows"):
+        normal = t / (1.0 + t * depths) if damped else t
         for start in range(0, field.n_samples, _SAMPLE_BLOCK):
             kap = field.kappas[start : start + _SAMPLE_BLOCK].T[:, :, None]
             tangential = kap / (1.0 - kap * depths)
@@ -201,7 +202,7 @@ def verify_exp_boundary_barrier(field: CurvatureField, k: int, lam: float,
     phi = np.exp(-t * depths) - 1.0
     min_sj = float(np.min(sj))
     worst_margin = float(np.min(sj[-1] - lam * np.abs(phi) ** k))
-    report = {
+    return {
         "kind": "exp-barrier",
         "k": k,
         "lam": float(lam),
@@ -214,7 +215,6 @@ def verify_exp_boundary_barrier(field: CurvatureField, k: int, lam: float,
         "admissible": bool(min_sj > 0),
         "passed": bool(min_sj > 0 and worst_margin > 0),
     }
-    return report
 
 
 def verify_log_boundary_barrier(field: CurvatureField, k: int, fsup: float,
@@ -238,7 +238,7 @@ def verify_log_boundary_barrier(field: CurvatureField, k: int, fsup: float,
         raise DomainError("need a finite t > 0 and finite nonnegative bounds fsup, usup")
     depths = _collar_depths(field, d0, n_depth)
     # sigma_j minimized over samples at every (j, depth), shape (k, D)
-    sig = _collar_sigma_min(field, depths, t / (1.0 + t * depths), k)
+    sig = _collar_sigma_min(field, depths, t, k, damped=True)
     beta = float(np.min(sig))
     if not beta > 0:
         raise SearchError(
@@ -258,13 +258,10 @@ def verify_log_boundary_barrier(field: CurvatureField, k: int, fsup: float,
     if not math.isfinite(M):
         raise DomainError(f"barrier amplitude overflows at t = {t!r}, d0 = {d0!r}")
 
-    guard = float_range(f"barrier factor amp^j overflows at t = {t!r}, d0 = {d0!r}")
-    with guard:
+    with float_range(f"barrier factor amp^j or S_j overflows at t = {t!r}, d0 = {d0!r}"):
         # a numpy M t raises on overflow, where a Python float turns inf
         amp = np.float64(M) * t / (1.0 + t * depths)
-        fac = (amp[:, None] ** np.arange(1, k + 1)).T
-        guard.message = f"S_j overflows at t = {t!r}, d0 = {d0!r}"
-        sj = fac * sig
+        sj = (amp[:, None] ** np.arange(1, k + 1)).T * sig
     min_sj = float(np.min(sj))
     worst_margin = float(np.min(sj[-1] - fsup))
     report = {

@@ -705,7 +705,10 @@ def test_out_of_range_numbers_are_input_errors(argv, tmp_path, capsys):
     ["cone", "--order", "3", "--matrix", np.diag([1e150, 1e150, 1e150])],
     ["cone", "--order", "2", "--lambda=1e308,1e308"],
     ["cone", "--order", "2", "--lambda=1e200,-1e200,1e200"],
-], ids=["matrix-sigma-2", "matrix-slack-k3", "spectrum-sigma-1", "spectrum-sigma-2"])
+    # every sigma_j is finite, but the slack's squared norm is not
+    ["cone", "--order", "1", "--matrix", np.diag([-1e160, 0])],
+], ids=["matrix-sigma-2", "matrix-slack-k3", "spectrum-sigma-1", "spectrum-sigma-2",
+        "matrix-slack-k1"])
 def test_overflowing_spectra_are_input_errors(argv, tmp_path, capsys):
     # sigma_j or the slack overflowing to inf gave verdicts and wrote Infinity
     if not isinstance(argv[-1], str):

@@ -58,6 +58,22 @@ def test_source_term_forms(tmp_path):
         SourceTerm.constant(-1.0).evaluate([0.5])
     with pytest.raises(DomainError):
         SourceTerm.from_callable(lambda r: r - 0.5).evaluate([0.0, 1.0])
+    # a polynomial that overflows is refused without numpy's warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="non-finite"):
+            SourceTerm.parse("poly:1e308,1e308").evaluate([0.0, 1.0])
+
+
+def test_callable_source_keeps_numpy_error_state():
+    # the masked idiom divides 0/0 in the branch it discards at r = 0; a
+    # caller's own arithmetic is not the library's float-range policy
+    sinc = SourceTerm.from_callable(
+        lambda r: np.where(r > 0, np.sin(r) / np.where(r > 0, r, 1.0), 1.0))
+    masked = SourceTerm.from_callable(lambda r: np.where(r > 0, np.sin(r) / r, 1.0))
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        p = solve_radial_dirichlet(masked, 1.0, 2, 1)
+    assert np.array_equal(p.h, solve_radial_dirichlet(sinc, 1.0, 2, 1).h)
 
 
 def test_solver_config_validation():

@@ -455,6 +455,9 @@ def test_overflowing_barrier_values_are_domain_errors():
             verify_exp_boundary_barrier(huge, 3, 0.0, 1.0, 1e-201)
         with pytest.raises(DomainError, match="sigma_j on the collar overflows"):
             verify_log_boundary_barrier(huge, 3, 1.0, 1.0, 1.0, 1e-201)
+        # t d overflows in the collar's normal entry t / (1 + t d)
+        with pytest.raises(DomainError, match="sigma_j on the collar overflows"):
+            verify_log_boundary_barrier(sphere_field(1e10, 3), 2, 1.0, 1.0, 1e300, 4e9)
         for bad in (math.inf, math.nan):
             with pytest.raises(DomainError, match="finite"):
                 verify_exp_boundary_barrier(field, 2, 0.1, bad, 0.1)
