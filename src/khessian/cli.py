@@ -49,7 +49,7 @@ from .eigen import (
     upper_bound,
 )
 from .errors import (ConvergenceError, DomainError, InconsistencyError, SearchError,
-                     float_range)
+                     check_int, float_range)
 from .geometry import (
     load_field_json,
     sphere_field,
@@ -289,8 +289,7 @@ def cmd_cone(args, *_) -> Run:
         if vals.size == 0:
             raise DomainError("empty --lambda list")
         a, subject = None, "eigenvalue list"
-    if k < 1 or k > vals.size:
-        raise DomainError(f"need 1 <= k <= {vals.size}")
+    check_int("order k", k, 1, vals.size)
     overflow = f"sigma_j of the {subject} or the cone slack overflows a float"
     with float_range(overflow):
         sig = sigma_all(np.sort(vals))

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .symfun import in_gamma_k
 
 __all__ = [
@@ -61,6 +61,7 @@ def membership_slack(matrix, k: int) -> float:
     enters amplified by powers of the matrix scale; a single slack at the
     top degree, 1e-10 * (1 + ||A||_F)^k, covers every level tested.
     """
+    check_int("order k", k, 0)
     a = np.asarray(matrix, dtype=float)
     # a float64 power: inf where a Python float power would raise
     return float(1e-10 * (1.0 + np.linalg.norm(a)) ** k)
@@ -96,9 +97,7 @@ def load_matrix_json(path) -> np.ndarray:
         flat = np.asarray(payload["entries"], dtype=float).ravel()
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed matrix file {path}: {exc}") from exc
-    # bool is a subclass of int, and JSON's true is not a size
-    if type(n) is not int or n < 1:
-        raise DomainError(f"matrix file {path}: n = {n!r} must be a positive integer")
+    check_int(f"matrix file {path}: n", n, 1)
     if flat.size != n * n:
         raise DomainError(f"matrix file {path}: expected {n*n} entries, got {flat.size}")
     return as_symmetric(flat.reshape(n, n))

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, float_range
+from .errors import ConvergenceError, DomainError, check_int, float_range
 from .radial import (
     RadialProfile,
     _check_dim_order,
@@ -133,15 +133,13 @@ class SolverConfig:
     graded: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.grid_size, int) or self.grid_size < 64:
-            raise DomainError("grid_size must be an integer >= 64")
+        check_int("grid_size", self.grid_size, 64)
         if self.quadrature not in _SCHEMES:
             raise DomainError("quadrature must be 'trapezoid' or 'simpson'")
         # "not x > 0" also refuses NaN
         if not self.tol_residual > 0:
             raise DomainError("tol_residual must be positive")
-        if self.refine_max < 0:
-            raise DomainError("refine_max must be nonnegative")
+        check_int("refine_max", self.refine_max, 0)
 
 
 # last-to-first width ratio of a graded grid, fixed whatever the node count
@@ -159,8 +157,7 @@ def make_grid(R: float, grid_size: int, graded: bool = False,
     """
     if not 0 <= r_inner < R < math.inf:
         raise DomainError("need 0 <= r_inner < R with R finite")
-    if grid_size < 2:
-        raise DomainError("grid needs at least two intervals")
+    check_int("grid_size", grid_size, 2)
     if not graded:
         return np.linspace(r_inner, R, grid_size + 1)
     widths = np.geomspace(1.0, _GRADED_WIDTH_RATIO, grid_size)
@@ -220,8 +217,8 @@ def _weighted_moment_cumulative(f_nodes: np.ndarray, r: np.ndarray, N: int) -> n
 class _FirstIntegral:
     """The first-integral solve on one grid r, for any number of sources.
 
-    dx, dx / 2, r^(N-1) and r^((k-N)/k) are computed once, and the scheme
-    is checked once.  Simpson integrates the weight s^(N-1) exactly against
+    dx, dx / 2, r^(N-1) and r^((k-N)/k) are computed once, and N, k and the
+    scheme checked once.  Simpson integrates the weight s^(N-1) exactly against
     the pairwise quadratic of one source.  The trapezoid scheme is one
     in-place kernel, solve_into(f_nodes, hp, rest), on caller-owned
     buffers of the shape of f_nodes, one source per row along the last
@@ -237,6 +234,7 @@ class _FirstIntegral:
     def __init__(self, r: np.ndarray, N: int, k: int, scheme: str):
         if scheme not in _SCHEMES:
             raise DomainError(f"quadrature {scheme!r} must be 'trapezoid' or 'simpson'")
+        _check_dim_order(N, k)
         self.r, self.N, self.k = r, N, k
         self.trapezoid = scheme == "trapezoid"
         self.dx = np.diff(r)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .dirichlet import (SolverConfig, _FirstIntegral, _weighted_moment_cumulative,
                         holder_seminorm, make_grid)
-from .errors import DomainError, InconsistencyError, float_range
+from .errors import DomainError, InconsistencyError, check_int, float_range
 from .radial import RadialProfile, _check_dim_order, _check_radius, s_k_on_profile
 from .symfun import sigma_all
 
@@ -82,8 +82,7 @@ class IterationConfig:
     bisect_tol: Optional[float] = None
 
     def __post_init__(self):
-        if self.n_max < 10:
-            raise DomainError("n_max must be at least 10")
+        check_int("n_max", self.n_max, 10)
         # "not x > 0" also refuses NaN
         if self.bisect_tol is not None and not self.bisect_tol > 0:
             raise DomainError("bisect_tol must be positive")

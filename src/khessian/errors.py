@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit, and its float-range guard.
+"""Exception hierarchy shared across the toolkit, its float-range guard and integer rule.
 
 The CLI maps these onto exit codes: bad input is a usage error (exit 1),
 while a numerical inconsistency detected mid-computation exits with 2.
@@ -30,6 +30,22 @@ class float_range(np.errstate):
         super().__exit__(kind, exc, tb)
         if kind is not None and issubclass(kind, FloatingPointError):
             raise DomainError(f"{self.message}: {exc}") from exc
+
+
+_INTEGER = (int, np.integer)
+
+
+def check_int(name: str, value, low: int, high=None, high_name: str = "") -> None:
+    """Raise DomainError unless value is an int or a numpy integer, never a
+    bool (True is no order or count), with low <= value <= high.  Nothing
+    is converted.  high_name labels a bound set by another argument, as in
+    "order k=3 must be an integer in [1, N=2]"."""
+    if (isinstance(value, _INTEGER) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high)):
+        return
+    bound = f"{high_name}={high}" if high_name else high
+    need = f">= {low}" if high is None else f"in [{low}, {bound}]"
+    raise DomainError(f"{name}={value!r} must be an integer {need}")
 
 
 class ConvergenceError(KHessianError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SearchError, float_range
+from .errors import DomainError, SearchError, check_int, float_range
 from .symfun import _sigma_columns
 
 __all__ = [
@@ -80,10 +80,8 @@ class CurvatureField:
 
 def _kappa_sigma(field: CurvatureField, k: int) -> np.ndarray:
     """sigma_0..sigma_k of kappa(y) at every sample, order-major (k+1, S)."""
-    if k < 2:
-        raise DomainError("strict (k-1)-convexity needs k >= 2")
-    if k - 1 > field.ambient_dim - 1:
-        raise DomainError("order k exceeds the boundary dimension + 1")
+    # strict (k-1)-convexity is a condition for k >= 2 only
+    check_int("order k", k, 2, field.ambient_dim, "N")
     return _sigma_columns(field.kappas.T, k)
 
 
@@ -145,8 +143,7 @@ def _collar_depths(field: CurvatureField, d0: float, n_depth: int) -> np.ndarray
         raise DomainError(
             f"collar width d0={d0:.6g} exceeds the tube bound 1/(2 mu)={1/(2*mu):.6g}"
         )
-    if n_depth < 1:
-        raise DomainError("the collar needs at least one depth node")
+    check_int("n_depth", n_depth, 1)
     return np.linspace(0.0, d0, n_depth + 1)[1:]
 
 
@@ -184,8 +181,7 @@ def verify_exp_boundary_barrier(field: CurvatureField, k: int, lam: float,
     factor on the minimum over samples of each sigma_j.  Raises
     DomainError when a factor t^j e^{-j t d} or an S_j overflows.
     """
-    if k < 1 or k > field.ambient_dim:
-        raise DomainError("order k out of range")
+    check_int("order k", k, 1, field.ambient_dim, "N")
     # the chained comparisons are False for NaN, so NaN is refused too
     if not (0 < t < math.inf and 0 <= lam < math.inf):
         raise DomainError("need a finite positive rate t and a finite nonnegative lam")
@@ -232,8 +228,7 @@ def verify_log_boundary_barrier(field: CurvatureField, k: int, fsup: float,
     0 or M, a factor amp^j or an S_j overflows, where no finite amplitude
     certifies anything.
     """
-    if k < 1 or k > field.ambient_dim:
-        raise DomainError("order k out of range")
+    check_int("order k", k, 1, field.ambient_dim, "N")
     if not (0 < t < math.inf and 0 <= fsup < math.inf and 0 <= usup < math.inf):
         raise DomainError("need a finite t > 0 and finite nonnegative bounds fsup, usup")
     depths = _collar_depths(field, d0, n_depth)
@@ -291,8 +286,10 @@ def sphere_field(R: float, N: int, n_samples: int = 32) -> CurvatureField:
     The points are seeded normal draws projected onto the sphere; only
     |p| = R is read from them.
     """
-    if R <= 0 or N < 2 or n_samples < 1:
-        raise DomainError("need R > 0, N >= 2 and at least one sample")
+    if R <= 0:
+        raise DomainError("need a sphere radius R > 0")
+    check_int("dimension N", N, 2)
+    check_int("n_samples", n_samples, 1)
     raw = np.random.default_rng(20240901).standard_normal((n_samples, N))
     pts = R * raw / np.linalg.norm(raw, axis=1, keepdims=True)
     kap = np.full((n_samples, N - 1), 1.0 / R)
@@ -322,8 +319,7 @@ def ellipsoid_field(semi_axes, n_samples: int = 32) -> CurvatureField:
     axes = np.asarray(semi_axes, dtype=float).ravel()
     if axes.size not in (2, 3) or np.any(axes <= 0):
         raise DomainError("semi-axes must be 2 or 3 positive lengths")
-    if n_samples < 1:
-        raise DomainError("need at least one sample")
+    check_int("n_samples", n_samples, 1)
     if axes.size == 2:
         tt = np.linspace(0.0, 2.0 * math.pi, n_samples, endpoint=False)
         pts = np.column_stack([axes[0] * np.cos(tt), axes[1] * np.sin(tt)])

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 __all__ = [
     "RadialProfile",
@@ -29,10 +29,8 @@ __all__ = [
 
 
 def _check_dim_order(N: int, k: int) -> None:
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise DomainError(f"dimension N={N!r} must be a positive integer")
-    if not isinstance(k, (int, np.integer)) or k < 1 or k > N:
-        raise DomainError(f"order k={k!r} must satisfy 1 <= k <= N={N}")
+    check_int("dimension N", N, 1)
+    check_int("order k", k, 1, N, "N")
 
 
 def _check_radius(R: float, k: int, powers: Optional[dict] = None) -> None:
@@ -200,8 +198,7 @@ def quartic_test_profile(R: float, N: int, k: int, grid_size: int) -> RadialProf
     the Hessian leaves the cone near the boundary.
     """
     _check_dim_order(N, k)
-    if grid_size < 2:
-        raise DomainError("need at least two grid intervals")
+    check_int("grid_size", grid_size, 2)
     # the depth R^4 / 4, and S_k of a Hessian of order R^2
     _check_radius(R, k, {"R^4": 4, "R^(2k)": 2 * k})
     r = np.linspace(0.0, R, grid_size + 1)

@@ -19,19 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 __all__ = [
     "sigma_all",
     "in_gamma_k",
 ]
-
-
-def _check_order(n: int, k: int) -> None:
-    if not isinstance(k, (int, np.integer)):
-        raise DomainError(f"order k must be an integer, got {k!r}")
-    if k < 0 or k > n:
-        raise DomainError(f"order k={k} out of range for an {n}-vector")
 
 
 def _sigma_columns(cols, top: int) -> np.ndarray:
@@ -88,7 +81,7 @@ def in_gamma_k(values, k: int, strict: bool = True, slack: float = 0.0) -> bool:
     a verdict does not depend on the order of values, even at rounding ties.
     """
     lam = np.sort(np.asarray(values, dtype=float).ravel())
-    _check_order(lam.size, k)
+    check_int("order k", k, 0, lam.size)
     if k == 0:
         return True
     if slack < 0:

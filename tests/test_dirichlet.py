@@ -446,7 +446,7 @@ def test_ball_refuses_an_inner_value():
                                r_inner=0.0, inner_value=-5.0)
 
 
-@pytest.mark.parametrize("N, k", [(2.5, 1), (2, 1.0), (0, 1), (2, 3)])
+@pytest.mark.parametrize("N, k", [(2.5, 1), (2, 1.0), (0, 1), (2, 3), (2, True)])
 def test_solve_refuses_bad_dimension_or_order(N, k):
     with pytest.raises(DomainError, match="N="):
         solve_radial_dirichlet(SourceTerm.constant(1.0), 1.0, N, k)

@@ -1,5 +1,6 @@
 """Every name a module lists in __all__ has a caller outside the tests,
-and the float-range policy lives in errors.py alone.
+and the float-range policy and the integer-input rule live in errors.py
+alone.
 
 A name counts as used when code in the library modules, the benchmark or
 the benches refers to it: a loaded ast.Name, an ast.Attribute or an
@@ -57,5 +58,33 @@ def test_float_range_policy_lives_in_errors():
         for path in sorted((ROOT / "src" / "khessian").glob("*.py")) if path.name != "errors.py"
         for node in ast.walk(ast.parse(path.read_text()))
         if _referenced(node) in ("errstate", "FloatingPointError")
+    )
+    assert found == []
+
+
+def _names_int(node):
+    return isinstance(node, ast.Name) and node.id == "int"
+
+
+def _int_type_test(node):
+    """isinstance(x, int), isinstance(x, (int, ...)), type(x) is int or is not int."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id == "isinstance" and len(node.args) == 2:
+        kinds = node.args[1]
+        return any(map(_names_int, kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]))
+    if isinstance(node, ast.Compare):
+        return (any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+                and any(map(_names_int, node.comparators)))
+    return False
+
+
+def test_integer_rule_lives_in_errors():
+    # orders, dimensions and counts are checked only by errors.check_int,
+    # so every entry point refuses a float, a bool or a string alike
+    found = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "khessian").glob("*.py")) if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _int_type_test(node)
     )
     assert found == []
