@@ -22,11 +22,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, check_int, float_range
+from .errors import ConvergenceError, DomainError, check_int, check_real, float_range
 from .radial import (
     RadialProfile,
+    _check_ball,
     _check_dim_order,
-    _check_radius,
     read_csv_columns,
     s_k_on_profile,
 )
@@ -53,9 +53,7 @@ class SourceTerm:
 
     @classmethod
     def constant(cls, c: float) -> "SourceTerm":
-        c = float(c)
-        if c < 0:
-            raise DomainError("source must be nonnegative")
+        check_real("source constant c", c, 0, math.inf)
         return cls(lambda r: np.full_like(r, c))
 
     @classmethod
@@ -72,6 +70,9 @@ class SourceTerm:
         samples = np.asarray(samples, dtype=float)
         if nodes.shape != samples.shape or nodes.ndim != 1:
             raise DomainError("sampled source arrays must be matching 1-d")
+        bad = np.flatnonzero(~(np.isfinite(nodes) & np.isfinite(samples)))
+        if bad.size:
+            raise DomainError(f"sampled source data row {bad[0] + 1} is not a finite r,f pair")
         if np.any(np.diff(nodes) <= 0):
             raise DomainError("sampled source nodes must ascend")
         if np.any(samples < 0):
@@ -101,7 +102,10 @@ class SourceTerm:
         if text.startswith("file:"):
             text = text[5:]
         columns = read_csv_columns(text, ("r", "f"), "source file")
-        return cls.from_samples(columns["r"], columns["f"])
+        try:
+            return cls.from_samples(columns["r"], columns["f"])
+        except DomainError as exc:
+            raise DomainError(f"source file {text}: {exc}") from exc
 
     def evaluate(self, r) -> np.ndarray:
         out = np.atleast_1d(np.asarray(self._fn(np.asarray(r, dtype=float)), dtype=float))
@@ -136,9 +140,7 @@ class SolverConfig:
         check_int("grid_size", self.grid_size, 64)
         if self.quadrature not in _SCHEMES:
             raise DomainError("quadrature must be 'trapezoid' or 'simpson'")
-        # "not x > 0" also refuses NaN
-        if not self.tol_residual > 0:
-            raise DomainError("tol_residual must be positive")
+        check_real("tol_residual", self.tol_residual, 0, math.inf, "(]")
         check_int("refine_max", self.refine_max, 0)
 
 
@@ -155,8 +157,8 @@ def make_grid(R: float, grid_size: int, graded: bool = False,
     1e-2^(1/(grid_size-1)) and the grading stays bounded as the grid is
     refined.  That resolves the boundary layer Holder studies care about.
     """
-    if not 0 <= r_inner < R < math.inf:
-        raise DomainError("need 0 <= r_inner < R with R finite")
+    check_real("radius R", R, 0, math.inf, "()")
+    check_real("inner radius r_inner", r_inner, 0, R, "[)")
     check_int("grid_size", grid_size, 2)
     if not graded:
         return np.linspace(r_inner, R, grid_size + 1)
@@ -397,14 +399,12 @@ def solve_radial_dirichlet(f: SourceTerm, R: float, N: int, k: int,
     """
     if not isinstance(f, SourceTerm):
         raise DomainError("f must be a SourceTerm")
-    _check_dim_order(N, k)
-    _check_radius(R, k)
-    if r_inner > 0 and inner_value is None:
+    _check_ball(R, N, k)
+    check_real("inner radius r_inner", r_inner, 0, R, "[)")
+    if inner_value is not None:
+        check_real("inner_value", inner_value, -math.inf, 0, "(]")
+    elif r_inner > 0:
         raise DomainError("annular solve needs the inner boundary value")
-    if inner_value is not None and not math.isfinite(inner_value):
-        raise DomainError(f"inner boundary value {inner_value!r} must be finite")
-    if r_inner > 0 and inner_value > 0:
-        raise DomainError("inner boundary value must be nonpositive")
 
     grid_size = cfg.grid_size
     for attempt in range(cfg.refine_max + 1):
@@ -450,8 +450,7 @@ def holder_seminorm(profile: RadialProfile, alpha: float) -> float:
     in the full pair matrix, so the result is the same float as its
     maximum; for smooth h only a small share of the far pairs is formed.
     """
-    if not 0 < alpha <= 1:
-        raise DomainError("Holder exponent must lie in (0, 1]")
+    check_real("Holder exponent alpha", alpha, 0, 1, "(]")
     h, r = profile.h, profile.r
     starts = np.arange(0, r.size, _HOLDER_BLOCK)
     ends = np.minimum(starts + _HOLDER_BLOCK, r.size)

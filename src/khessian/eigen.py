@@ -28,8 +28,8 @@ import numpy as np
 
 from .dirichlet import (SolverConfig, _FirstIntegral, _weighted_moment_cumulative,
                         holder_seminorm, make_grid)
-from .errors import DomainError, InconsistencyError, check_int, float_range
-from .radial import RadialProfile, _check_dim_order, _check_radius, s_k_on_profile
+from .errors import DomainError, InconsistencyError, check_int, check_real, float_range
+from .radial import RadialProfile, _check_ball, s_k_on_profile
 from .symfun import sigma_all
 
 __all__ = [
@@ -48,25 +48,14 @@ __all__ = [
 
 def lower_bound(N: int, k: int, R: float) -> float:
     """Certified lower bound C(N,k) R^{-2k} for the principal eigenvalue."""
-    _check(N, k, R)
-    return math.comb(N, k) * R ** (-2 * k)
+    _check_ball(R, N, k)
+    return math.comb(N, k) * R ** (-2.0 * k)
 
 
 def upper_bound(N: int, k: int, R: float) -> float:
     """Certified upper bound 4^k C(N,k) R^{-2k} from the quartic test function."""
-    _check(N, k, R)
-    return 4**k * math.comb(N, k) * R ** (-2 * k)
-
-
-def _check(N: int, k: int, R: float) -> None:
-    _check_dim_order(N, k)
-    _check_radius(R, k)
-
-
-def _check_lam(lam: float) -> None:
-    # "not x >= 0" also refuses NaN
-    if not 0 <= lam < math.inf:
-        raise DomainError(f"lam {lam!r} must be finite and nonnegative")
+    _check_ball(R, N, k)
+    return 4**k * math.comb(N, k) * R ** (-2.0 * k)
 
 
 @dataclass(frozen=True)
@@ -83,9 +72,8 @@ class IterationConfig:
 
     def __post_init__(self):
         check_int("n_max", self.n_max, 10)
-        # "not x > 0" also refuses NaN
-        if self.bisect_tol is not None and not self.bisect_tol > 0:
-            raise DomainError("bisect_tol must be positive")
+        if self.bisect_tol is not None:
+            check_real("bisect_tol", self.bisect_tol, 0, math.inf, "(]")
 
 
 @dataclass
@@ -129,8 +117,8 @@ def iterate_fixed_lambda(lam: float, R: float, N: int, k: int,
     sup-cap (the sup norm passes default_sup_cap) or n-max.  A run that
     leaves the float range raises DomainError.
     """
-    _check(N, k, R)
-    _check_lam(lam)
+    _check_ball(R, N, k)
+    check_real("lam", lam, 0, math.inf, "[)")
     r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
     with float_range(f"radius {R!r} is out of range for N = {N}, k = {k}"):
         return _iterate(lam, r, N, k, cfg.n_max)
@@ -321,7 +309,7 @@ def estimate_lambda1(R: float, N: int, k: int,
     A run in which r^(N-1), r^((k-N)/k) or lambda_1 leaves the float
     range raises DomainError.
     """
-    _check(N, k, R)
+    _check_ball(R, N, k)
     with float_range(f"radius {R!r} is out of range for N = {N}, k = {k}"):
         return _estimate(R, N, k, cfg, solver_cfg)
 
@@ -439,7 +427,8 @@ def minimum_principle_probe(profile: RadialProfile, lam: float,
     1e-10 (1 + |spectrum|_2)^k, the Frobenius norm of that Hessian, as in
     cones.membership_slack.  Leaving the float range raises DomainError.
     """
-    _check_lam(lam)
+    check_real("lam", lam, 0, math.inf, "[)")
+    check_real("rhs", rhs)
     N, k = profile.N, profile.k
     r, h, hpp = profile.r, profile.h, profile.hpp
     with float_range(f"the profile or lam = {lam!r} is out of range for N = {N}, k = {k}"):
@@ -474,8 +463,8 @@ def domain_monotonicity_check(N: int, k: int, R1: float, R2: float,
     lambda_best(R_small) + slack, with slack twice the wider bracket.
     """
     # min and max of a NaN and a number return the number, so check first
-    _check(N, k, R1)
-    _check(N, k, R2)
+    _check_ball(R1, N, k)
+    _check_ball(R2, N, k)
     if R1 == R2:
         raise DomainError("need two distinct radii")
     r_small, r_big = min(R1, R2), max(R1, R2)

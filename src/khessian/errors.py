@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the toolkit, its float-range guard and integer rule.
+"""Exception hierarchy shared across the toolkit, its float-range guard
+and its input rules: check_int for every order, dimension and count, and
+check_real for every scalar real, such as a radius, rate or tolerance.
+Numpy integers (and numpy floats, for check_real) pass; a bool or a str never.
 
 The CLI maps these onto exit codes: bad input is a usage error (exit 1),
 while a numerical inconsistency detected mid-computation exits with 2.
@@ -46,6 +49,21 @@ def check_int(name: str, value, low: int, high=None, high_name: str = "") -> Non
     bound = f"{high_name}={high}" if high_name else high
     need = f">= {low}" if high is None else f"in [{low}, {bound}]"
     raise DomainError(f"{name}={value!r} must be an integer {need}")
+
+
+_REAL = (int, float, np.integer, np.floating)
+
+
+def check_real(name: str, value, low=-np.inf, high=np.inf, ends: str = "[]") -> None:
+    """Raise DomainError unless value is an int, a float or a numpy real,
+    never a bool, in the interval from low to high with the brackets ends:
+    "(]" excludes low and includes high.  NaN is in none; nothing is converted."""
+    if (isinstance(value, _REAL) and not isinstance(value, bool)
+            and (low < value if ends[0] == "(" else low <= value)
+            and (value < high if ends[1] == ")" else value <= high)):
+        return
+    raise DomainError(f"{name}={value!r} must be a real number in "
+                      f"{ends[0]}{low}, {high}{ends[1]}")
 
 
 class ConvergenceError(KHessianError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SearchError, check_int, float_range
+from .errors import DomainError, SearchError, check_int, check_real, float_range
 from .symfun import _sigma_columns
 
 __all__ = [
@@ -135,9 +135,7 @@ _SAMPLE_BLOCK = 256
 
 def _collar_depths(field: CurvatureField, d0: float, n_depth: int) -> np.ndarray:
     """The sampled depths d0 i / n_depth, i = 1..n_depth, inside the tube."""
-    # False for NaN, so NaN is refused too
-    if not 0 < d0 < math.inf:
-        raise DomainError("collar width d0 must be positive and finite")
+    check_real("collar width d0", d0, 0, math.inf, "()")
     mu = field.mu
     if mu > 0 and d0 > 1.0 / (2.0 * mu):
         raise DomainError(
@@ -182,9 +180,8 @@ def verify_exp_boundary_barrier(field: CurvatureField, k: int, lam: float,
     DomainError when a factor t^j e^{-j t d} or an S_j overflows.
     """
     check_int("order k", k, 1, field.ambient_dim, "N")
-    # the chained comparisons are False for NaN, so NaN is refused too
-    if not (0 < t < math.inf and 0 <= lam < math.inf):
-        raise DomainError("need a finite positive rate t and a finite nonnegative lam")
+    check_real("lam", lam, 0, math.inf, "[)")
+    check_real("rate t", t, 0, math.inf, "()")
     depths = _collar_depths(field, d0, n_depth)
     j = np.arange(1, k + 1)
     # t^j e^{-j t d} at every (j, depth), shape (k, D), checked before the recurrence
@@ -229,8 +226,9 @@ def verify_log_boundary_barrier(field: CurvatureField, k: int, fsup: float,
     certifies anything.
     """
     check_int("order k", k, 1, field.ambient_dim, "N")
-    if not (0 < t < math.inf and 0 <= fsup < math.inf and 0 <= usup < math.inf):
-        raise DomainError("need a finite t > 0 and finite nonnegative bounds fsup, usup")
+    check_real("fsup", fsup, 0, math.inf, "[)")
+    check_real("usup", usup, 0, math.inf, "[)")
+    check_real("rate t", t, 0, math.inf, "()")
     depths = _collar_depths(field, d0, n_depth)
     # sigma_j minimized over samples at every (j, depth), shape (k, D)
     sig = _collar_sigma_min(field, depths, t, k, damped=True)
@@ -286,8 +284,7 @@ def sphere_field(R: float, N: int, n_samples: int = 32) -> CurvatureField:
     The points are seeded normal draws projected onto the sphere; only
     |p| = R is read from them.
     """
-    if R <= 0:
-        raise DomainError("need a sphere radius R > 0")
+    check_real("sphere radius R", R, 0, math.inf, "()")
     check_int("dimension N", N, 2)
     check_int("n_samples", n_samples, 1)
     raw = np.random.default_rng(20240901).standard_normal((n_samples, N))

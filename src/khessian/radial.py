@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, check_real
 
 __all__ = [
     "RadialProfile",
@@ -33,24 +33,25 @@ def _check_dim_order(N: int, k: int) -> None:
     check_int("order k", k, 1, N, "N")
 
 
-def _check_radius(R: float, k: int, powers: Optional[dict] = None) -> None:
-    """Refuse a ball radius that is not positive and finite, or at which
-    R^p is not a finite nonzero float for a p of powers ({name: p}), by
-    default R^(2k) and R^(-2k).
+def _check_ball(R: float, N: int, k: int, powers: Optional[dict] = None) -> None:
+    """Refuse a bad dimension or order, a radius that is not positive and
+    finite, or one at which R^p is not a finite nonzero float for a p of
+    powers ({name: p}), by default R^(2k) and R^(-2k).  A Python float
+    power raises OverflowError rather than return inf.
 
     lambda_1 scales as R^(-2k) and the source that sets a solution's size
     as R^(2k); outside that range an estimate or a solve is void.
     """
-    if not 0 < R < math.inf:
-        raise DomainError("radius must be positive and finite")
+    _check_dim_order(N, k)
+    check_real("radius R", R, 0, math.inf, "()")
     powers = powers or {"R^(2k)": 2 * k, "R^(-2k)": -2 * k}
     try:
-        scales = [float(R) ** p for p in powers.values()]
+        if all(float(R) ** p for p in powers.values()):
+            return
     except OverflowError:
-        scales = [math.inf]
-    if not all(0 < s < math.inf for s in scales):
-        raise DomainError(f"radius {R!r} is out of range: {' and '.join(powers)} "
-                          f"must be finite and nonzero for k = {k}")
+        pass
+    raise DomainError(f"radius {R!r} is out of range: {' and '.join(powers)} "
+                      f"must be finite and nonzero for k = {k}")
 
 
 # one row of a profile CSV
@@ -197,10 +198,9 @@ def quartic_test_profile(R: float, N: int, k: int, grid_size: int) -> RadialProf
     minimum-principle demonstration; no convexity flag is claimed since
     the Hessian leaves the cone near the boundary.
     """
-    _check_dim_order(N, k)
-    check_int("grid_size", grid_size, 2)
     # the depth R^4 / 4, and S_k of a Hessian of order R^2
-    _check_radius(R, k, {"R^4": 4, "R^(2k)": 2 * k})
+    _check_ball(R, N, k, {"R^4": 4, "R^(2k)": 2 * k})
+    check_int("grid_size", grid_size, 2)
     r = np.linspace(0.0, R, grid_size + 1)
     h = -0.25 * (R**2 - r**2) ** 2
     hp = r * (R**2 - r**2)
@@ -227,18 +227,16 @@ def hopf_linear_bound(profile: RadialProfile, r_in: Optional[float] = None,
     if np.any(profile.h > 0):
         raise DomainError("hopf bound harness expects a nonpositive profile")
     R = profile.R
-    if r_in is None:
-        r_in = 0.5 * R
-    if not 0 < r_in < R:
-        raise DomainError("inner radius must lie in (0, R)")
+    r_in = 0.5 * R if r_in is None else r_in
+    check_real("inner radius r_in", r_in, 0, R, "()")
     floor = (profile.N - profile.k) / (profile.k * r_in)
-    if m is None:
-        m = 1.05 * floor + 1.0 / R
-    elif m <= floor:
-        raise DomainError(f"rate m must exceed (N-k)/(k*r_in) = {floor:.6g}")
+    m = 1.05 * floor + 1.0 / R if m is None else m
+    check_real("rate m", m, floor, math.inf, "()")
 
     h_at = float(np.interp(r_in, profile.r, profile.h))
     denom = math.exp(-m * R) - math.exp(-m * r_in)
+    if denom == 0.0:
+        raise DomainError(f"rate m={m!r} is out of range: e^(-m r) underflows on [r_in, R]")
     C0 = h_at / denom
     C1 = C0 * m * math.exp(-m * R)
     collar = profile.r >= r_in

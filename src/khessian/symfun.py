@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, check_real
 
 __all__ = [
     "sigma_all",
@@ -84,8 +84,7 @@ def in_gamma_k(values, k: int, strict: bool = True, slack: float = 0.0) -> bool:
     check_int("order k", k, 0, lam.size)
     if k == 0:
         return True
-    if slack < 0:
-        raise DomainError("slack must be nonnegative")
+    check_real("slack", slack, 0)
     sig = sigma_all(lam)[1 : k + 1]
     if strict:
         return bool(np.all(sig > slack))

@@ -214,6 +214,22 @@ def test_solve_negative_source_rejected(tmp_path):
                 "--source", "const:-1", "--out", tmp_path]) == 1
 
 
+@pytest.mark.parametrize("rows", ["0,1\nabc,1\n1,1\n", "0,1\n0.5,abc\n1,1\n"],
+                         ids=["node", "sample"])
+def test_solve_names_the_unparsable_row_of_a_source_file(rows, tmp_path, capsys):
+    # the CSV reader turns "abc" into NaN; a NaN node once passed as ascending
+    # and the solve wrote a profile
+    bad = tmp_path / "bad.csv"
+    bad.write_text("r,f\n" + rows)
+    out = tmp_path / "o"
+    assert run(["solve", "--dim", "2", "--order", "1", "--radius", "1",
+                "--source", f"file:{bad}", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: source file {bad}: sampled source data row 2 "
+                   "is not a finite r,f pair\n")
+    assert not (out / "profile.csv").exists()
+
+
 def test_cone_spectrum_and_matrix(tmp_path, capsys):
     assert run(["cone", "--order", "2", "--lambda=-1,1"]) == 0
     out = capsys.readouterr().out
@@ -398,7 +414,8 @@ def test_non_finite_radius_is_input_error(tmp_path, capsys):
             assert run(argv + ["--dim", "2", "--order", "1", "--radius", radius,
                                "--out", tmp_path / "r"] + FAST[:2]) == 1
             err = capsys.readouterr().err
-            assert "Traceback" not in err and "finite" in err
+            assert "Traceback" not in err
+            assert f"radius R={radius} must be a real number in (0, inf)" in err
     assert not (tmp_path / "r").exists()
 
 

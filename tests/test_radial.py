@@ -154,6 +154,9 @@ def test_exp_barrier_rate_floor_enforced():
     for m in (floor, 0.5 * floor):
         with pytest.raises(DomainError):
             hopf_linear_bound(prof, r_in=0.4, m=m)
+    # e^{-mR} and e^{-m r_in} both underflow: the barrier's C0 once divided by 0
+    with pytest.raises(DomainError, match=r"^rate m=10000\.0 is out of range"):
+        hopf_linear_bound(prof, r_in=0.4, m=1e4)
 
 
 def test_hopf_bound_on_closed_form():

@@ -1,6 +1,6 @@
 """Every name a module lists in __all__ has a caller outside the tests,
-and the float-range policy and the integer-input rule live in errors.py
-alone.
+and the float-range policy and the integer and real input rules live in
+errors.py alone.
 
 A name counts as used when code in the library modules, the benchmark or
 the benches refers to it: a loaded ast.Name, an ast.Attribute or an
@@ -86,5 +86,21 @@ def test_integer_rule_lives_in_errors():
         for path in sorted((ROOT / "src" / "khessian").glob("*.py")) if path.name != "errors.py"
         for node in ast.walk(ast.parse(path.read_text()))
         if _int_type_test(node)
+    )
+    assert found == []
+
+
+def _is_inf(node):
+    return isinstance(node, ast.Attribute) and node.attr == "inf"
+
+
+def test_real_rule_lives_in_errors():
+    # scalar real arguments are checked only by errors.check_real, so no
+    # module compares a value against math.inf (or np.inf) by hand
+    found = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "khessian").glob("*.py")) if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Compare) and any(map(_is_inf, [node.left, *node.comparators]))
     )
     assert found == []
