@@ -13,8 +13,9 @@ certificate probes of an estimate, _iterate on each of its two probe
 lambdas seeking the supersolution and the growth certificate as the
 estimate runs them, for (2,1), (3,2) and (5,3) at grids 512 and 2048;
 and holder_seminorm on
-the 2049-node eigenfunctions of (3,2) (alpha = 1/2) and (3,3)
-(alpha = 1).  Each bench records what it computed in extra_info (the
+the 2049-node eigenfunctions of (3,2) (alpha = 1/2), (4,3) (alpha =
+2/3) and (3,3) (alpha = 1) on the uniform grid, and of (3,3) on the
+graded grid.  Each bench records what it computed in extra_info (the
 bracket width and the error against the shooting oracle, the probe
 verdicts, step counts and certificates, the seminorm), so a timing is
 never read without the numbers it produced.
@@ -74,9 +75,12 @@ def test_certificate_probes(benchmark, N, k, grid):
     })
 
 
-@pytest.mark.parametrize("N, k", [(3, 2), (3, 3)])
-def test_holder_seminorm(benchmark, N, k):
-    w = estimate_lambda1(1.0, N, k, solver_cfg=SolverConfig(grid_size=2048)).eigenfunction
+@pytest.mark.parametrize("N, k, graded", [(3, 2, False), (3, 3, False), (4, 3, False),
+                                          (3, 3, True)],
+                         ids=["3-2", "3-3", "4-3", "3-3-graded"])
+def test_holder_seminorm(benchmark, N, k, graded):
+    cfg = SolverConfig(grid_size=2048, graded=graded)
+    w = estimate_lambda1(1.0, N, k, solver_cfg=cfg).eigenfunction
     alpha = 2.0 - N / k
     value = benchmark(holder_seminorm, w, alpha)
     benchmark.extra_info.update({"nodes": int(w.r.size), "alpha": alpha, "holder": value})

@@ -54,6 +54,7 @@ class SourceTerm:
     @classmethod
     def constant(cls, c: float) -> "SourceTerm":
         check_real("source constant c", c, 0, math.inf)
+        c = float(c)
         return cls(lambda r: np.full_like(r, c))
 
     @classmethod
@@ -350,6 +351,8 @@ def _annulus_constant(solver: _FirstIntegral, g: np.ndarray, inner_value: float)
     h(r[0]) falls as c0 grows, so c0 is bracketed by doubling and then
     bisected; each step only re-forms h' and h from g + c0.
     """
+    # a numpy float32 would carry the bracket and the bisection in float32
+    inner_value = float(inner_value)
 
     def h_inner(c0):
         return solver.profile(g + c0)[0][0]
@@ -440,15 +443,32 @@ _HOLDER_BOUND_SLACK = 1e-12
 def holder_seminorm(profile: RadialProfile, alpha: float) -> float:
     """sup over node pairs of |h(r) - h(s)| / |r - s|^alpha, exactly.
 
-    The nodes are cut into blocks of consecutive nodes.  Each block is
-    evaluated densely against itself and its right neighbour.  Every
-    farther block pair gets a rigorous upper bound: the largest difference
-    of h between the two blocks over the smallest distance between them
-    raised to alpha, inflated by 1e-12 to cover rounding.  Pairs are then
-    evaluated densely in descending order of that bound until the bound
-    falls to the best quotient found.  Every quotient is formed exactly as
-    in the full pair matrix, so the result is the same float as its
-    maximum; for smooth h only a small share of the far pairs is formed.
+    The nodes are cut into blocks of consecutive nodes, and every block
+    pair i <= j, a block with itself included, gets an upper bound on
+    its quotients: the smaller of
+      - the largest difference of h between the two blocks over the
+        smallest distance between them raised to alpha (+inf for i = j);
+      - L span^(1 - alpha), where L is the largest adjacent slope
+        |dh|/dr from the first node of block i to the last node of
+        block j and span is the distance between those two nodes.  Any
+        quotient there is a weighted mean of those slopes times
+        |r - s|^(1 - alpha), and |r - s| <= span.
+    The best quotient starts as the maximum over every adjacent pair and
+    every pair with the first or the last node as an end.  Block pairs
+    are then evaluated densely in descending order of their bound until
+    the bound falls to the best quotient found.  Every quotient is formed
+    exactly as in the full pair matrix, so the result is the same float
+    as its maximum; for smooth h only a few block pairs are formed.
+
+    Rounding: each computed quotient or slope is within a few units of
+    eps = 2^-52 of its exact value, relative (a difference, a power, a
+    quotient, each rounded once), and so are the rise, the gap, L and
+    span.  1 - alpha is rounded once too, which moves span^(1 - alpha)
+    by a factor exp(eps |ln span|) <= 1 + 710 eps for any normal span.  So
+    a bound undercuts the exact bound of its pair, and a computed
+    quotient exceeds its exact value, by far less than the factor
+    1 + _HOLDER_BOUND_SLACK = 1 + 1e-12 (~4500 eps) by which every bound
+    is inflated, while h and its differences are normal floats.
     """
     check_real("Holder exponent alpha", alpha, 0, 1, "(]")
     h, r = profile.h, profile.r
@@ -461,16 +481,32 @@ def holder_seminorm(profile: RadialProfile, alpha: float) -> float:
         mask = dr > 0
         return float(np.max(dh[mask] / dr[mask] ** alpha, initial=0.0))
 
-    best = max(pair_max(slice(s, e), slice(s, e + _HOLDER_BLOCK))
-               for s, e in zip(starts, ends))
-    i, j = np.triu_indices(starts.size, 2)
-    if i.size == 0:
-        return best
+    # adjacent pairs, then every pair with node 0 or node n-1 as an end
+    dh = np.abs(np.concatenate([np.diff(h), h[1:] - h[0], h[-1] - h[:-1]]))
+    dr = np.abs(np.concatenate([np.diff(r), r[1:] - r[0], r[-1] - r[:-1]]))
+    best = float(np.max(dh / dr ** alpha))
+
+    # slope[m] from node m to m + 1, 0 after the last node; inner leaves
+    # out the slope from each block's last node into the next block
+    slope = np.append(dh[:r.size - 1] / dr[:r.size - 1], 0.0)
+    inner = slope.copy()
+    inner[ends - 1] = 0.0
+    # prior[i, j]: the largest slope from block i's first node to block
+    # j's first node, a running maximum along each block row
+    through = np.append(0.0, np.maximum.reduceat(slope, starts)[:-1])
+    prior = np.triu(np.broadcast_to(through, (starts.size,) * 2), 1)
+    np.maximum.accumulate(prior, axis=1, out=prior)
+    i, j = np.triu_indices(starts.size)
+    lip = np.maximum(prior, np.maximum.reduceat(inner, starts))[i, j]
+    bound = lip * (r[ends[j] - 1] - r[starts[i]]) ** (1.0 - alpha)
+    far = i < j
+    i_far, j_far = i[far], j[far]
     h_max = np.maximum.reduceat(h, starts)
     h_min = np.minimum.reduceat(h, starts)
-    rise = np.maximum(h_max[i] - h_min[j], h_max[j] - h_min[i])
-    gap = r[starts[j]] - r[ends[i] - 1]
-    bound = rise / gap**alpha * (1.0 + _HOLDER_BOUND_SLACK)
+    rise = np.maximum(h_max[i_far] - h_min[j_far], h_max[j_far] - h_min[i_far])
+    gap = r[starts[j_far]] - r[ends[i_far] - 1]
+    bound[far] = np.minimum(bound[far], rise / gap**alpha)
+    bound *= 1.0 + _HOLDER_BOUND_SLACK
     for p in np.argsort(-bound, kind="stable"):
         if bound[p] <= best:
             break

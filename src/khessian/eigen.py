@@ -94,7 +94,7 @@ class IterationResult:
 def default_sup_cap(N: int, k: int, R: float) -> float:
     """1e6 times the sup norm of the source-one solution a(R^2 - r^2)/2."""
     a = (1.0 / math.comb(N, k)) ** (1.0 / k)
-    return 1e6 * 0.5 * a * R**2
+    return 1e6 * 0.5 * a * float(R) ** 2
 
 
 # A run without a certificate to seek settles once no node moves by more
@@ -319,7 +319,8 @@ def _estimate(R: float, N: int, k: int, cfg: IterationConfig,
     r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
     rounding = _rounding(k, r.size)
     solver = _FirstIntegral(r, N, k, "trapezoid")
-    v = R**2 - r**2
+    # R**2 of a numpy integer would wrap
+    v = float(R) ** 2 - r**2
     f_nodes, hp, a = (np.empty(r.size) for _ in range(3))
     widths = []
     for n_solves in range(1, _POWER_MAX_SOLVES + 1):

@@ -54,11 +54,22 @@ def check_int(name: str, value, low: int, high=None, high_name: str = "") -> Non
 _REAL = (int, float, np.integer, np.floating)
 
 
+def _float_sized(value) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def check_real(name: str, value, low=-np.inf, high=np.inf, ends: str = "[]") -> None:
     """Raise DomainError unless value is an int, a float or a numpy real,
     never a bool, in the interval from low to high with the brackets ends:
-    "(]" excludes low and includes high.  NaN is in none; nothing is converted."""
-    if (isinstance(value, _REAL) and not isinstance(value, bool)
+    "(]" excludes low and includes high.  NaN is in none, and neither is an
+    int too large for a float.  Nothing is converted: a site that computes
+    with an int in integer arithmetic, where a numpy integer wraps, takes
+    float(value) after the check."""
+    if (isinstance(value, _REAL) and not isinstance(value, bool) and _float_sized(value)
             and (low < value if ends[0] == "(" else low <= value)
             and (value < high if ends[1] == ")" else value <= high)):
         return

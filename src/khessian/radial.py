@@ -201,6 +201,8 @@ def quartic_test_profile(R: float, N: int, k: int, grid_size: int) -> RadialProf
     # the depth R^4 / 4, and S_k of a Hessian of order R^2
     _check_ball(R, N, k, {"R^4": 4, "R^(2k)": 2 * k})
     check_int("grid_size", grid_size, 2)
+    # R**2 of a numpy integer would wrap
+    R = float(R)
     r = np.linspace(0.0, R, grid_size + 1)
     h = -0.25 * (R**2 - r**2) ** 2
     hp = r * (R**2 - r**2)

@@ -354,6 +354,89 @@ def test_holder_seminorm_pruned_matches_dense_on_sqrt():
         assert holder_seminorm(_profile(r, np.sqrt(r)), 0.5) == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("grid", [512, 2048])
+def test_holder_seminorm_matches_dense_at_alpha_1_on_graded_eigenfunctions(grid):
+    # at alpha = 1 the slope bound prunes: the rise bound of a far pair
+    # exceeds the steepest slope near r = R, where the graded grid is fine
+    for N, k in [(2, 2), (3, 3), (4, 4)]:
+        w = estimate_lambda1(1.0, N, k,
+                             solver_cfg=SolverConfig(grid_size=grid, graded=True)).eigenfunction
+        assert holder_seminorm(w, 1.0) == holder_dense(w.r, w.h, 1.0), (N, k)
+
+
+@pytest.mark.parametrize("R", [1e-3, 37.0])
+def test_holder_seminorm_matches_dense_off_the_unit_ball(R):
+    # the bounds scale as R^(1 - alpha) times the slopes; the rounding
+    # argument holds at any scale
+    for N, k in [(2, 2), (3, 2), (4, 3), (5, 3)]:
+        w = estimate_lambda1(R, N, k, solver_cfg=SolverConfig(grid_size=512)).eigenfunction
+        for alpha in (2.0 - N / k, 1.0):
+            assert holder_seminorm(w, alpha) == holder_dense(w.r, w.h, alpha), (N, k, alpha)
+
+
+def _dense_argmax(r, h, alpha):
+    dh = np.abs(h[:, None] - h[None, :])
+    dr = np.abs(r[:, None] - r[None, :])
+    q = np.where(dr > 0, dh / np.where(dr > 0, dr, 1.0) ** alpha, 0.0)
+    a, b = np.unravel_index(np.argmax(q), q.shape)
+    return min(a, b), max(a, b)
+
+
+def test_holder_seminorm_finds_a_maximum_in_a_far_block_pair():
+    # a peak at r = 0.2 (block 0) and a trough at r = 0.7 (block 2) of a
+    # 257-node grid; the steepest adjacent slope is a step at r = 0.9,
+    # outside that pair, and no pair with the first or the last node wins
+    r = make_grid(1.0, 256)
+    h = (np.exp(-((r - 0.2) / 0.05) ** 2) - np.exp(-((r - 0.7) / 0.05) ** 2)
+         + 0.2 * (r > 0.9))
+    a, b = _dense_argmax(r, h, 0.3)
+    steepest = np.argmax(np.abs(np.diff(h)) / np.diff(r))
+    assert b // 64 - a // 64 >= 2 and 0 < a and b < r.size - 1 and not a <= steepest < b
+    assert holder_seminorm(_profile(r, h), 0.3) == holder_dense(r, h, 0.3)
+
+
+def test_holder_seminorm_slope_bound_grows_with_the_span():
+    # a ramp of slope 1 from r = 10 (block 2) to r = 27 (block 5) on a
+    # ball of radius 37: the best quotient 17^0.7 exceeds every slope, so
+    # a bound without the factor span^(1 - alpha) would stop too early
+    r = make_grid(37.0, 512)
+    h = np.clip(r, 10.0, 27.0)
+    a, b = _dense_argmax(r, h, 0.3)
+    assert b // 64 - a // 64 >= 2 and 0 < a and b < r.size - 1
+    assert holder_seminorm(_profile(r, h), 0.3) == holder_dense(r, h, 0.3)
+
+
+def test_holder_seminorm_slope_bound_counts_the_slope_between_blocks():
+    # a ramp from r = 0.2 to 0.8 with a unit jump from node 127 to 128,
+    # the last node of block 1 and the first of block 2: the best pair
+    # spans the jump, and only that slope between blocks keeps its bound up
+    r = make_grid(1.0, 256)
+    h = np.clip(r, 0.2, 0.8) + (np.arange(r.size) >= 128)
+    a, b = _dense_argmax(r, h, 0.05)
+    assert b // 64 - a // 64 >= 2 and 0 < a <= 127 < b < r.size - 1
+    assert holder_seminorm(_profile(r, h), 0.05) == holder_dense(r, h, 0.05)
+
+
+def test_holder_seminorm_finds_a_maximum_inside_one_block():
+    # a narrow bump at r = 0.6, nodes 146-161 of block 2; at alpha = 1/4
+    # the best pair is the top against its foot, neither adjacent nor an end
+    r = make_grid(1.0, 256)
+    h = np.exp(-((r - 0.6) / 0.01) ** 2)
+    a, b = _dense_argmax(r, h, 0.25)
+    assert a // 64 == b // 64 == 2 and b - a >= 2
+    assert holder_seminorm(_profile(r, h), 0.25) == holder_dense(r, h, 0.25)
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 65])
+def test_holder_seminorm_matches_dense_on_few_nodes(nodes):
+    # one block, or a last block of one node; uniform and irregular spacing
+    rng = np.random.default_rng(nodes)
+    for r in (np.linspace(0.0, 1.0, nodes), np.cumsum(rng.uniform(0.1, 1.0, nodes))):
+        for h in (r**2, -np.sqrt(r), rng.normal(size=nodes)):
+            for alpha in (0.3, 0.5, 1.0):
+                assert holder_seminorm(_profile(r, h), alpha) == holder_dense(r, h, alpha)
+
+
 def test_trapezoid_cumsum_matches_scipy():
     # the in-place kernel is bitwise scipy's cumulative_trapezoid, both
     # passes; the default grid has dyadic spacing, where any summation
@@ -431,6 +514,15 @@ def test_annulus_validation():
     )
     assert abs(p.h[0] + 2.0) <= 1e-9
 
+
+@pytest.mark.parametrize("inner_value", [-1, np.float32(-1.0), np.float64(-1.0)],
+                         ids=["int", "float32", "float64"])
+def test_annulus_bisection_runs_in_double_precision(inner_value):
+    # a float32 inner value once carried the bracket and the bisection in
+    # float32 and stopped at h(r_inner) = -1.0000000180
+    p = solve_radial_dirichlet(SourceTerm.constant(1.0), 2.0, 2, 1, SolverConfig(grid_size=64),
+                               r_inner=1, inner_value=inner_value)
+    assert abs(p.h[0] + 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("scheme", ["simpson", "trapezoid"])

@@ -33,6 +33,7 @@ from khessian.dirichlet import (
 )
 from khessian.eigen import (
     IterationConfig,
+    default_sup_cap,
     domain_monotonicity_check,
     estimate_lambda1,
     iterate_fixed_lambda,
@@ -188,7 +189,8 @@ REAL_SITES = {
 }
 _REAL_CASES = {f"{name} #{i}": (name, *site) for name, sites in REAL_SITES.items()
                for i, site in enumerate(sites)}
-_BAD_REALS = {"nan": math.nan, "str": "1", "None": None, "True": True}
+# 10**400 is an int too large for a float
+_BAD_REALS = {"nan": math.nan, "str": "1", "None": None, "True": True, "int 10**400": 10**400}
 
 
 @pytest.mark.parametrize("case, bad", [
@@ -211,6 +213,35 @@ def test_real_argument_accepts_ints_and_numpy_reals(case, kind):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         call(kind(valid))
+
+
+# an int real gives the bytes of float(int): R**2 of np.int64(4e9) once
+# wrapped, and SourceTerm.constant(2**1023) must evaluate
+_R_WRAPS = np.int64(4_000_000_000)
+INT_REALS = {
+    "quartic_test_profile R": (lambda v: quartic_test_profile(v, 2, 1, 8).h, _R_WRAPS),
+    "quartic_test_profile R below 2^53": (lambda v: quartic_test_profile(v, 2, 1, 8).h, 3),
+    "estimate_lambda1 R": (lambda v: estimate_lambda1(v, 2, 1, **_FAST).eigenfunction.h,
+                           _R_WRAPS),
+    "default_sup_cap R": (lambda v: default_sup_cap(2, 1, v), _R_WRAPS),
+    "estimate_lambda1 R below 2^53": (lambda v: estimate_lambda1(v, 3, 2, **_FAST).lambda_lo,
+                                      np.int64(3)),
+    "SourceTerm.constant c": (lambda v: SourceTerm.constant(v).evaluate(_R), 2**1023),
+    "SourceTerm.constant c below 2^53": (lambda v: SourceTerm.constant(v).evaluate(_R), 7),
+}
+
+
+@pytest.mark.parametrize("case", INT_REALS)
+def test_int_reals_give_the_float_result(case):
+    call, value = INT_REALS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.asarray(call(value)).tobytes() == np.asarray(call(float(value))).tobytes()
+
+
+def test_quartic_at_a_wrapping_radius_keeps_its_depth():
+    # -R^4 / 4 at R = 4e9
+    assert quartic_test_profile(_R_WRAPS, 2, 1, 8).h[0] == -6.4e37
 
 
 def test_check_real_names_the_argument_and_its_interval():
