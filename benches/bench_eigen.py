@@ -11,8 +11,9 @@ settings; iterate_fixed_lambda at grid 512 for (3,2) at 0.9 and 1.1^2
 times the oracle lambda_1, the two sides of the paper's dichotomy; the
 certificate probes of an estimate, _iterate on each of its two probe
 lambdas seeking the supersolution and the growth certificate as the
-estimate runs them, for (2,1), (3,2) and (5,3) at grids 512 and 2048;
-and holder_seminorm on
+estimate runs them, on one shared solver, for (2,1), (3,2) and (5,3) at
+grids 512 and 2048; rayleigh_quotient, S_k included, on the 513- and
+2049-node eigenfunctions of (3,2) and (5,3); and holder_seminorm on
 the 2049-node eigenfunctions of (3,2) (alpha = 1/2), (4,3) (alpha =
 2/3) and (3,3) (alpha = 1) on the uniform grid, and of (3,3) on the
 graded grid.  Each bench records what it computed in extra_info (the
@@ -23,8 +24,9 @@ never read without the numbers it produced.
 
 import pytest
 
-from khessian.dirichlet import SolverConfig, holder_seminorm, make_grid
-from khessian.eigen import IterationConfig, _iterate, estimate_lambda1, iterate_fixed_lambda
+from khessian.dirichlet import SolverConfig, _FirstIntegral, holder_seminorm, make_grid
+from khessian.eigen import (IterationConfig, _iterate, estimate_lambda1, iterate_fixed_lambda,
+                            rayleigh_quotient)
 
 # lambda_1 of the unit ball from the solve_ivp shooting oracle (rtol 1e-12)
 ORACLE = {
@@ -62,10 +64,10 @@ def test_certificate_probes(benchmark, N, k, grid):
     cfg = IterationConfig()
     est = estimate_lambda1(1.0, N, k, cfg, SolverConfig(grid_size=grid))
     lams = [p["lam"] for p in est.diagnostics["probes"]]
-    r = make_grid(1.0, grid)
+    solver = _FirstIntegral(make_grid(1.0, grid), N, k, "trapezoid")
 
     def probes():
-        return [_iterate(lam, r, N, k, cfg.n_max, seek)
+        return [_iterate(lam, solver, cfg.n_max, seek)
                 for lam, seek in zip(lams, ("supersolution", "growth"))]
 
     runs = benchmark(probes)
@@ -73,6 +75,14 @@ def test_certificate_probes(benchmark, N, k, grid):
         "lams": lams,
         "probes": [(res.reason, res.n_iter, res.certificate) for res in runs],
     })
+
+
+@pytest.mark.parametrize("grid", [512, 2048])
+@pytest.mark.parametrize("N, k", [(3, 2), (5, 3)])
+def test_rayleigh_quotient(benchmark, N, k, grid):
+    w = estimate_lambda1(1.0, N, k, solver_cfg=SolverConfig(grid_size=grid)).eigenfunction
+    value = benchmark(rayleigh_quotient, w)
+    benchmark.extra_info.update({"nodes": int(w.r.size), "rayleigh": value})
 
 
 @pytest.mark.parametrize("N, k, graded", [(3, 2, False), (3, 3, False), (4, 3, False),

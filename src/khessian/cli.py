@@ -397,7 +397,9 @@ def _add_config_flags(p):
 
 
 def _add_iter_flags(p):
-    p.add_argument("--bisect-tol", type=float, default=None, dest="bisect_tol")
+    p.add_argument("--bisect-tol", type=float, default=None, dest="bisect_tol",
+                   help="widest eigenvalue bracket accepted (default: 1e-10 "
+                        "times its upper end)")
 
 
 def _add_field_flags(p):
@@ -443,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", default=None, help='JSON {"n": N, "entries": [...]}')
     p.add_argument("--lambda", dest="lam_values", default=None,
                    help="comma-separated eigenvalues")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=int, required=True, help="Hessian order k")
     p.add_argument("--out", default=None, help="optional output directory")
     p.set_defaults(func=cmd_cone)
 
@@ -458,8 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = vsub.add_parser("monotone", help="domain monotonicity on nested balls")
     _add_problem_flags(v, radius=False)
-    v.add_argument("--r1", type=float, required=True)
-    v.add_argument("--r2", type=float, required=True)
+    v.add_argument("--r1", type=float, required=True, help="radius of one ball")
+    v.add_argument("--r2", type=float, required=True,
+                   help="radius of the other ball, distinct from --r1")
     _add_config_flags(v)
     _add_iter_flags(v)
     v.set_defaults(func=cmd_monotone)
@@ -482,14 +485,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = vsub.add_parser("barrier-exp", help="exponential boundary barrier")
     _add_problem_flags(v, radius=False)
-    v.add_argument("--lam", type=float, required=True)
+    v.add_argument("--lam", type=float, required=True,
+                   help="lam of the check S_k(D^2 phi) > lam |phi|^k")
     _add_field_flags(v)
     v.set_defaults(func=cmd_barrier_exp)
 
     v = vsub.add_parser("barrier-log", help="logarithmic boundary barrier")
     _add_problem_flags(v, radius=False)
-    v.add_argument("--fsup", type=float, required=True)
-    v.add_argument("--usup", type=float, required=True)
+    v.add_argument("--fsup", type=float, required=True,
+                   help="sup f: the barrier's S_k stays >= it over the collar")
+    v.add_argument("--usup", type=float, required=True,
+                   help="sup |u|: M log(1 + t d0) must reach it")
     _add_field_flags(v)
     v.set_defaults(func=cmd_barrier_log)
 

@@ -445,14 +445,17 @@ def holder_seminorm(profile: RadialProfile, alpha: float) -> float:
 
     The nodes are cut into blocks of consecutive nodes, and every block
     pair i <= j, a block with itself included, gets an upper bound on
-    its quotients: the smaller of
-      - the largest difference of h between the two blocks over the
-        smallest distance between them raised to alpha (+inf for i = j);
-      - L span^(1 - alpha), where L is the largest adjacent slope
-        |dh|/dr from the first node of block i to the last node of
-        block j and span is the distance between those two nodes.  Any
-        quotient there is a weighted mean of those slopes times
-        |r - s|^(1 - alpha), and |r - s| <= span.
+    its quotients.  Write rise for the largest difference of h between
+    the two blocks, gap for the smallest distance between them (0 for
+    i = j), span for the distance from the first node of block i to the
+    last node of block j, and L for the largest adjacent slope |dh|/dr
+    over that range.  A pair of nodes there at distance d in [gap, span]
+    differs by at most rise and, as a weighted mean of those slopes, by
+    at most L d, so its quotient is at most min(rise, L d) / d^alpha.
+    That rises as L d^(1 - alpha) up to d = rise / L and falls as
+    rise / d^alpha after it, so the pair's bound is its value at
+    d* = clip(rise / L, gap, span): rise / gap^alpha or L span^(1 - alpha)
+    when d* is an end, and less than both between them.
     The best quotient starts as the maximum over every adjacent pair and
     every pair with the first or the last node as an end.  Block pairs
     are then evaluated densely in descending order of their bound until
@@ -463,10 +466,12 @@ def holder_seminorm(profile: RadialProfile, alpha: float) -> float:
     Rounding: each computed quotient or slope is within a few units of
     eps = 2^-52 of its exact value, relative (a difference, a power, a
     quotient, each rounded once), and so are the rise, the gap, L and
-    span.  1 - alpha is rounded once too, which moves span^(1 - alpha)
-    by a factor exp(eps |ln span|) <= 1 + 710 eps for any normal span.  So
-    a bound undercuts the exact bound of its pair, and a computed
-    quotient exceeds its exact value, by far less than the factor
+    span.  d* is one more quotient: a relative error e in d* moves
+    min(rise, L d) / d^alpha by at most a factor 1 + e.  1 - alpha is
+    rounded once too, which moves a power of d by a factor
+    exp(eps |ln d|) <= 1 + 710 eps for any normal d.  So a bound
+    undercuts the exact bound of its pair, and a computed quotient
+    exceeds its exact value, by far less than the factor
     1 + _HOLDER_BOUND_SLACK = 1 + 1e-12 (~4500 eps) by which every bound
     is inflated, while h and its differences are normal floats.
     """
@@ -474,12 +479,6 @@ def holder_seminorm(profile: RadialProfile, alpha: float) -> float:
     h, r = profile.h, profile.r
     starts = np.arange(0, r.size, _HOLDER_BLOCK)
     ends = np.minimum(starts + _HOLDER_BLOCK, r.size)
-
-    def pair_max(rows: slice, cols: slice) -> float:
-        dh = np.abs(h[rows, None] - h[None, cols])
-        dr = np.abs(r[rows, None] - r[None, cols])
-        mask = dr > 0
-        return float(np.max(dh[mask] / dr[mask] ** alpha, initial=0.0))
 
     # adjacent pairs, then every pair with node 0 or node n-1 as an end
     dh = np.abs(np.concatenate([np.diff(h), h[1:] - h[0], h[-1] - h[:-1]]))
@@ -498,18 +497,41 @@ def holder_seminorm(profile: RadialProfile, alpha: float) -> float:
     np.maximum.accumulate(prior, axis=1, out=prior)
     i, j = np.triu_indices(starts.size)
     lip = np.maximum(prior, np.maximum.reduceat(inner, starts))[i, j]
-    bound = lip * (r[ends[j] - 1] - r[starts[i]]) ** (1.0 - alpha)
-    far = i < j
-    i_far, j_far = i[far], j[far]
     h_max = np.maximum.reduceat(h, starts)
     h_min = np.minimum.reduceat(h, starts)
-    rise = np.maximum(h_max[i_far] - h_min[j_far], h_max[j_far] - h_min[i_far])
-    gap = r[starts[j_far]] - r[ends[i_far] - 1]
-    bound[far] = np.minimum(bound[far], rise / gap**alpha)
+    rise = np.maximum(h_max[i] - h_min[j], h_max[j] - h_min[i])
+    # negative on the diagonal, where the clip then only keeps d* >= 0
+    gap = r[starts[j]] - r[ends[i] - 1]
+    span = r[ends[j] - 1] - r[starts[i]]
+    # where L = 0, h is constant over the pair and d* = span gives 0
+    delta = np.divide(rise, lip, out=span.copy(), where=lip > 0)
+    np.clip(delta, gap, span, out=delta)
+    bound = np.minimum(rise, lip * delta)
+    # d* = 0 only on a one-node or constant block, whose bound is 0
+    np.divide(bound, delta ** alpha, out=bound, where=delta > 0)
     bound *= 1.0 + _HOLDER_BOUND_SLACK
+
+    # the quotients of one block pair, in buffers allocated once; node
+    # pairs of two blocks are distinct, so only the diagonal needs a mask
+    dh_buf, dr_buf = (np.empty((_HOLDER_BLOCK, _HOLDER_BLOCK)) for _ in range(2))
     for p in np.argsort(-bound, kind="stable"):
         if bound[p] <= best:
             break
-        best = max(best, pair_max(slice(starts[i[p]], ends[i[p]]),
-                                  slice(starts[j[p]], ends[j[p]])))
+        rows = slice(starts[i[p]], ends[i[p]])
+        cols = slice(starts[j[p]], ends[j[p]])
+        if i[p] == j[p]:
+            dh = np.abs(h[rows, None] - h[None, cols])
+            dr = np.abs(r[rows, None] - r[None, cols])
+            mask = dr > 0
+            quotient = float(np.max(dh[mask] / dr[mask] ** alpha, initial=0.0))
+        else:
+            dh = dh_buf[:rows.stop - rows.start, :cols.stop - cols.start]
+            dr = dr_buf[:dh.shape[0], :dh.shape[1]]
+            np.subtract(h[rows, None], h[None, cols], out=dh)
+            np.abs(dh, out=dh)
+            np.subtract(r[None, cols], r[rows, None], out=dr)
+            dr **= alpha
+            dh /= dr
+            quotient = float(dh.max())
+        best = max(best, quotient)
     return best

@@ -80,7 +80,10 @@ class IterationConfig:
 class IterationResult:
     """One fixed-lambda run: converged is true when the iterates settled
     (fixed-point) or are certified bounded (supersolution); certificate
-    holds c or q of a certified verdict, else it is empty."""
+    holds c or q of a certified verdict, else it is empty.  profile is
+    the last iterate of iterate_fixed_lambda; a certificate run (a probe
+    of estimate_lambda1) returns its verdict only, and its profile is
+    None."""
 
     converged: bool
     reason: str
@@ -121,7 +124,7 @@ def iterate_fixed_lambda(lam: float, R: float, N: int, k: int,
     check_real("lam", lam, 0, math.inf, "[)")
     r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
     with float_range(f"radius {R!r} is out of range for N = {N}, k = {k}"):
-        return _iterate(lam, r, N, k, cfg.n_max)
+        return _iterate(lam, _FirstIntegral(r, N, k, "trapezoid"), cfg.n_max)
 
 
 def _rounding(k: int, size: int) -> float:
@@ -149,9 +152,9 @@ def _scheme_source(rest: np.ndarray, lam: float, k: int, out: np.ndarray,
 _SUPERSOLUTION_C = 2.0
 
 
-def _iterate(lam: float, r: np.ndarray, N: int, k: int, n_max: int,
+def _iterate(lam: float, solver: _FirstIntegral, n_max: int,
              seek: Optional[str] = None) -> IterationResult:
-    """The monotone scheme at lam on the grid r, one trapezoid solve a step.
+    """The monotone scheme at lam on the solver's grid, one solve a step.
 
     Each step solves in place on buffers allocated once and swapped.  It
     carries rest = -h >= 0, so the source is 1 + lam rest_prev^k.  One
@@ -159,7 +162,8 @@ def _iterate(lam: float, r: np.ndarray, N: int, k: int, n_max: int,
     negative entry is an iterate that rose, which raises
     InconsistencyError with lam, the step n and the sup trace, and the
     maximum is the fixed-point step.  rest never increases along r, so the
-    sup norm is rest[0].  h'' is recovered once, for the returned profile.
+    sup norm is rest[0].  solver is a trapezoid _FirstIntegral; the grid
+    r, N and k are its own.
 
     Without seek the run ends at fixed-point (the step is at most
     _FIXED_POINT_TOL R^2), sup-cap or n-max.  With seek it ends once it
@@ -173,9 +177,11 @@ def _iterate(lam: float, r: np.ndarray, N: int, k: int, n_max: int,
     - growth: q = min over the interior nodes of A(lam rest_n^k) / rest_n
       exceeds 1 + the power iteration's rounding allowance, so the
       iterates grow at least like q^m.
-    The certificate records c = 2 or q.
+    The certificate records c = 2 or q.  A run with seek returns only its
+    verdict, profile None; without seek h'' is recovered once, for the
+    returned profile.
     """
-    solver = _FirstIntegral(r, N, k, "trapezoid")
+    r, N, k = solver.r, solver.N, solver.k
     R = float(r[-1])
     tol = _FIXED_POINT_TOL * R**2
     sup_cap = default_sup_cap(N, k, R)
@@ -220,8 +226,10 @@ def _iterate(lam: float, r: np.ndarray, N: int, k: int, n_max: int,
         if reason is not None or n == n_max:
             break
         rest_prev, rest = rest, rest_prev
-    profile = RadialProfile(N=N, k=k, r=r, h=-rest, hp=hp,
-                            hpp=solver.hpp(hp, f_nodes), k_convex=True)
+    profile = None
+    if seek is None:
+        profile = RadialProfile(N=N, k=k, r=r, h=-rest, hp=hp,
+                                hpp=solver.hpp(hp, f_nodes), k_convex=True)
     return IterationResult(reason in ("fixed-point", "supersolution"), reason or "n-max",
                            n, sup_trace, profile, lam, certificate)
 
@@ -322,19 +330,22 @@ def _estimate(R: float, N: int, k: int, cfg: IterationConfig,
     # R**2 of a numpy integer would wrap
     v = float(R) ** 2 - r**2
     f_nodes, hp, a = (np.empty(r.size) for _ in range(3))
+    ratio = np.empty(r.size - 1)
     widths = []
     for n_solves in range(1, _POWER_MAX_SOLVES + 1):
-        np.power(v, k, out=f_nodes)
+        source = v if k == 1 else np.power(v, k, out=f_nodes)
         # a = -h, the solve's rest
-        solver.solve_into(f_nodes, hp, a)
-        ratio = (v[:-1] / a[:-1]) ** k
+        solver.solve_into(source, hp, a)
+        np.divide(v[:-1], a[:-1], out=ratio)
+        ratio **= k
         lo = float(np.min(ratio)) * (1.0 - rounding)
         hi = float(np.max(ratio)) * (1.0 + rounding)
         widths.append(hi - lo)
         tol = cfg.bisect_tol if cfg.bisect_tol is not None else 1e-10 * hi
         if hi - lo <= tol:
             break
-        v = a / np.max(a)
+        # rest never increases along r, so a[0] is max(a)
+        np.divide(a, a[0], out=v)
     else:
         raise InconsistencyError(
             f"power-iteration bracket still wider than {tol:.3e} after "
@@ -346,7 +357,7 @@ def _estimate(R: float, N: int, k: int, cfg: IterationConfig,
     probes = []
     for lam, seek in ((lo * (1.0 - _PROBE_EPS), "supersolution"),
                       (hi * (1.0 + _PROBE_EPS) ** k, "growth")):
-        res = _iterate(lam, r, N, k, cfg.n_max, seek)
+        res = _iterate(lam, solver, cfg.n_max, seek)
         probes.append({"lam": lam, "reason": res.reason, "n_iter": res.n_iter,
                        **res.certificate})
     if [p["reason"] for p in probes] != ["supersolution", "growth"]:
@@ -355,8 +366,8 @@ def _estimate(R: float, N: int, k: int, cfg: IterationConfig,
             trace={"lambda_lo": lo, "lambda_hi": hi, "probes": probes},
         )
 
-    hpp = solver.hpp(hp, f_nodes)
-    s = float(np.max(a))
+    hpp = solver.hpp(hp, source)
+    s = float(a[0])
     w = RadialProfile(N=N, k=k, r=r, h=-a / s, hp=hp / s, hpp=hpp / s, k_convex=True)
 
     sk = s_k_on_profile(w)

@@ -4,6 +4,7 @@ Everything goes through main(argv) in process; coarse grids and a loose
 bracket tolerance keep each invocation well under a second.
 """
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -44,6 +45,19 @@ def test_version_and_help(capsys):
     assert run(["eigen", "--help"]) == 0
     out = capsys.readouterr().out
     assert "--radius" in out
+
+
+def test_every_option_has_help():
+    # -h of every command explains each of its options
+    def undocumented(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from undocumented(sub)
+            elif action.option_strings and not action.help:
+                yield f"{parser.prog} {action.option_strings[0]}"
+
+    assert list(undocumented(cli.build_parser())) == []
 
 
 def test_missing_required_flag_is_usage_error(capsys):

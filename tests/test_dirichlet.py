@@ -427,6 +427,41 @@ def test_holder_seminorm_finds_a_maximum_inside_one_block():
     assert holder_seminorm(_profile(r, h), 0.25) == holder_dense(r, h, 0.25)
 
 
+def test_holder_seminorm_finds_a_maximum_between_gap_and_span():
+    # a unit-slope ramp from node 100 (block 1) to node 300 (block 4): the
+    # best quotient, (200/512)^(1/2) from one end of the ramp to the other,
+    # is at a distance strictly between the gap and the span of its block
+    # pair.  A small step from node 460 to 461 starts the best quotient
+    # above rise / span^alpha and L gap^(1 - alpha), the pair's bound
+    # with d* clipped to either end, so either would skip the pair
+    r = make_grid(1.0, 512)
+    h = np.clip(r, r[100], r[300]) + 0.026 * (np.arange(r.size) > 460)
+    assert _dense_argmax(r, h, 0.5) == (100, 300)
+    gap, span = r[256] - r[127], r[319] - r[64]
+    assert gap < r[300] - r[100] < span
+    best = holder_dense(r, h, 0.5)
+    assert best == pytest.approx((200 / 512) ** 0.5, rel=1e-15)
+    step = 0.026 / (r[461] - r[460]) ** 0.5
+    assert max((r[300] - r[100]) / span**0.5, gap**0.5) < step < best
+    assert holder_seminorm(_profile(r, h), 0.5) == best
+
+
+# seeded random-walk and monotone profiles on irregular grids of 2 to 700
+# nodes, against the dense pair matrix at every scale and exponent
+@pytest.mark.parametrize("alpha", [0.1, 1 / 3, 0.5, 2 / 3, 0.9, 1.0],
+                         ids=["0.1", "1/3", "1/2", "2/3", "0.9", "1"])
+@pytest.mark.parametrize("R", [1e-3, 1.0, 37.0])
+def test_holder_seminorm_matches_dense_on_random_profiles(R, alpha):
+    rng = np.random.default_rng([int(R * 1e3), int(alpha * 1e3)])
+    for nodes in (2, 700, *rng.integers(3, 700, size=2)):
+        r = np.cumsum(rng.uniform(0.05, 1.0, nodes))
+        r = R * (r - r[0]) / (r[-1] - r[0])
+        walk = np.cumsum(rng.normal(size=nodes))
+        rising = np.cumsum(rng.exponential(size=nodes))
+        for h in (walk, rising - rising[-1]):
+            assert holder_seminorm(_profile(r, h), alpha) == holder_dense(r, h, alpha), nodes
+
+
 @pytest.mark.parametrize("nodes", [2, 3, 65])
 def test_holder_seminorm_matches_dense_on_few_nodes(nodes):
     # one block, or a last block of one node; uniform and irregular spacing

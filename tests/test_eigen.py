@@ -15,8 +15,8 @@ import pytest
 
 import khessian.eigen as eigen
 from khessian.cones import as_symmetric, in_sigma_k
-from khessian.dirichlet import (SolverConfig, SourceTerm, first_integral_solve, make_grid,
-                                solve_radial_dirichlet)
+from khessian.dirichlet import (SolverConfig, SourceTerm, _FirstIntegral, first_integral_solve,
+                                make_grid, solve_radial_dirichlet)
 from khessian.eigen import (
     IterationConfig,
     default_sup_cap,
@@ -460,9 +460,19 @@ PROBE_CASES = [(N, k, 1.0, SolverConfig()) for N, k in ORACLE_PAIRS] + [
 ]
 
 
-def _assert_same_iteration(a, b):
+def _trapezoid_solver(R, N, k, solver_cfg):
+    r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
+    return _FirstIntegral(r, N, k, "trapezoid")
+
+
+def _assert_same_verdict(a, b):
     assert (a.reason, a.n_iter, a.converged, a.lam) == (b.reason, b.n_iter, b.converged, b.lam)
     assert a.sup_trace == b.sup_trace
+    assert a.certificate == b.certificate
+
+
+def _assert_same_iteration(a, b):
+    _assert_same_verdict(a, b)
     for name in ("r", "h", "hp", "hpp"):
         assert np.array_equal(getattr(a.profile, name), getattr(b.profile, name)), name
 
@@ -471,21 +481,20 @@ def _assert_same_iteration(a, b):
                          ids=[f"{N}{k}-{c.grid_size}{'g' if c.graded else ''}"
                               + ("" if R == 1.0 else f"-R{R}") for N, k, R, c in PROBE_CASES])
 def test_lockstep_probes_match_separate_calls(N, k, R, solver_cfg):
-    # each certificate probe, run as the estimate runs it, is bitwise the
-    # paper's scheme written out one full solve per step, certificates
-    # included; run to a fixed point or the cap instead, each probe lam is
-    # bitwise the unbatched scheme
+    # each certificate probe, run as the estimate runs it, reaches the
+    # verdict of the paper's scheme written out one full solve per step,
+    # certificates included, bitwise; run to a fixed point or the cap
+    # instead, each probe lam is bitwise the unbatched scheme, profile too
     cfg = IterationConfig()
     est = estimate_lambda1(R, N, k, cfg, solver_cfg)
     probes = est.diagnostics["probes"]
-    r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
+    solver = _trapezoid_solver(R, N, k, solver_cfg)
     for probe, seek in zip(probes, ("supersolution", "growth")):
-        res = eigen._iterate(probe["lam"], r, N, k, cfg.n_max, seek)
+        res = eigen._iterate(probe["lam"], solver, cfg.n_max, seek)
         assert probe == {"lam": res.lam, "reason": seek, "n_iter": res.n_iter,
                          **res.certificate}
-        ref = certificate_probe_unbatched(res.lam, R, N, k, cfg, solver_cfg, seek)
-        _assert_same_iteration(res, ref)
-        assert res.certificate == ref.certificate
+        _assert_same_verdict(
+            res, certificate_probe_unbatched(res.lam, R, N, k, cfg, solver_cfg, seek))
     for probe, reason in zip(probes, ("fixed-point", "sup-cap")):
         res = iterate_fixed_lambda(probe["lam"], R, N, k, cfg, solver_cfg)
         assert res.reason == reason
@@ -578,14 +587,20 @@ def _certificate_solve(f_nodes, r, N, k):
 
 @pytest.mark.parametrize("N, k", ORACLE_PAIRS)
 def test_certificates_hold_on_the_oracle_pairs(N, k):
-    # each probe's last iterate, checked again by an independent full solve
+    # each probe's last iterate, from the unbatched scheme that reaches the
+    # probe's verdict bitwise, checked again by an independent full solve
     est = estimate_lambda1(1.0, N, k)
     r = est.eigenfunction.r
     below, above = est.diagnostics["probes"]
     assert (below["reason"], above["reason"]) == ("supersolution", "growth")
     assert below["n_iter"] < 20 and above["n_iter"] < 20
-    rows = [eigen._iterate(p["lam"], r, N, k, IterationConfig().n_max, p["reason"])
-            for p in (below, above)]
+    cfg, solver_cfg = IterationConfig(), SolverConfig()
+    rows = []
+    for p in (below, above):
+        ref = certificate_probe_unbatched(p["lam"], 1.0, N, k, cfg, solver_cfg, p["reason"])
+        _assert_same_verdict(eigen._iterate(p["lam"], _trapezoid_solver(1.0, N, k, solver_cfg),
+                                            cfg.n_max, p["reason"]), ref)
+        rows.append(ref)
     # below: A(1 + lam w^k) <= w for w = 2 rest_n, so every later iterate
     # of the scheme stays under w, and lam lies under the bracket's top
     w = 2.0 * -rows[0].profile.h
@@ -626,6 +641,21 @@ def test_certificates_are_never_issued_on_the_wrong_side(N, k):
     est = estimate_lambda1(1.0, N, k)
     cfg = IterationConfig()
     lams = [est.lambda_hi * (1 + 1e-6), est.lambda_lo * (1 - 1e-6)]
-    rows = [eigen._iterate(lam, est.eigenfunction.r, N, k, cfg.n_max, seek)
+    solver = _trapezoid_solver(1.0, N, k, SolverConfig())
+    rows = [eigen._iterate(lam, solver, cfg.n_max, seek)
             for lam, seek in zip(lams, ("supersolution", "growth"))]
     assert [(row.reason, row.n_iter) for row in rows] == [("n-max", cfg.n_max)] * 2
+
+
+@pytest.mark.parametrize("seek, factor", [("supersolution", 0.9), ("growth", 1.1**2),
+                                          ("supersolution", 1.1**2)],
+                         ids=["supersolution", "growth", "n-max"])
+def test_certificate_runs_return_no_profile(seek, factor):
+    # a certificate run returns its verdict, never an iterate, whether or
+    # not it holds the certificate; a run to a fixed point returns both.
+    # lambda_1 of (3,2) on the unit ball is 28.14
+    solver = _trapezoid_solver(1.0, 3, 2, SolverConfig(grid_size=64))
+    res = eigen._iterate(factor * 28.1, solver, 20, seek)
+    assert res.reason == (seek if factor < 1 or seek == "growth" else "n-max")
+    assert res.profile is None
+    assert eigen._iterate(0.9 * 28.1, solver, 500).profile.h.shape == solver.r.shape
