@@ -173,11 +173,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _input_hashes(args) -> dict:
     """{path: sha256 of its bytes} for each input file the run of args read:
-    --config, --matrix, --field, --profile (unless --quartic) and a
-    --source CSV."""
-    paths = [getattr(args, name, None) for name in ("config", "matrix", "field")]
-    if not getattr(args, "quartic", False):
-        paths.append(getattr(args, "profile", None))
+    --config, --matrix, --field, --profile and a --source CSV."""
+    paths = [getattr(args, name, None) for name in ("config", "matrix", "field", "profile")]
     source = getattr(args, "source", None)
     if source is not None and not source.startswith(("const:", "poly:")):
         paths.append(source.removeprefix("file:"))
@@ -316,9 +313,12 @@ def cmd_cone(args, *_) -> Run:
 def _load_field(args):
     if (args.field is None) == (args.sphere is None):
         raise DomainError("provide exactly one of --field or --sphere")
-    if args.field is not None:
-        return load_field_json(args.field)
-    return sphere_field(args.sphere, args.dim, n_samples=args.samples)
+    if args.sphere is not None:
+        return sphere_field(args.sphere, args.dim, n_samples=args.samples)
+    field = load_field_json(args.field)
+    if field.ambient_dim != args.dim:
+        raise DomainError(f"--dim {args.dim} is not the field's dimension {field.ambient_dim}")
+    return field
 
 
 def cmd_bounds(args, solver_cfg, iter_cfg) -> Run:
@@ -349,13 +349,15 @@ def cmd_hopf(args, solver_cfg, _) -> Run:
 
 
 def cmd_minprinciple(args, solver_cfg, _) -> Run:
+    if args.quartic == (args.profile is not None):
+        raise DomainError("provide exactly one of --quartic or --profile")
     if args.quartic:
         profile = quartic_test_profile(args.radius, args.dim, args.order,
                                        solver_cfg.grid_size)
-    elif args.profile is not None:
-        profile = RadialProfile.load_csv(args.profile, args.dim, args.order)
     else:
-        raise DomainError("minprinciple needs --quartic or --profile FILE")
+        profile = RadialProfile.load_csv(args.profile, args.dim, args.order)
+        if profile.R != args.radius:
+            raise DomainError(f"--radius {args.radius!r} is not the profile's R {profile.R!r}")
     lam = args.lam if args.lam is not None else upper_bound(
         args.dim, args.order, profile.R)
     report = minimum_principle_probe(profile, lam)
@@ -452,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification harness")
     vsub = p.add_subparsers(dest="check", required=True)
 
-    v = vsub.add_parser("bounds", help="certified bracket vs measured estimate")
+    v = vsub.add_parser("bounds", help="analytic bounds vs measured estimate")
     _add_problem_flags(v)
     _add_config_flags(v)
     _add_iter_flags(v)
@@ -480,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the built-in quartic test profile")
     v.add_argument("--profile", default=None, help="profile CSV to probe")
     v.add_argument("--lam", type=float, default=None,
-                   help="eigenvalue candidate (default: certified upper bound)")
+                   help="eigenvalue candidate (default: 4^k C(N,k) R^-2k)")
     v.set_defaults(func=cmd_minprinciple)
 
     v = vsub.add_parser("barrier-exp", help="exponential boundary barrier")

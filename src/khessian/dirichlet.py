@@ -43,10 +43,8 @@ __all__ = [
 
 
 class SourceTerm:
-    """Nonnegative radial source: constant, polynomial, sampled, or callable.
-
-    Each constructor checks its data and stores the one evaluator it needs.
-    """
+    """Nonnegative radial source: SourceTerm(fn) wraps a callable of r; the
+    constant, polynomial and sampled constructors check their data first."""
 
     def __init__(self, fn: Callable):
         self._fn = fn
@@ -79,10 +77,6 @@ class SourceTerm:
         if np.any(samples < 0):
             raise DomainError("source must be nonnegative")
         return cls(lambda r: np.interp(r, nodes, samples))
-
-    @classmethod
-    def from_callable(cls, fn: Callable) -> "SourceTerm":
-        return cls(fn)
 
     @classmethod
     def parse(cls, text: str) -> "SourceTerm":
@@ -218,20 +212,19 @@ def _weighted_moment_cumulative(f_nodes: np.ndarray, r: np.ndarray, N: int) -> n
 
 
 class _FirstIntegral:
-    """The first-integral solve on one grid r, for any number of sources.
+    """The first-integral solve of one source on one grid r.
 
     dx, dx / 2, r^(N-1) and r^((k-N)/k) are computed once, and N, k and the
     scheme checked once.  Simpson integrates the weight s^(N-1) exactly against
-    the pairwise quadratic of one source.  The trapezoid scheme is one
-    in-place kernel, solve_into(f_nodes, hp, rest), on caller-owned
-    buffers of the shape of f_nodes, one source per row along the last
-    axis: it fills hp with h' and rest with int_r^R h' ds = -h >= 0, both
-    sums accumulated in place, the second straight into the reversed view
-    of rest.  moment and profile run its two passes apart, so an annulus
-    can add its constant in between.  The weights are nonnegative, so
-    f >= g nodewise implies h_f <= h_g nodewise exactly in floating point,
-    which the fixed-point iteration depends on, and rest never increases
-    along r.
+    the pairwise quadratic of the source.  The trapezoid scheme is one
+    in-place kernel, solve_into(f_nodes, hp, rest), on caller-owned 1-d
+    buffers of the grid's size: it fills hp with h' and rest with
+    int_r^R h' ds = -h >= 0, both sums accumulated in place, the second
+    straight into the reversed view of rest.  moment and profile run its
+    two passes apart, so an annulus can add its constant in between.  The
+    weights are nonnegative, so f >= g nodewise implies h_f <= h_g
+    nodewise exactly in floating point, which the fixed-point iteration
+    depends on, and rest never increases along r.
     """
 
     def __init__(self, r: np.ndarray, N: int, k: int, scheme: str):
@@ -251,8 +244,8 @@ class _FirstIntegral:
     def moment(self, f_nodes: np.ndarray) -> np.ndarray:
         """g = (k / C(N-1,k-1)) * max(int_{r_0}^r s^(N-1) f ds, 0), so r^(N-k) h'^k = g."""
         if self.trapezoid:
-            g = np.empty(np.shape(f_nodes))
-            self._trapezoid_moment(f_nodes, np.empty(g.shape), g)
+            g = np.empty(self.r.size)
+            self._trapezoid_moment(f_nodes, np.empty(g.size), g)
         else:
             g = _weighted_moment_cumulative(f_nodes, self.r, self.N)
         return self._scaled(g)
@@ -261,7 +254,7 @@ class _FirstIntegral:
         """(h, h') from h' = g^(1/k) r^((k-N)/k) and h(R) = 0."""
         if self.trapezoid:
             rest = np.array(g, dtype=float)
-            hp = np.empty(rest.shape)
+            hp = np.empty_like(rest)
             self._trapezoid_profile(hp, rest)
             return -rest, hp
         hp = g ** (1.0 / self.k) * self.rpow
@@ -269,7 +262,7 @@ class _FirstIntegral:
         return integral - integral[-1], hp
 
     def solve_into(self, f_nodes: np.ndarray, hp: np.ndarray, rest: np.ndarray) -> None:
-        """The trapezoid solve in place: hp = h' and rest = -h of each source.
+        """The trapezoid solve in place: hp = h' and rest = -h of the source.
 
         f_nodes is read only; hp doubles as work space for the weighted source
         and rest holds the moment g until h' has been formed from it.
@@ -281,14 +274,14 @@ class _FirstIntegral:
     def _trapezoid_moment(self, f_nodes, work, out) -> None:
         """out = int_{r_0}^r s^(N-1) f ds, the increments summed in place."""
         np.multiply(self.weight, f_nodes, out=work)
-        inc = out[..., 1:]
-        np.add(work[..., 1:], work[..., :-1], out=inc)
+        inc = out[1:]
+        np.add(work[1:], work[:-1], out=inc)
         # (dx s) / 2 and s (dx / 2) differ where the product is subnormal,
         # which the weight r^(N-1) reaches on small balls; keep the first
         inc *= self.dx
         inc /= 2.0
-        np.add.accumulate(inc, axis=-1, out=inc)
-        out[..., 0] = 0.0
+        np.add.accumulate(inc, out=inc)
+        out[0] = 0.0
 
     def _scaled(self, g: np.ndarray) -> np.ndarray:
         np.maximum(g, 0.0, out=g)
@@ -301,13 +294,13 @@ class _FirstIntegral:
         if self.k > 1:
             rest **= 1.0 / self.k
         np.multiply(rest, self.rpow, out=hp)
-        inc = rest[..., :-1]
-        np.add(hp[..., 1:], hp[..., :-1], out=inc)
+        inc = rest[:-1]
+        np.add(hp[1:], hp[:-1], out=inc)
         inc *= self.half_dx
         # accumulated from the outer end, in the reversed view
-        back = rest[..., -2::-1]
-        np.add.accumulate(back, axis=-1, out=back)
-        rest[..., -1] = 0.0
+        back = rest[-2::-1]
+        np.add.accumulate(back, out=back)
+        rest[-1] = 0.0
 
     def hpp(self, hp: np.ndarray, f_nodes: np.ndarray) -> np.ndarray:
         """h'' of one source from d/dr of the first integral; exact wherever h' > 0."""

@@ -53,7 +53,8 @@ def lower_bound(N: int, k: int, R: float) -> float:
 
 
 def upper_bound(N: int, k: int, R: float) -> float:
-    """Certified upper bound 4^k C(N,k) R^{-2k} from the quartic test function."""
+    """Upper bound 4^k C(N,k) R^{-2k} from the quartic test function; not
+    certified for N >= 3, where the quartic's sharp constant is larger."""
     _check_ball(R, N, k)
     return 4**k * math.comb(N, k) * R ** (-2.0 * k)
 
@@ -162,8 +163,9 @@ def _iterate(lam: float, solver: _FirstIntegral, n_max: int,
     negative entry is an iterate that rose, which raises
     InconsistencyError with lam, the step n and the sup trace, and the
     maximum is the fixed-point step.  rest never increases along r, so the
-    sup norm is rest[0].  solver is a trapezoid _FirstIntegral; the grid
-    r, N and k are its own.
+    sup norm is rest[0], and as the sup trace ends in rest_prev[0], node 0
+    checks that the sup norms never fall.  solver is a trapezoid
+    _FirstIntegral; the grid r, N and k are its own.
 
     Without seek the run ends at fixed-point (the step is at most
     _FIXED_POINT_TOL R^2), sup-cap or n-max.  With seek it ends once it
@@ -205,11 +207,6 @@ def _iterate(lam: float, solver: _FirstIntegral, n_max: int,
             if d.max() <= tol:
                 reason = "fixed-point"
             elif sup_trace[-1] > sup_cap:
-                if np.any(np.diff(sup_trace[-10:]) < 0):
-                    raise InconsistencyError(
-                        "sup norms not monotone while exceeding the cap",
-                        trace={"lam": lam, "n": n, "sup_trace": sup_trace},
-                    )
                 reason = "sup-cap"
         elif seek == "supersolution":
             np.multiply(rest, _SUPERSOLUTION_C, out=w)
@@ -241,11 +238,12 @@ class SpectralEstimate:
     [lambda_lo, lambda_hi] is the discrete enclosure: it encloses the
     lambda_1 of the trapezoid scheme on the grid, which sits O(h^2) above
     the PDE's lambda_1, so the PDE value can lie outside it.  lambda_best
-    is its midpoint.  bounds holds the certified lower and upper bounds on
-    the PDE's lambda_1.  diagnostics records the two cross-check probes
+    is its midpoint.  bounds holds the lower bound and the quartic's upper
+    bound on the PDE's lambda_1, the upper one not certified for N >= 3
+    (see upper_bound).  diagnostics records the two cross-check probes
     (lam, reason, n_iter, and c below or q above lambda_1), the
-    power-iteration solve count and the final
-    bracket width; all are deterministic, so two identical runs give
+    power-iteration solve count and the final bracket width; all are
+    deterministic, so two identical runs give
     byte-identical JSON, and timings never go here.
     """
 

@@ -44,7 +44,8 @@ class CurvatureField:
     """Principal curvature samples of a closed boundary.
 
     points has shape (S, N) and kappas shape (S, N-1); row i holds the
-    inner-normal principal curvatures at points[i].
+    inner-normal principal curvatures at points[i], stored ascending
+    whatever order they are given in.
     """
 
     points: np.ndarray
@@ -62,7 +63,9 @@ class CurvatureField:
         if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(kap))):
             raise DomainError("field entries must be finite")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "kappas", kap)
+        # ascending, as symfun decides cones: the sigma recurrence rounds
+        # by the order of its columns, and no verdict may depend on it
+        object.__setattr__(self, "kappas", np.sort(kap, axis=1))
 
     @property
     def ambient_dim(self) -> int:
@@ -308,7 +311,7 @@ def _level_set_curvatures(points: np.ndarray, semi_axes: np.ndarray) -> np.ndarr
     n_hat = grad / gnorm[:, None]
     proj = np.eye(points.shape[1]) - n_hat[:, :, None] * n_hat[:, None, :]
     shape_op = (proj * hess) @ proj / gnorm[:, None, None]
-    return np.ascontiguousarray(np.linalg.eigvalsh(shape_op)[:, 1:])
+    return np.linalg.eigvalsh(shape_op)[:, 1:]
 
 
 def ellipsoid_field(semi_axes, n_samples: int = 32) -> CurvatureField:

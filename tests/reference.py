@@ -93,7 +93,7 @@ def write_json_dump(path, payload: dict, default) -> None:
         fh.write("\n")
 
 
-def iterate_fixed_lambda_unbatched(lam, R, N, k, cfg, solver_cfg) -> IterationResult:
+def iterate_fixed_lambda_full_solves(lam, R, N, k, cfg, solver_cfg) -> IterationResult:
     """The paper's monotone scheme at one lam, one full first_integral_solve
     (h, h', h'') per step, with the same stopping rules and fault checks:
     a fixed point once no node moves by more than 1e-8 R^2 (iterates scale
@@ -124,7 +124,7 @@ def iterate_fixed_lambda_unbatched(lam, R, N, k, cfg, solver_cfg) -> IterationRe
     return IterationResult(False, "n-max", cfg.n_max, sup_trace, profile, lam)
 
 
-def certificate_probe_unbatched(lam, R, N, k, cfg, solver_cfg, seek) -> IterationResult:
+def certificate_probe_full_solves(lam, R, N, k, cfg, solver_cfg, seek) -> IterationResult:
     """The paper's monotone scheme at one lam, one full first_integral_solve
     (h, h', h'') per step, ending once the iterate rest_n = -h_n holds the
     certificate seek, each checked by one more full solve:

@@ -108,7 +108,7 @@ def test_criterion_05_quadrature_exactness():
         p = solve_radial_dirichlet(src, 1.0, n, k, SolverConfig(grid_size=512))
         worst = max(worst, float(np.max(np.abs(p.h - (p.r**2 - 1.0) / 2.0))))
     # observed order on a non-polynomial source, coarse-to-fine
-    src = SourceTerm.from_callable(lambda r: 1.0 + np.exp(-(r**2)))
+    src = SourceTerm(lambda r: 1.0 + np.exp(-(r**2)))
     ref = solve_radial_dirichlet(
         src, 1.0, 3, 2, SolverConfig(grid_size=4096, tol_residual=1.0)
     ).h[0]

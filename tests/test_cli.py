@@ -29,7 +29,7 @@ from khessian.dirichlet import SolverConfig, SourceTerm, solve_radial_dirichlet
 from khessian.eigen import IterationConfig, estimate_lambda1
 from khessian.radial import quartic_test_profile
 from khessian.cones import save_matrix_json
-from khessian.geometry import CurvatureField, save_field_json
+from khessian.geometry import CurvatureField, ellipsoid_field, save_field_json
 from reference import write_json_dump
 
 FAST = ["--grid", "64", "--bisect-tol", "0.1"]
@@ -352,6 +352,76 @@ def test_verify_minprinciple_bad_profile_is_input_error(tmp_path, capsys):
         # one line, the error message, and nothing else
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "r,h,hp,hpp" in err
+
+
+def test_verify_minprinciple_needs_exactly_one_profile(tmp_path, capsys):
+    prof = tmp_path / "p.csv"
+    quartic_test_profile(1.0, 2, 2, 64).save_csv(prof)
+    problem = ["verify", "minprinciple", "--dim", "2", "--order", "2", "--radius", "1"]
+    for extra in ([], ["--quartic", "--profile", prof]):
+        assert run(problem + extra) == 1
+        err = capsys.readouterr().err
+        assert err == "error: provide exactly one of --quartic or --profile\n"
+
+
+def test_verify_minprinciple_profile_radius_must_be_its_outer_radius(tmp_path, capsys):
+    prof = tmp_path / "p.csv"
+    quartic_test_profile(1.0, 2, 2, 64).save_csv(prof)
+    problem = ["verify", "minprinciple", "--dim", "2", "--order", "2", "--profile", prof]
+    for radius in ("50", "0.999", "nan"):
+        assert run(problem + ["--radius", radius]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --radius {float(radius)!r} is not the profile's R 1.0\n"
+    assert run(problem + ["--radius", "1"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def _write_field(path, kappas) -> None:
+    """A field JSON at the origin with the curvatures of each sample in the
+    order given."""
+    point = [0.0] * (kappas.shape[1] + 1)
+    path.write_text(json.dumps([{"point": point, "kappa": kap} for kap in kappas.tolist()]))
+
+
+# the data flags of each barrier check
+_BARRIER_CHECKS = [["barrier-exp", "--lam", "0.01"], ["barrier-log", "--fsup", "1", "--usup", "0.1"]]
+
+
+@pytest.mark.parametrize("check", _BARRIER_CHECKS, ids=["exp", "log"])
+def test_barrier_field_dimension_must_match_dim(check, tmp_path, capsys):
+    path = tmp_path / "field.json"
+    save_field_json(path, ellipsoid_field([1.0, 0.8, 0.6], n_samples=16))
+    argv = ["verify", *check, "--order", "2", "--field", path, "--t", "1", "--d0", "0.1"]
+    for dim in ("9", "2"):
+        assert run(argv + ["--dim", dim, "--out", tmp_path / dim]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --dim {dim} is not the field's dimension 3\n"
+        assert not (tmp_path / dim).exists()
+    assert run(argv + ["--dim", "3"]) == 0
+
+
+@pytest.mark.parametrize("check", _BARRIER_CHECKS, ids=["exp", "log"])
+def test_barrier_reports_do_not_depend_on_the_order_of_the_curvatures(check, tmp_path, capsys):
+    # each ordering of the three curvature columns gives the same
+    # report.json bytes; taken in the order given, these seeded fields
+    # read different beta, min_sj or margins
+    rng = np.random.default_rng(11)
+    for trial in range(6):
+        kap = rng.standard_normal((16, 3)) + 1.5
+        t, d0 = float(np.max(np.abs(kap))), 0.4 / float(np.max(np.abs(kap)))
+        reports = set()
+        for perm in ((0, 1, 2), (2, 1, 0), (1, 2, 0)):
+            path = tmp_path / f"f{trial}{''.join(map(str, perm))}.json"
+            _write_field(path, kap[:, list(perm)])
+            out = tmp_path / f"o{path.stem}"
+            code = run(["verify", *check, "--dim", "4", "--order", "3", "--field", path,
+                        "--t", repr(t), "--d0", repr(d0), "--out", out])
+            # an infeasible log barrier exits 2 with its diagnostics, no report
+            report = out / "report.json"
+            reports.add((code, report.read_bytes() if report.exists()
+                         else capsys.readouterr().err))
+        assert len(reports) == 1, trial
+    capsys.readouterr()
 
 
 def test_verify_barrier_exp(capsys):
@@ -811,7 +881,7 @@ def test_manifest_inputs_name_every_file_read(tmp_path, capsys):
         (["solve", "--source", str(src)], [cfg, src]),
         (["solve", "--source", "const:1"], [cfg]),
         (["verify", "minprinciple", "--profile", str(prof)], [cfg, prof]),
-        (["verify", "minprinciple", "--quartic", "--profile", str(prof)], [cfg]),
+        (["verify", "minprinciple", "--quartic"], [cfg]),
     ]
     for i, (argv, read) in enumerate(cases):
         out = tmp_path / f"o{i}"

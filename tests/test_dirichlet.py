@@ -57,7 +57,7 @@ def test_source_term_forms(tmp_path):
     with pytest.raises(DomainError):
         SourceTerm.constant(-1.0).evaluate([0.5])
     with pytest.raises(DomainError):
-        SourceTerm.from_callable(lambda r: r - 0.5).evaluate([0.0, 1.0])
+        SourceTerm(lambda r: r - 0.5).evaluate([0.0, 1.0])
     # a polynomial that overflows is refused without numpy's warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -79,9 +79,9 @@ def test_sampled_source_refuses_non_finite_rows(nodes, samples, row):
 def test_callable_source_keeps_numpy_error_state():
     # the masked idiom divides 0/0 in the branch it discards at r = 0; a
     # caller's own arithmetic is not the library's float-range policy
-    sinc = SourceTerm.from_callable(
+    sinc = SourceTerm(
         lambda r: np.where(r > 0, np.sin(r) / np.where(r > 0, r, 1.0), 1.0))
-    masked = SourceTerm.from_callable(lambda r: np.where(r > 0, np.sin(r) / r, 1.0))
+    masked = SourceTerm(lambda r: np.where(r > 0, np.sin(r) / r, 1.0))
     with pytest.warns(RuntimeWarning, match="invalid value"):
         p = solve_radial_dirichlet(masked, 1.0, 2, 1)
     assert np.array_equal(p.h, solve_radial_dirichlet(sinc, 1.0, 2, 1).h)
@@ -159,14 +159,14 @@ def test_zero_source():
 
 def test_linear_laplace_closed_form():
     # N=2, k=1, f(r) = r: (r h')' = r^2 so h = (r^3 - 1)/9
-    p = solve_radial_dirichlet(SourceTerm.from_callable(lambda r: r), 1.0, 2, 1)
+    p = solve_radial_dirichlet(SourceTerm(lambda r: r), 1.0, 2, 1)
     np.testing.assert_allclose(p.h, (p.r**3 - 1.0) / 9.0, atol=1e-11)
 
 
 def test_hessian_route_against_quadrature_oracle():
     # (3,2), f = 1 + r: r (h')^2 = r^3/3 + r^4/4 analytically, so h(r) is
     # minus the adaptive quadrature of sqrt(s^2/3 + s^3/4) on [r, 1]
-    src = SourceTerm.from_callable(lambda r: 1.0 + r)
+    src = SourceTerm(lambda r: 1.0 + r)
     p = solve_radial_dirichlet(src, 1.0, 3, 2)
     hp_exact = lambda s: np.sqrt(s * s / 3.0 + s**3 / 4.0)
     for rv in (0.2, 0.5, 0.8):
@@ -180,7 +180,7 @@ def test_shooting_oracle_nonpolynomial():
     # same pair via an ODE shooting oracle on h'': S_2 = f becomes
     # 2 (h'/r) h'' + (h'/r)^2 = f away from the origin
     src_fn = lambda r: 1.0 + np.exp(-(r**2))
-    p = solve_radial_dirichlet(SourceTerm.from_callable(src_fn), 1.0, 3, 2)
+    p = solve_radial_dirichlet(SourceTerm(src_fn), 1.0, 3, 2)
 
     def rhs(r, y):
         q = y[1] / r
@@ -196,7 +196,7 @@ def test_convergence_order_on_smooth_source():
     # sup-node error of h against a fine reference; trapezoid moment is
     # second order, the product rule fourth, measured between doublings
     # on grids coarse enough that truncation dominates rounding
-    src = SourceTerm.from_callable(lambda r: 1.0 + np.exp(-(r**2)))
+    src = SourceTerm(lambda r: 1.0 + np.exp(-(r**2)))
     for scheme, min_order in (("trapezoid", 1.7), ("simpson", 3.5)):
         vals = []
         for g in (64, 128, 256):
@@ -224,7 +224,7 @@ def test_monotone_source_dependence_exact():
 
 
 def test_output_is_k_convex():
-    src = SourceTerm.from_callable(lambda r: 1.0 + r**3)
+    src = SourceTerm(lambda r: 1.0 + r**3)
     for n, k in [(2, 2), (3, 2), (4, 3)]:
         p = solve_radial_dirichlet(src, 1.0, n, k)
         assert p.k_convex
@@ -255,7 +255,7 @@ def fd_witness_residual(profile, f, skip=0):
 
 
 def test_stored_residual_gate_and_fd_witness():
-    src = SourceTerm.from_callable(lambda r: 1.0 + r)
+    src = SourceTerm(lambda r: 1.0 + r)
     p = solve_radial_dirichlet(src, 1.0, 3, 2)
     assert solution_residual(p, src) <= 1e-14
     # the independent witness converges once the quadrature startup
@@ -564,7 +564,7 @@ def test_annulus_bisection_runs_in_double_precision(inner_value):
 def test_annulus_solve_is_first_integral_solve(scheme):
     # the annulus datum is a parameter of the one driver, which the
     # profile solve calls on its grid
-    src = SourceTerm.from_callable(lambda r: np.exp(3 * r) * (1 + 0.5 * np.sin(7 * r)))
+    src = SourceTerm(lambda r: np.exp(3 * r) * (1 + 0.5 * np.sin(7 * r)))
     cfg = SolverConfig(grid_size=513, quadrature=scheme, graded=True)
     p = solve_radial_dirichlet(src, 0.9, 3, 2, cfg, r_inner=0.27, inner_value=-1.0)
     h, hp, hpp = first_integral_solve(src.evaluate(p.r), p.r, 3, 2, scheme, inner_value=-1.0)

@@ -31,7 +31,7 @@ from khessian.eigen import (
 )
 from khessian.errors import DomainError, InconsistencyError
 from khessian.radial import RadialProfile, quartic_test_profile
-from reference import (certificate_probe_unbatched, iterate_fixed_lambda_unbatched,
+from reference import (certificate_probe_full_solves, iterate_fixed_lambda_full_solves,
                        rayleigh_quotient_scipy, s_k_op)
 
 # h'' + h'/r = lambda |h| on (0,1), h'(0) = 0, h(1) = 0: the first
@@ -484,7 +484,7 @@ def test_lockstep_probes_match_separate_calls(N, k, R, solver_cfg):
     # each certificate probe, run as the estimate runs it, reaches the
     # verdict of the paper's scheme written out one full solve per step,
     # certificates included, bitwise; run to a fixed point or the cap
-    # instead, each probe lam is bitwise the unbatched scheme, profile too
+    # instead, each probe lam is bitwise that scheme, profile too
     cfg = IterationConfig()
     est = estimate_lambda1(R, N, k, cfg, solver_cfg)
     probes = est.diagnostics["probes"]
@@ -494,23 +494,24 @@ def test_lockstep_probes_match_separate_calls(N, k, R, solver_cfg):
         assert probe == {"lam": res.lam, "reason": seek, "n_iter": res.n_iter,
                          **res.certificate}
         _assert_same_verdict(
-            res, certificate_probe_unbatched(res.lam, R, N, k, cfg, solver_cfg, seek))
+            res, certificate_probe_full_solves(res.lam, R, N, k, cfg, solver_cfg, seek))
     for probe, reason in zip(probes, ("fixed-point", "sup-cap")):
         res = iterate_fixed_lambda(probe["lam"], R, N, k, cfg, solver_cfg)
         assert res.reason == reason
         _assert_same_iteration(
-            res, iterate_fixed_lambda_unbatched(res.lam, R, N, k, cfg, solver_cfg))
+            res, iterate_fixed_lambda_full_solves(res.lam, R, N, k, cfg, solver_cfg))
 
 
-def _assert_runs_as_unbatched(lams, reasons, R, N, k, cfg, solver_cfg) -> list:
+def _assert_runs_as_full_solves(lams, reasons, R, N, k, cfg, solver_cfg) -> list:
     """Run iterate_fixed_lambda at each lam of lams: each ends in its reason
-    and is bitwise the unbatched scheme.  Returns the step counts."""
+    and is bitwise the scheme of one full solve per step.  Returns the step
+    counts."""
     counts = []
     for lam, reason in zip(lams, reasons, strict=True):
         res = iterate_fixed_lambda(lam, R, N, k, cfg, solver_cfg)
         assert res.reason == reason, lam
         _assert_same_iteration(
-            res, iterate_fixed_lambda_unbatched(lam, R, N, k, cfg, solver_cfg))
+            res, iterate_fixed_lambda_full_solves(lam, R, N, k, cfg, solver_cfg))
         counts.append(res.n_iter)
     return counts
 
@@ -520,13 +521,13 @@ def _assert_runs_as_unbatched(lams, reasons, R, N, k, cfg, solver_cfg) -> list:
     (3, 2, 0.9, SolverConfig(grid_size=2048, graded=True)),
     (5, 3, 1.0, SolverConfig(grid_size=512, graded=True)),
 ], ids=["21-513", "32-2048g-R0.9", "53-512g"])
-def test_lockstep_rows_end_in_each_reason(N, k, R, solver_cfg):
+def test_runs_end_in_each_reason(N, k, R, solver_cfg):
     # five lams end at different steps for all three reasons, and every
     # run is bitwise the paper's scheme
     cfg = IterationConfig(n_max=200)
     lam = estimate_lambda1(R, N, k, cfg, solver_cfg).lambda_best
     lams = [lam * c for c in (1.1**k, 1.0001, 0.9, 0.0, 1.5**k)]
-    counts = _assert_runs_as_unbatched(
+    counts = _assert_runs_as_full_solves(
         lams, ["sup-cap", "n-max", "fixed-point", "fixed-point", "sup-cap"],
         R, N, k, cfg, solver_cfg)
     assert len(set(counts)) == 5
@@ -544,15 +545,15 @@ def test_probe_counts_do_not_depend_on_the_radius(N, k):
         assert counts[R] == counts[1.0], R
 
 
-def test_lockstep_rows_leave_independently():
+def test_runs_end_at_their_own_steps():
     # runs end at steps 10 (n-max), 2 (fixed-point) and 10 (n-max)
     cfg = IterationConfig(n_max=10)
-    counts = _assert_runs_as_unbatched([5.0, 0.0, 1.0], ["n-max", "fixed-point", "n-max"],
-                                       1.0, 2, 1, cfg, SolverConfig(grid_size=64))
+    counts = _assert_runs_as_full_solves([5.0, 0.0, 1.0], ["n-max", "fixed-point", "n-max"],
+                                         1.0, 2, 1, cfg, SolverConfig(grid_size=64))
     assert counts == [10, 2, 10]
 
 
-def test_monotonicity_fault_in_one_row_names_its_lambda(monkeypatch):
+def test_monotonicity_fault_names_its_lambda_and_step(monkeypatch):
     steps = []
 
     class Faulty(eigen._FirstIntegral):
@@ -567,6 +568,31 @@ def test_monotonicity_fault_in_one_row_names_its_lambda(monkeypatch):
         iterate_fixed_lambda(3.0, 1.0, 2, 1, solver_cfg=SolverConfig(grid_size=64))
     trace = info.value.trace
     assert trace["lam"] == 3.0 and trace["n"] == 5 and len(trace["sup_trace"]) == 4
+
+
+def test_a_falling_sup_norm_is_caught_at_its_step(monkeypatch):
+    # rest never increases along r, so node 0 carries the sup norm: halving
+    # it at step 20, five steps before this run passes the sup cap, is a
+    # drop of the sup trace, and the nodewise check raises at that step
+    solver_cfg = SolverConfig(grid_size=64)
+    clean = iterate_fixed_lambda(10.0, 1.0, 2, 1, solver_cfg=solver_cfg)
+    assert (clean.reason, clean.n_iter) == ("sup-cap", 25)
+    sups = []
+
+    class Faulty(eigen._FirstIntegral):
+        def solve_into(self, f_nodes, hp, rest):
+            super().solve_into(f_nodes, hp, rest)
+            if len(sups) == 19:
+                rest[0] = 0.5 * sups[-1]
+            sups.append(float(rest[0]))
+
+    monkeypatch.setattr(eigen, "_FirstIntegral", Faulty)
+    with pytest.raises(InconsistencyError, match="increased") as info:
+        iterate_fixed_lambda(10.0, 1.0, 2, 1, solver_cfg=solver_cfg)
+    trace = info.value.trace
+    assert trace["lam"] == 10.0 and trace["n"] == 20
+    assert trace["sup_trace"] == clean.sup_trace[:19] == sups[:19]
+    assert sups[19] < sups[18]
 
 
 def test_estimate_json_diagnostics(est21):
@@ -587,7 +613,7 @@ def _certificate_solve(f_nodes, r, N, k):
 
 @pytest.mark.parametrize("N, k", ORACLE_PAIRS)
 def test_certificates_hold_on_the_oracle_pairs(N, k):
-    # each probe's last iterate, from the unbatched scheme that reaches the
+    # each probe's last iterate, from the full-solve scheme that reaches the
     # probe's verdict bitwise, checked again by an independent full solve
     est = estimate_lambda1(1.0, N, k)
     r = est.eigenfunction.r
@@ -597,7 +623,7 @@ def test_certificates_hold_on_the_oracle_pairs(N, k):
     cfg, solver_cfg = IterationConfig(), SolverConfig()
     rows = []
     for p in (below, above):
-        ref = certificate_probe_unbatched(p["lam"], 1.0, N, k, cfg, solver_cfg, p["reason"])
+        ref = certificate_probe_full_solves(p["lam"], 1.0, N, k, cfg, solver_cfg, p["reason"])
         _assert_same_verdict(eigen._iterate(p["lam"], _trapezoid_solver(1.0, N, k, solver_cfg),
                                             cfg.n_max, p["reason"]), ref)
         rows.append(ref)
