@@ -5,8 +5,8 @@ it and, given an output directory, writes its files and a manifest.json.
 The manifest holds the command, its parameters (every parsed argument
 but --out), its config (the value of each settings key the command
 reads, resolved from defaults, --config and flags, grouped by settings
-object; empty for cone and the barrier checks; a --config key the
-command does not read is refused),
+object; empty for cone, the barrier checks and a --profile probe; a
+--config key or flag the run does not read is refused),
 its inputs (the sha256 of every input file it read, by path), a sha256
 config_hash of those four, the version, the output paths and the wall
 time.  Re-running the same command reproduces
@@ -79,20 +79,9 @@ def _config_keys(cls) -> dict:
 
 _SOLVER_FIELDS = _config_keys(SolverConfig)
 _ITER_FIELDS = _config_keys(IterationConfig)
-# the settings keys each command reads, the one source both for refusing
-# a --config key and for the manifest's config: the eigen engine reads
-# the grid and every IterationConfig key, a solve every SolverConfig key
+# the eigen engine reads the grid and the IterationConfig keys, a solve the SolverConfig keys
 _ENGINE_KEYS = ("grid_size", "graded", *_ITER_FIELDS)
 _SOLVE_KEYS = tuple(_SOLVER_FIELDS)
-_READS = {
-    "eigen": _ENGINE_KEYS,
-    "verify bounds": _ENGINE_KEYS,
-    "verify monotone": _ENGINE_KEYS,
-    "solve": _SOLVE_KEYS,
-    "verify hopf": _SOLVE_KEYS,
-    # only the quartic is built on a grid
-    "verify minprinciple": ("grid_size",),
-}
 
 
 def read_config(path: str, reads, command: str) -> dict:
@@ -129,12 +118,15 @@ def read_config(path: str, reads, command: str) -> dict:
 
 def resolve_configs(args, reads) -> tuple:
     """(SolverConfig, IterationConfig) from defaults, then --config file
-    entries, then explicit flags; reads names the keys the command reads."""
+    entries, then explicit flags; reads names the keys the command reads,
+    and --grid is refused where grid_size is not one of them."""
     overrides = (read_config(args.config, reads, _command(args))
                  if getattr(args, "config", None) else {})
     solver_kw = {k: v for k, v in overrides.items() if k in _SOLVER_FIELDS}
     iter_kw = {k: v for k, v in overrides.items() if k in _ITER_FIELDS}
     if getattr(args, "grid", None) is not None:
+        if "grid_size" not in reads:
+            raise DomainError(f"--grid is not read by this khess {_command(args)} run")
         solver_kw["grid_size"] = args.grid
     if getattr(args, "bisect_tol", None) is not None:
         iter_kw["bisect_tol"] = args.bisect_tol
@@ -314,7 +306,11 @@ def _load_field(args):
     if (args.field is None) == (args.sphere is None):
         raise DomainError("provide exactly one of --field or --sphere")
     if args.sphere is not None:
+        if args.samples is None:
+            args.samples = 32  # the manifest records the count used
         return sphere_field(args.sphere, args.dim, n_samples=args.samples)
+    if args.samples is not None:
+        raise DomainError("--samples is read only with --sphere")
     field = load_field_json(args.field)
     if field.ambient_dim != args.dim:
         raise DomainError(f"--dim {args.dim} is not the field's dimension {field.ambient_dim}")
@@ -391,25 +387,28 @@ def _add_problem_flags(p, radius=True):
         p.add_argument("--radius", type=float, required=True, help="ball radius R")
 
 
-def _add_config_flags(p):
+def _add_settings(p, reads):
+    """Declare the settings keys the command of p reads, the one source both
+    for refusing a --config key and for the manifest's config: store reads
+    as args.reads, add --grid and --config, and --bisect-tol when reads
+    holds bisect_tol."""
+    p.set_defaults(reads=reads)
     p.add_argument("--grid", type=int, default=None, help="grid intervals")
     p.add_argument("--config", default=None,
                    help="key=value file of the SolverConfig/IterationConfig "
                         "fields the command reads")
-
-
-def _add_iter_flags(p):
-    p.add_argument("--bisect-tol", type=float, default=None, dest="bisect_tol",
-                   help="widest eigenvalue bracket accepted (default: 1e-10 "
-                        "times its upper end)")
+    if "bisect_tol" in reads:
+        p.add_argument("--bisect-tol", type=float, default=None, dest="bisect_tol",
+                       help="widest eigenvalue bracket accepted (default: 1e-10 "
+                            "times its upper end)")
 
 
 def _add_field_flags(p):
     p.add_argument("--field", default=None, help="curvature field JSON")
     p.add_argument("--sphere", type=float, default=None,
                    help="use a sphere of this radius instead of --field")
-    p.add_argument("--samples", type=int, default=32,
-                   help="boundary samples for --sphere")
+    p.add_argument("--samples", type=int, default=None,
+                   help="boundary samples for --sphere (default: 32)")
     p.add_argument("--t", type=float, required=True, help="barrier rate")
     p.add_argument("--d0", type=float, required=True, help="collar depth")
     p.add_argument("--depth", type=int, default=64, help="depth grid nodes")
@@ -428,8 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eigen", help="estimate the principal eigenvalue")
     _add_problem_flags(p)
-    _add_config_flags(p)
-    _add_iter_flags(p)
+    _add_settings(p, _ENGINE_KEYS)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="eigenfunction file format")
@@ -437,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve the radial Dirichlet problem")
     _add_problem_flags(p)
-    _add_config_flags(p)
+    _add_settings(p, _SOLVE_KEYS)
     p.add_argument("--source", required=True,
                    help="const:<c>, poly:<c0,c1,...>, or file:<csv>")
     p.add_argument("--out", default=".", help="output directory")
@@ -456,8 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = vsub.add_parser("bounds", help="analytic bounds vs measured estimate")
     _add_problem_flags(v)
-    _add_config_flags(v)
-    _add_iter_flags(v)
+    _add_settings(v, _ENGINE_KEYS)
     v.set_defaults(func=cmd_bounds)
 
     v = vsub.add_parser("monotone", help="domain monotonicity on nested balls")
@@ -465,19 +462,19 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--r1", type=float, required=True, help="radius of one ball")
     v.add_argument("--r2", type=float, required=True,
                    help="radius of the other ball, distinct from --r1")
-    _add_config_flags(v)
-    _add_iter_flags(v)
+    _add_settings(v, _ENGINE_KEYS)
     v.set_defaults(func=cmd_monotone)
 
     v = vsub.add_parser("hopf", help="linear boundary decay of the f=1 solve")
     _add_problem_flags(v)
-    _add_config_flags(v)
+    _add_settings(v, _SOLVE_KEYS)
     v.set_defaults(func=cmd_hopf)
 
     v = vsub.add_parser("minprinciple",
                         help="supersolution with a negative interior minimum")
     _add_problem_flags(v)
-    _add_config_flags(v)
+    # only the quartic is built on a grid: main reads nothing for --profile
+    _add_settings(v, ("grid_size",))
     v.add_argument("--quartic", action="store_true",
                    help="use the built-in quartic test profile")
     v.add_argument("--profile", default=None, help="profile CSV to probe")
@@ -520,7 +517,9 @@ def main(argv=None) -> int:
         # --out costs no run
         if args.out is not None:
             args.out, made = _out_dir(args.out)
-        reads = _READS.get(_command(args), ())
+        # cone and the barrier checks read no settings, nor does --profile
+        reads = (() if getattr(args, "profile", None) is not None
+                 else getattr(args, "reads", ()))
         solver_cfg, iter_cfg = resolve_configs(args, reads)
         run = args.func(args, solver_cfg, iter_cfg)
         for line in run.lines:
@@ -528,7 +527,7 @@ def main(argv=None) -> int:
         if run.passed is not None:
             print(f"{args.check}: {'PASS' if run.passed else 'FAIL'}")
         if args.out is not None:
-            params = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
+            params = {k: v for k, v in vars(args).items() if k not in ("func", "out", "reads")}
             config = _recorded(reads, solver_cfg, iter_cfg)
             inputs = _input_hashes(args)
             paths = [args.out / name for name in run.outputs]
@@ -556,9 +555,8 @@ def main(argv=None) -> int:
         code = 1
     except (InconsistencyError, SearchError) as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
-        detail = getattr(exc, "trace", None) or getattr(exc, "diagnostics", None)
-        if detail:
-            print(json.dumps(detail, sort_keys=True, default=_jsonable),
+        if exc.trace:
+            print(json.dumps(exc.trace, sort_keys=True, default=_jsonable),
                   file=sys.stderr)
         code = 2
     except ConvergenceError as exc:

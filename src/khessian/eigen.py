@@ -419,8 +419,7 @@ def rayleigh_quotient(profile: RadialProfile) -> float:
     return float(num / den)
 
 
-def minimum_principle_probe(profile: RadialProfile, lam: float,
-                            rhs: float = 0.0) -> dict:
+def minimum_principle_probe(profile: RadialProfile, lam: float) -> dict:
     """Nodewise supersolution certificate plus interior-minimum report.
 
     A certified supersolution with zero boundary data and a negative
@@ -428,7 +427,7 @@ def minimum_principle_probe(profile: RadialProfile, lam: float,
     an upper bound for the principal eigenvalue is demonstrated: below
     the eigenvalue such a function could not exist.
 
-    A node passes when S_k(D^2 u) + lam u |u|^(k-1) <= rhs or its Hessian
+    A node passes when S_k(D^2 u) + lam u |u|^(k-1) <= 0 or its Hessian
     leaves the closed cone Sigma_k (a non-admissible Hessian is never
     touched from below by an admissible test function).  The radial
     Hessian is diagonal with spectrum h'' and h'/r repeated N-1 times,
@@ -438,7 +437,6 @@ def minimum_principle_probe(profile: RadialProfile, lam: float,
     cones.membership_slack.  Leaving the float range raises DomainError.
     """
     check_real("lam", lam, 0, math.inf, "[)")
-    check_real("rhs", rhs)
     N, k = profile.N, profile.k
     r, h, hpp = profile.r, profile.h, profile.hpp
     with float_range(f"the profile or lam = {lam!r} is out of range for N = {N}, k = {k}"):
@@ -447,7 +445,7 @@ def minimum_principle_probe(profile: RadialProfile, lam: float,
         slack = 1e-10 * (1.0 + np.linalg.norm(spectra, axis=1)) ** k
         sig = sigma_all(np.sort(spectra, axis=1))
         admissible = np.all(sig[:, 1 : k + 1] >= -slack[:, None], axis=1)
-        ok = (sig[:, k] + lam * h * np.abs(h) ** (k - 1) <= rhs) | ~admissible
+        ok = (sig[:, k] + lam * h * np.abs(h) ** (k - 1) <= 0.0) | ~admissible
     interior = profile.r < profile.R
     interior_min = float(np.min(profile.h[interior]))
     argmin = int(np.argmin(profile.h))

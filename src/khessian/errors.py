@@ -82,11 +82,12 @@ class ConvergenceError(KHessianError):
 
 
 class SearchError(KHessianError):
-    """A parameter search exhausted its range without success."""
+    """A parameter search exhausted its range without success; carries a
+    trace of the values it ended on, as InconsistencyError does."""
 
-    def __init__(self, message, diagnostics=None):
+    def __init__(self, message, trace=None):
         super().__init__(message)
-        self.diagnostics = diagnostics or {}
+        self.trace = trace or {}
 
 
 class InconsistencyError(KHessianError):

@@ -239,7 +239,7 @@ def verify_log_boundary_barrier(field: CurvatureField, k: int, fsup: float,
     if not beta > 0:
         raise SearchError(
             "log barrier infeasible: augmented sigma_j not positive on the collar",
-            diagnostics={"beta": beta, "t": t, "d0": d0},
+            trace={"beta": beta, "t": t, "d0": d0},
         )
     beta_eff = 0.5 * beta
     log_d0 = math.log1p(t * d0)

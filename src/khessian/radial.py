@@ -210,17 +210,18 @@ def quartic_test_profile(R: float, N: int, k: int, grid_size: int) -> RadialProf
     return RadialProfile(N=N, k=k, r=r, h=h, hp=hp, hpp=hpp, k_convex=False)
 
 
-def hopf_linear_bound(profile: RadialProfile, r_in: Optional[float] = None,
-                      m: Optional[float] = None) -> dict:
+def hopf_linear_bound(profile: RadialProfile) -> dict:
     """Linear boundary decay of a nonpositive radial profile via the barrier.
 
     Mirrors the Hopf argument on the ball: the exponential supersolution
     w(r) = C0 (e^{-mR} - e^{-mr}) dominates the profile on the boundary
     annulus [r_in, R] once C0 = h(r_in) / (e^{-mR} - e^{-m r_in}) matches
     it on the inner sphere, and expanding w at r = R gives
-    h(r) <= -C1 (R - r) with C1 = C0 m e^{-mR}.  The rate must satisfy
-    m > (N - k)/(k r_in) so that w is a strict supersolution there.  The
-    claimed inequality is checked literally on the annulus nodes; the
+    h(r) <= -C1 (R - r) with C1 = C0 m e^{-mR}.  The barrier is fixed:
+    r_in = R/2 and m = 1.05 (N - k)/(k r_in) + 1/R, above the floor
+    (N - k)/(k r_in) where w stops being a strict supersolution; a rate
+    whose e^{-mR} underflows certifies nothing and raises DomainError.
+    The claimed inequality is checked literally on the annulus nodes; the
     report carries the constants, the worst margin
     min(-C1 (R - r) - h(r)), and the pass flag.
     """
@@ -229,21 +230,20 @@ def hopf_linear_bound(profile: RadialProfile, r_in: Optional[float] = None,
     if np.any(profile.h > 0):
         raise DomainError("hopf bound harness expects a nonpositive profile")
     R = profile.R
-    r_in = 0.5 * R if r_in is None else r_in
-    check_real("inner radius r_in", r_in, 0, R, "()")
+    # r_in and the floor's division by it need 1/R to be a float
+    _check_ball(R, profile.N, profile.k, {"R^(-1)": -1})
+    r_in = 0.5 * R
     floor = (profile.N - profile.k) / (profile.k * r_in)
-    m = 1.05 * floor + 1.0 / R if m is None else m
-    check_real("rate m", m, floor, math.inf, "()")
+    m = 1.05 * floor + 1.0 / R
+    # m R = 2.1 (N - k)/k + 1 whatever R is, so a large N alone underflows
+    if math.exp(-m * R) == 0.0:
+        raise DomainError(f"rate m={m!r} is out of range: e^(-m r) underflows on [r_in, R]")
 
     h_at = float(np.interp(r_in, profile.r, profile.h))
-    denom = math.exp(-m * R) - math.exp(-m * r_in)
-    if denom == 0.0:
-        raise DomainError(f"rate m={m!r} is out of range: e^(-m r) underflows on [r_in, R]")
-    C0 = h_at / denom
+    C0 = h_at / (math.exp(-m * R) - math.exp(-m * r_in))
     C1 = C0 * m * math.exp(-m * R)
     collar = profile.r >= r_in
-    margins = -C1 * (R - profile.r[collar]) - profile.h[collar]
-    worst = float(np.min(margins)) if margins.size else 0.0
+    worst = float(np.min(-C1 * (R - profile.r[collar]) - profile.h[collar]))
     return {
         "r_in": float(r_in),
         "m": float(m),

@@ -376,6 +376,27 @@ def test_verify_minprinciple_profile_radius_must_be_its_outer_radius(tmp_path, c
     assert "PASS" in capsys.readouterr().out
 
 
+def test_verify_minprinciple_profile_reads_no_settings(tmp_path, capsys):
+    # only the quartic is built on a grid: a --grid or a grid_size key with
+    # --profile was once accepted and recorded although nothing read it
+    prof = tmp_path / "p.csv"
+    quartic_test_profile(1.0, 2, 2, 64).save_csv(prof)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("grid_size = 64\n")
+    problem = ["verify", "minprinciple", "--dim", "2", "--order", "2", "--radius", "1",
+               "--profile", prof]
+    for extra, message in (
+            (["--grid", "4096"],
+             "--grid is not read by this khess verify minprinciple run"),
+            (["--config", cfg],
+             f"{cfg}:1: config key 'grid_size' is not read by khess verify minprinciple")):
+        assert run(problem + extra + ["--out", tmp_path / "bad"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "bad").exists()
+    assert run(problem + ["--out", tmp_path / "o"]) == 0
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["config"] == {}
+
+
 def _write_field(path, kappas) -> None:
     """A field JSON at the origin with the curvatures of each sample in the
     order given."""
@@ -398,6 +419,22 @@ def test_barrier_field_dimension_must_match_dim(check, tmp_path, capsys):
         assert err == f"error: --dim {dim} is not the field's dimension 3\n"
         assert not (tmp_path / dim).exists()
     assert run(argv + ["--dim", "3"]) == 0
+
+
+@pytest.mark.parametrize("check", _BARRIER_CHECKS, ids=["exp", "log"])
+def test_barrier_samples_are_read_only_with_a_sphere(check, tmp_path, capsys):
+    # --samples 999 on a 16-sample field once exited 0 and was recorded
+    path = tmp_path / "field.json"
+    save_field_json(path, ellipsoid_field([1.0, 0.8, 0.6], n_samples=16))
+    argv = ["verify", *check, "--dim", "3", "--order", "2", "--t", "1", "--d0", "0.1"]
+    assert run(argv + ["--field", path, "--samples", "999", "--out", tmp_path / "bad"]) == 1
+    assert capsys.readouterr().err == "error: --samples is read only with --sphere\n"
+    assert not (tmp_path / "bad").exists()
+    # a sphere keeps its default of 32 samples, in the report and the manifest
+    assert run(argv + ["--sphere", "1", "--out", tmp_path / "o"]) == 0
+    assert json.loads((tmp_path / "o" / "report.json").read_text())["samples"] == 32
+    man = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert man["parameters"]["samples"] == 32
 
 
 @pytest.mark.parametrize("check", _BARRIER_CHECKS, ids=["exp", "log"])
@@ -872,6 +909,9 @@ def test_manifest_hashes_the_input_files(tmp_path, monkeypatch, capsys):
 def test_manifest_inputs_name_every_file_read(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("grid_size = 64\n")
+    # a probe of a --profile file reads no settings key
+    empty = tmp_path / "e.cfg"
+    empty.write_text("# no key\n")
     src = tmp_path / "f.csv"
     src.write_text("r,f\n0,1\n1,2\n")
     prof = tmp_path / "p.csv"
@@ -880,13 +920,13 @@ def test_manifest_inputs_name_every_file_read(tmp_path, capsys):
         (["solve", "--source", f"file:{src}"], [cfg, src]),
         (["solve", "--source", str(src)], [cfg, src]),
         (["solve", "--source", "const:1"], [cfg]),
-        (["verify", "minprinciple", "--profile", str(prof)], [cfg, prof]),
+        (["verify", "minprinciple", "--profile", str(prof)], [empty, prof]),
         (["verify", "minprinciple", "--quartic"], [cfg]),
     ]
     for i, (argv, read) in enumerate(cases):
         out = tmp_path / f"o{i}"
         assert run(argv + ["--dim", "2", "--order", "2", "--radius", "1",
-                           "--config", cfg, "--out", out]) in (0, 2)
+                           "--config", read[0], "--out", out]) in (0, 2)
         man = json.loads((out / "manifest.json").read_text())
         assert sorted(man["inputs"]) == sorted(str(p) for p in read)
 

@@ -263,20 +263,20 @@ class AdmissibleJet:
         object.__setattr__(self, "hessian", as_symmetric(self.hessian))
 
 
-def classical_supersolution_at(jet, k, lam, rhs=0.0):
+def classical_supersolution_at(jet, k, lam):
     """Pointwise classical supersolution test (disjunctive form).
 
-    A point passes when S_k(D^2 u) + lam u |u|^(k-1) <= rhs holds or the
+    A point passes when S_k(D^2 u) + lam u |u|^(k-1) <= 0 holds or the
     Hessian leaves the closed admissibility cone: a non-admissible Hessian
     can never be touched from below by an admissible test function, so it
     counts vacuously.
     """
     v = jet.value
-    return (s_k_op(jet.hessian, k) + lam * v * abs(v) ** (k - 1) <= rhs
+    return (s_k_op(jet.hessian, k) + lam * v * abs(v) ** (k - 1) <= 0.0
             or not in_sigma_k(jet.hessian, k, strict=False))
 
 
-def jet_loop_probe(profile, lam, rhs=0.0):
+def jet_loop_probe(profile, lam):
     """The probe written out node by node on N x N jets, as a reference.
 
     Each node builds the diagonal radial Hessian as a matrix and asks
@@ -299,7 +299,7 @@ def jet_loop_probe(profile, lam, rhs=0.0):
         grad = np.zeros(N)
         grad[0] = pp
         jet = AdmissibleJet(point=point, value=float(hh), gradient=grad, hessian=hess)
-        ok[i] = classical_supersolution_at(jet, k, lam, rhs)
+        ok[i] = classical_supersolution_at(jet, k, lam)
     interior_min = float(np.min(profile.h[profile.r < profile.R]))
     failed = np.flatnonzero(~ok)
     return {
@@ -333,12 +333,11 @@ def test_minimum_principle_probe_matches_jet_loop_on_quartics():
                 for lam in (0.0, upper_bound(n, k, R),
                             1.000001 * quartic_sharp_constant(n, k, R)):
                     assert minimum_principle_probe(prof, lam) == jet_loop_probe(prof, lam)
-    # the 513-node runs of khess verify minprinciple, and a nonzero rhs
+    # the 513-node runs of khess verify minprinciple
     for n, k, lam in ((2, 2, upper_bound(2, 2, 1.0)),
                       (3, 2, 1.000001 * quartic_sharp_constant(3, 2, 1.0))):
         prof = quartic_test_profile(1.0, n, k, 512)
         assert minimum_principle_probe(prof, lam) == jet_loop_probe(prof, lam)
-        assert minimum_principle_probe(prof, lam, -1.0) == jet_loop_probe(prof, lam, -1.0)
 
 
 def test_minimum_principle_probe_matches_jet_loop_on_eigenfunctions(est21, est22):
@@ -353,8 +352,9 @@ def test_minimum_principle_probe_matches_jet_loop_on_eigenfunctions(est21, est22
 def test_minimum_principle_probe_matches_jet_loop_at_the_cone_boundary():
     # spectra (h'', q, ..., q) with sigma_k = C(N-1,k-1) q^(k-1) eps just
     # inside or outside the closed cone, eps = c times the membership
-    # slack; with rhs = -1 every admissible node fails, so the report
-    # counts exactly the nodes the slack lets in
+    # slack; with h = r^2 + 1 and lam = 1 every admissible node fails, as
+    # S_k + h^k >= 1 - slack > 0 there, so the report counts exactly the
+    # nodes the slack lets in
     rng = np.random.default_rng(5)
     r = np.linspace(0.0, 1.0, 65)
     for n in range(1, 7):
@@ -364,9 +364,9 @@ def test_minimum_principle_probe_matches_jet_loop_at_the_cone_boundary():
             norm = np.sqrt(hpp**2 + (n - 1) * q**2)
             c = np.resize([-3.0, -1.5, -0.9, -0.5, 0.5], r.size)
             eps = c * 1e-10 * (1.0 + norm) ** k / (math.comb(n - 1, k - 1) * q ** (k - 1))
-            prof = RadialProfile(N=n, k=k, r=r, h=r**2 - 1.0, hp=q * r, hpp=hpp + eps)
-            rep = minimum_principle_probe(prof, 0.0, -1.0)
-            assert rep == jet_loop_probe(prof, 0.0, -1.0)
+            prof = RadialProfile(N=n, k=k, r=r, h=r**2 + 1.0, hp=q * r, hpp=hpp + eps)
+            rep = minimum_principle_probe(prof, 1.0)
+            assert rep == jet_loop_probe(prof, 1.0)
             assert 0 < rep["n_failed_nodes"] < r.size
 
 

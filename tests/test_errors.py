@@ -50,7 +50,7 @@ from khessian.geometry import (
     verify_exp_boundary_barrier,
     verify_log_boundary_barrier,
 )
-from khessian.radial import hopf_linear_bound, quartic_test_profile, s_k_radial
+from khessian.radial import quartic_test_profile, s_k_radial
 from khessian.symfun import in_gamma_k
 
 _R = np.linspace(0.0, 1.0, 65)
@@ -129,7 +129,7 @@ def test_check_int_names_the_argument_and_its_range():
 _FAST = dict(cfg=IterationConfig(n_max=10, bisect_tol=0.1),
              solver_cfg=SolverConfig(grid_size=64))
 _GRID = SolverConfig(grid_size=64)
-# the quartic on the ball of radius 2: r_in = 1 and the rate floor 1 at N = 2, k = 1
+# the quartic on the ball of radius 2
 _QUARTIC = quartic_test_profile(2.0, 2, 1, 64)
 # tube bound 1/(2 mu) = 2, so a collar width of 1 fits
 _SPHERE = sphere_field(4.0, 3)
@@ -150,8 +150,6 @@ REAL_SITES = {
         (lambda v: quartic_test_profile(v, 2, 1, 64), 1, 0, False),
         (lambda v: make_grid(v, 4), 1, math.inf, False),
     ],
-    "inner radius r_in": [(lambda v: hopf_linear_bound(_QUARTIC, r_in=v), 1, 2.0, True)],
-    "rate m": [(lambda v: hopf_linear_bound(_QUARTIC, m=v), 3, 1.0, True)],
     "source constant c": [(lambda v: SourceTerm.constant(v), 1, _BELOW_0, False)],
     "tol_residual": [(lambda v: SolverConfig(tol_residual=v), 1, 0, False)],
     "inner radius r_inner": [
@@ -169,7 +167,6 @@ REAL_SITES = {
         (lambda v: verify_exp_boundary_barrier(_SPHERE, 2, v, 3.0, 0.1), 1, _BELOW_0, False),
     ],
     "bisect_tol": [(lambda v: IterationConfig(bisect_tol=v), 1, 0, True)],
-    "rhs": [(lambda v: minimum_principle_probe(_QUARTIC, 1.0, rhs=v), 0, None, False)],
     "collar width d0": [
         (lambda v: verify_exp_boundary_barrier(_SPHERE, 2, 1.0, 3.0, v), 1, 0, False),
         (lambda v: verify_log_boundary_barrier(_SPHERE, 2, 1.0, 1.0, 3.0, v), 1, math.inf,
@@ -249,8 +246,6 @@ def test_check_real_names_the_argument_and_its_interval():
         check_real("radius R", math.nan, 0, math.inf, "()")
     with pytest.raises(DomainError, match=r"^alpha='1' must be a real number in \(0, 1\]$"):
         check_real("alpha", "1", 0, 1, "(]")
-    with pytest.raises(DomainError, match=r"^rhs=None must be a real number in \[-inf, inf\]$"):
-        check_real("rhs", None)
     with pytest.raises(DomainError, match=r"^lam=True must be a real number in \[0, inf\)$"):
         check_real("lam", True, 0, math.inf, "[)")
     # the closed ends take their bounds, inf included

@@ -145,18 +145,39 @@ def test_quartic_operator_inequality():
 
 def test_exp_barrier_rate_floor_enforced():
     # the Hopf barrier C0 (e^{-mR} - e^{-mr}) is a strict supersolution on
-    # [r_in, R] only for m > (N - k)/(k r_in)
+    # [r_in, R] only for m > (N - k)/(k r_in); the barrier is fixed at
+    # r_in = R/2 and 1.05 times that floor plus 1/R
+    for N, k, R in ((3, 2, 1.0), (2, 2, 0.5), (5, 1, 3.0), (6, 3, 1e-3)):
+        r = np.linspace(0.0, R, 257)
+        prof = RadialProfile(N=N, k=k, r=r, h=(r * r - R * R) / 2.0, hp=r,
+                             hpp=np.ones_like(r))
+        report = hopf_linear_bound(prof)
+        floor = (N - k) / (k * (0.5 * R))
+        assert report["r_in"] == 0.5 * R
+        assert report["m"] == 1.05 * floor + 1.0 / R
+        assert report["m"] > floor
+
+
+def _unit_paraboloid(N, k):
     r = np.linspace(0.0, 1.0, 257)
-    prof = RadialProfile(N=3, k=2, r=r, h=(r * r - 1.0) / 2.0, hp=r,
-                         hpp=np.ones_like(r), k_convex=True)
-    floor = (3 - 2) / (2 * 0.4)
-    assert hopf_linear_bound(prof, r_in=0.4, m=1.01 * floor)["m"] == 1.01 * floor
-    for m in (floor, 0.5 * floor):
-        with pytest.raises(DomainError):
-            hopf_linear_bound(prof, r_in=0.4, m=m)
-    # e^{-mR} and e^{-m r_in} both underflow: the barrier's C0 once divided by 0
-    with pytest.raises(DomainError, match=r"^rate m=10000\.0 is out of range"):
-        hopf_linear_bound(prof, r_in=0.4, m=1e4)
+    return RadialProfile(N=N, k=k, r=r, h=(r * r - 1.0) / 2.0, hp=r, hpp=np.ones_like(r))
+
+
+def test_hopf_bound_refuses_a_rate_whose_decay_underflows():
+    # m R = 2.1 (N - k)/k + 1 whatever R is, so at k = 1 e^{-mR} underflows
+    # from N = 356 on; such a barrier once passed with C1 = 0, which
+    # certifies nothing, or failed with C0 = inf and C1 = NaN
+    report = hopf_linear_bound(_unit_paraboloid(300, 1))
+    assert report["passed"] and report["C1"] > 0
+    for N in (356, 500, 700, 1000):
+        with pytest.raises(DomainError, match=r"^rate m=.* is out of range: e\^\(-m r\) "
+                                              r"underflows on \[r_in, R\]$"):
+            hopf_linear_bound(_unit_paraboloid(N, 1))
+    # on [0, 5e-324] r_in = R/2 rounds to 0 and the floor divides by it
+    tiny = RadialProfile(N=2, k=1, r=np.array([0.0, 5e-324]), h=np.array([-1e-300, 0.0]),
+                         hp=np.zeros(2), hpp=np.zeros(2))
+    with pytest.raises(DomainError, match=r"^radius 5e-324 is out of range"):
+        hopf_linear_bound(tiny)
 
 
 def test_hopf_bound_on_closed_form():
