@@ -400,7 +400,9 @@ def _add_settings(p, reads):
     if "bisect_tol" in reads:
         p.add_argument("--bisect-tol", type=float, default=None, dest="bisect_tol",
                        help="widest eigenvalue bracket accepted (default: 1e-10 "
-                            "times its upper end)")
+                            "times its upper end); rounding floors it near "
+                            "4k*size*2.2e-16 times the eigenvalue, so fine grids "
+                            "need a larger value")
 
 
 def _add_field_flags(p):

@@ -64,7 +64,12 @@ def membership_slack(matrix, k: int) -> float:
     check_int("order k", k, 0)
     a = np.asarray(matrix, dtype=float)
     # a float64 power: inf where a Python float power would raise
-    return float(1e-10 * (1.0 + np.linalg.norm(a)) ** k)
+    return float(_slack(np.linalg.norm(a), k))
+
+
+def _slack(frobenius, k: int):
+    """1e-10 (1 + ||A||_F)^k, from the Frobenius norm of each matrix."""
+    return 1e-10 * (1.0 + frobenius) ** k
 
 
 def in_sigma_k(matrix, k: int, strict: bool = False) -> bool:

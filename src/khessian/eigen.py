@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from .cones import _slack
 from .dirichlet import (SolverConfig, _FirstIntegral, _weighted_moment_cumulative,
                         holder_seminorm, make_grid)
 from .errors import DomainError, InconsistencyError, check_int, check_real, float_range
@@ -64,7 +65,10 @@ class IterationConfig:
     """Knobs for the eigenvalue bracket and the fixed-lambda runs.
 
     bisect_tol caps the width of the returned bracket and defaults to
-    1e-10 times its upper end.  A run or probe that reaches n_max
+    1e-10 times its upper end.  Rounding floors that width at about
+    2 k (2 size + 16) eps lambda_1 on a grid of size nodes, so a width
+    below it raises DomainError, and fine grids need a larger
+    bisect_tol (see estimate_lambda1).  A run or probe that reaches n_max
     undecided ends n-max.
     """
 
@@ -282,6 +286,10 @@ class SpectralEstimate:
 # Power-iteration solves allowed before an unclosed bracket is an error;
 # the bracket contracts by the spectral gap each step and closes in tens.
 _POWER_MAX_SOLVES = 200
+# A bracket width below _FLOOR rounding lambda_lo can never be reached
+# (see estimate_lambda1); 1.9 rather than 2 leaves room for the rounding
+# of the bracket ends themselves.
+_FLOOR = 1.9
 # Cross-check probes sit at lambda_lo (1 - eps) and lambda_hi (1 + eps)^k,
 # on either side of the certified bracket however wide it is: the blow-up
 # rate per iteration is about (lam / lambda_1)^(1/k), so the k-th power
@@ -298,7 +306,16 @@ def estimate_lambda1(R: float, N: int, k: int,
     the Collatz-Wielandt bracket [min, max] of (v/a)^k over the interior
     nodes, and v <- a / max a.  The loop stops once the bracket, widened
     by a floating-point rounding allowance, is no wider than
-    cfg.bisect_tol (default 1e-10 lambda_hi).  The bracket encloses the
+    cfg.bisect_tol (default 1e-10 lambda_hi).  The allowance rho =
+    k (2 size + 16) eps grows with the grid, and the widened bracket is
+    never narrower than rho (max + min) >= 2 rho lambda_lo.  The
+    Collatz-Wielandt lower quotient never falls along the iteration, nor
+    does the default width ever grow, so once the requested width is
+    below 1.9 rho lambda_lo no later step can close the bracket: the run
+    raises DomainError at once, where it would otherwise fail after 200
+    solves, and no run that closes is refused.  With the default width
+    that happens from about 33k nodes at k = 6 and 131k at k = 2; such
+    grids need a larger bisect_tol.  The bracket encloses the
     lambda_1 of the discretized problem, not the PDE's: at 512 intervals
     the PDE value lies about 2e-6 to 5e-6 (relative) below it.
     lambda_best is its midpoint and the eigenfunction is the last solve
@@ -342,6 +359,12 @@ def _estimate(R: float, N: int, k: int, cfg: IterationConfig,
         tol = cfg.bisect_tol if cfg.bisect_tol is not None else 1e-10 * hi
         if hi - lo <= tol:
             break
+        if tol < _FLOOR * rounding * lo:
+            raise DomainError(
+                f"bracket width {tol:.3e} is below the rounding floor "
+                f"{_FLOOR * rounding * lo:.3e} of a grid of {solver_cfg.grid_size} "
+                "intervals: raise bisect_tol or coarsen the grid"
+            )
         # rest never increases along r, so a[0] is max(a)
         np.divide(a, a[0], out=v)
     else:
@@ -433,8 +456,9 @@ def minimum_principle_probe(profile: RadialProfile, lam: float) -> dict:
     Hessian is diagonal with spectrum h'' and h'/r repeated N-1 times,
     h'' repeated N times at the origin, so one batched sigma_all over the
     sorted spectra decides every node.  Cone membership allows the slack
-    1e-10 (1 + |spectrum|_2)^k, the Frobenius norm of that Hessian, as in
-    cones.membership_slack.  Leaving the float range raises DomainError.
+    of cones.membership_slack, 1e-10 (1 + |spectrum|_2)^k with |spectrum|_2
+    the Frobenius norm of that Hessian.  Leaving the float range raises
+    DomainError.
     """
     check_real("lam", lam, 0, math.inf, "[)")
     N, k = profile.N, profile.k
@@ -442,7 +466,7 @@ def minimum_principle_probe(profile: RadialProfile, lam: float) -> dict:
     with float_range(f"the profile or lam = {lam!r} is out of range for N = {N}, k = {k}"):
         tangential = np.divide(profile.hp, r, out=hpp.copy(), where=r > 0)
         spectra = np.column_stack([hpp] + [tangential] * (N - 1))
-        slack = 1e-10 * (1.0 + np.linalg.norm(spectra, axis=1)) ** k
+        slack = _slack(np.linalg.norm(spectra, axis=1), k)
         sig = sigma_all(np.sort(spectra, axis=1))
         admissible = np.all(sig[:, 1 : k + 1] >= -slack[:, None], axis=1)
         ok = (sig[:, k] + lam * h * np.abs(h) ** (k - 1) <= 0.0) | ~admissible

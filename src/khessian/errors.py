@@ -81,23 +81,21 @@ class ConvergenceError(KHessianError):
     """An iterative procedure failed to meet its tolerance."""
 
 
-class SearchError(KHessianError):
-    """A parameter search exhausted its range without success; carries a
-    trace of the values it ended on, as InconsistencyError does."""
+class _TracedError(KHessianError):
+    """An error that carries a trace of the values it ended on, for forensics."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace or {}
 
 
-class InconsistencyError(KHessianError):
+class SearchError(_TracedError):
+    """A parameter search exhausted its range without success."""
+
+
+class InconsistencyError(_TracedError):
     """Computed quantities contradict a structural guarantee.
 
     Raised e.g. when the fixed-point iteration loses monotonicity or its
-    verdict contradicts the eigenvalue bracket; carries a trace for
-    forensics.
+    verdict contradicts the eigenvalue bracket.
     """
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace or {}

@@ -6,13 +6,15 @@ neighborhood.  Near the boundary the Hessian of the distance function has
 eigenvalues -kappa_i / (1 - kappa_i d) plus a zero in the normal
 direction, so compositions g(d) reduce to symmetric-function algebra on
 those values.  The two verifiers certify the exponential and logarithmic
-boundary barriers on every sample x depth cell of the collar.  The sigma
-recurrence runs on the N-1 tangential columns as (samples, depths)
-arrays plus the normal value, order-major; each order is reduced to its
-minimum over the samples first, and the barrier factors, all positive,
-scale those (k, depths) minima.  Scaling by a positive factor and
-subtracting a fixed value both round monotonically, so this is exactly
-the minimum of the cellwise products.
+boundary barriers on every sample x depth cell of the collar through one
+collar routine: _collar_depths checks k, t, d0 and n_depth, the recurrence
+takes each barrier's normal entry (t, or t/(1 + t d)), and _collar_report
+builds the keys both reports share.  The sigma recurrence runs on the N-1
+tangential columns as (samples, depths) arrays plus the normal value,
+order-major; each order is reduced to its minimum over the samples first,
+and the barrier factors, all positive, scale those (k, depths) minima.
+Scaling by a positive factor and subtracting a fixed value both round
+monotonically, so this is exactly the minimum of the cellwise products.
 """
 
 from __future__ import annotations
@@ -136,8 +138,12 @@ def augment_r(field: CurvatureField, k: int) -> float:
 _SAMPLE_BLOCK = 256
 
 
-def _collar_depths(field: CurvatureField, d0: float, n_depth: int) -> np.ndarray:
-    """The sampled depths d0 i / n_depth, i = 1..n_depth, inside the tube."""
+def _collar_depths(field: CurvatureField, k: int, t: float, d0: float,
+                   n_depth: int) -> np.ndarray:
+    """Check the collar arguments both barriers share; return the sampled
+    depths d0 i / n_depth, i = 1..n_depth, inside the tube."""
+    check_int("order k", k, 1, field.ambient_dim, "N")
+    check_real("rate t", t, 0, math.inf, "()")
     check_real("collar width d0", d0, 0, math.inf, "()")
     mu = field.mu
     if mu > 0 and d0 > 1.0 / (2.0 * mu):
@@ -148,26 +154,45 @@ def _collar_depths(field: CurvatureField, d0: float, n_depth: int) -> np.ndarray
     return np.linspace(0.0, d0, n_depth + 1)[1:]
 
 
-def _collar_sigma_min(field: CurvatureField, depths: np.ndarray, t: float,
-                      k: int, damped: bool = False) -> np.ndarray:
-    """min over samples of sigma_j(kappa_i/(1 - kappa_i d), n), j = 1..k.
+def _collar_sigma_min(field: CurvatureField, depths: np.ndarray, k: int,
+                      normal) -> np.ndarray:
+    """min over samples of sigma_j(kappa_i/(1 - kappa_i d), normal(d)), j = 1..k.
 
-    The normal entry n is t, or t/(1 + t d) when damped; the result has shape (k, D).
-    The N-1 tangential entries go to the recurrence as (samples, depths)
-    columns, _SAMPLE_BLOCK samples at a time.  An overflow anywhere raises
+    The result has shape (k, D).  normal maps the depths to the normal
+    entry, t or t/(1 + t d), inside the float-range guard.  The N-1
+    tangential entries go to the recurrence as (samples, depths) columns,
+    _SAMPLE_BLOCK samples at a time.  An overflow anywhere raises
     DomainError: an overflowed partial sum stays +inf after later negative
     terms, so such a sigma_j can have the wrong sign, and the minimum over
     samples would hide it.
     """
     minima = []
     with float_range("sigma_j on the collar overflows"):
-        normal = t / (1.0 + t * depths) if damped else t
+        entry = normal(depths)
         for start in range(0, field.n_samples, _SAMPLE_BLOCK):
             kap = field.kappas[start : start + _SAMPLE_BLOCK].T[:, :, None]
             tangential = kap / (1.0 - kap * depths)
-            sig = _sigma_columns([*tangential, normal], k)
+            sig = _sigma_columns([*tangential, entry], k)
             minima.append(np.min(sig[1:], axis=1))
     return np.minimum.reduce(minima)
+
+
+def _collar_report(kind: str, field: CurvatureField, k: int, t: float, d0: float,
+                   sj: np.ndarray, margin: np.ndarray) -> dict:
+    """The report keys both barriers share, from S_j minimized over samples
+    at every (j, depth) and the margin at every depth."""
+    min_sj = float(np.min(sj))
+    return {
+        "kind": kind,
+        "k": k,
+        "t": float(t),
+        "d0": float(d0),
+        "samples": field.n_samples,
+        "depth_nodes": sj.shape[1],
+        "min_sj": min_sj,
+        "worst_margin": float(np.min(margin)),
+        "admissible": bool(min_sj > 0),
+    }
 
 
 def verify_exp_boundary_barrier(field: CurvatureField, k: int, lam: float,
@@ -182,35 +207,23 @@ def verify_exp_boundary_barrier(field: CurvatureField, k: int, lam: float,
     factor on the minimum over samples of each sigma_j.  Raises
     DomainError when a factor t^j e^{-j t d} or an S_j overflows.
     """
-    check_int("order k", k, 1, field.ambient_dim, "N")
     check_real("lam", lam, 0, math.inf, "[)")
-    check_real("rate t", t, 0, math.inf, "()")
-    depths = _collar_depths(field, d0, n_depth)
+    depths = _collar_depths(field, k, t, d0, n_depth)
     j = np.arange(1, k + 1)
     # t^j e^{-j t d} at every (j, depth), shape (k, D), checked before the recurrence
     with float_range("barrier factor t^j e^{-j t d} overflows "
                      f"at t = {t!r}, d0 = {d0!r}"):
         fac = (t**j * np.exp(-j * t * depths[:, None])).T
-    sig = _collar_sigma_min(field, depths, t, k)
+    sig = _collar_sigma_min(field, depths, k, lambda d: t)
     # S_j minimized over samples at every (j, depth)
     with float_range(f"S_j overflows at t = {t!r}, d0 = {d0!r}"):
         sj = fac * sig
     phi = np.exp(-t * depths) - 1.0
-    min_sj = float(np.min(sj))
-    worst_margin = float(np.min(sj[-1] - lam * np.abs(phi) ** k))
-    return {
-        "kind": "exp-barrier",
-        "k": k,
-        "lam": float(lam),
-        "t": float(t),
-        "d0": float(d0),
-        "samples": field.n_samples,
-        "depth_nodes": int(n_depth),
-        "min_sj": float(min_sj),
-        "worst_margin": float(worst_margin),
-        "admissible": bool(min_sj > 0),
-        "passed": bool(min_sj > 0 and worst_margin > 0),
-    }
+    report = _collar_report("exp-barrier", field, k, t, d0, sj,
+                            sj[-1] - lam * np.abs(phi) ** k)
+    report.update(lam=float(lam),
+                  passed=report["admissible"] and report["worst_margin"] > 0)
+    return report
 
 
 def verify_log_boundary_barrier(field: CurvatureField, k: int, fsup: float,
@@ -228,13 +241,11 @@ def verify_log_boundary_barrier(field: CurvatureField, k: int, fsup: float,
     0 or M, a factor amp^j or an S_j overflows, where no finite amplitude
     certifies anything.
     """
-    check_int("order k", k, 1, field.ambient_dim, "N")
     check_real("fsup", fsup, 0, math.inf, "[)")
     check_real("usup", usup, 0, math.inf, "[)")
-    check_real("rate t", t, 0, math.inf, "()")
-    depths = _collar_depths(field, d0, n_depth)
+    depths = _collar_depths(field, k, t, d0, n_depth)
     # sigma_j minimized over samples at every (j, depth), shape (k, D)
-    sig = _collar_sigma_min(field, depths, t, k, damped=True)
+    sig = _collar_sigma_min(field, depths, k, lambda d: t / (1.0 + t * d))
     beta = float(np.min(sig))
     if not beta > 0:
         raise SearchError(
@@ -258,26 +269,11 @@ def verify_log_boundary_barrier(field: CurvatureField, k: int, fsup: float,
         # a numpy M t raises on overflow, where a Python float turns inf
         amp = np.float64(M) * t / (1.0 + t * depths)
         sj = (amp[:, None] ** np.arange(1, k + 1)).T * sig
-    min_sj = float(np.min(sj))
-    worst_margin = float(np.min(sj[-1] - fsup))
-    report = {
-        "kind": "log-barrier",
-        "k": k,
-        "fsup": float(fsup),
-        "usup": float(usup),
-        "t": float(t),
-        "d0": float(d0),
-        "samples": field.n_samples,
-        "depth_nodes": int(n_depth),
-        "beta": float(beta),
-        "beta_eff": float(beta_eff),
-        "M": float(M),
-        "min_sj": float(min_sj),
-        "worst_margin": float(worst_margin),
-        "boundary_match": bool(M * log_d0 >= usup),
-        "admissible": bool(min_sj > 0),
-        "passed": bool(min_sj > 0 and worst_margin >= 0 and M * log_d0 >= usup),
-    }
+    report = _collar_report("log-barrier", field, k, t, d0, sj, sj[-1] - fsup)
+    matched = bool(M * log_d0 >= usup)
+    report.update(fsup=float(fsup), usup=float(usup), beta=beta, beta_eff=beta_eff,
+                  M=float(M), boundary_match=matched,
+                  passed=report["admissible"] and report["worst_margin"] >= 0 and matched)
     return M, report
 
 

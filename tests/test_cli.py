@@ -203,6 +203,18 @@ def test_eigen_with_a_loose_bisect_tol(tmp_path, capsys):
     assert [p["reason"] for p in est["diagnostics"]["probes"]] == ["supersolution", "growth"]
 
 
+def test_eigen_below_the_rounding_floor_is_an_input_error(tmp_path, capsys):
+    # the default width 1e-10 lambda_hi is below the floor of this grid;
+    # it used to exit 2 after 200 solves
+    out = tmp_path / "fine"
+    assert run(["eigen", "--dim", "6", "--order", "6", "--radius", "1",
+                "--grid", "32768", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bracket width ") and err.count("\n") == 1
+    assert "rounding floor" in err and "32768" in err
+    assert not out.exists()
+
+
 def test_eigen_json_format(tmp_path):
     out = tmp_path / "j"
     assert run(["eigen", "--dim", "2", "--order", "1", "--radius", "1",

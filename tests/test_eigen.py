@@ -436,6 +436,28 @@ def test_bisect_tol_caps_bracket_and_encloses(est21):
     assert loose.diagnostics["power_solves"] < est21.diagnostics["power_solves"]
 
 
+def test_bracket_width_below_the_rounding_floor_is_refused_at_once(monkeypatch):
+    # at 131073 nodes and k = 2 the widened bracket is never narrower than
+    # 2 rho lambda_lo = 5.2e-10 lambda, above the default 1e-10 lambda_hi
+    solves = []
+    solve_into = _FirstIntegral.solve_into
+    monkeypatch.setattr(_FirstIntegral, "solve_into",
+                        lambda self, *a: solves.append(1) or solve_into(self, *a))
+    with pytest.raises(DomainError, match=r"rounding floor .* grid of 131072 intervals"):
+        estimate_lambda1(1.0, 3, 2, solver_cfg=SolverConfig(grid_size=131072))
+    assert len(solves) <= 5
+    with pytest.raises(DomainError, match="bracket width 1.000e-300"):
+        estimate_lambda1(1.0, 2, 1, IterationConfig(bisect_tol=1e-300))
+
+
+def test_bracket_width_above_the_rounding_floor_still_closes():
+    # floor 1.9 rho lambda_lo = 1.8e-7 at 32769 nodes and k = 6
+    est = estimate_lambda1(1.0, 6, 6, IterationConfig(bisect_tol=1e-6),
+                           SolverConfig(grid_size=32768))
+    assert est.diagnostics["power_solves"] == 13
+    assert est.lambda_hi - est.lambda_lo <= 1e-6
+
+
 def test_n_max_is_undecided_and_fails_the_cross_check():
     res = iterate_fixed_lambda(5.0, 1.0, 2, 1, IterationConfig(n_max=10))
     assert not res.converged and res.reason == "n-max" and res.n_iter == 10
