@@ -9,24 +9,24 @@ Inputs are fixed, all on the unit ball: estimate_lambda1 for (N, k) in
 (2,1), (2,2), (3,2), (3,3), (5,2) at grids 512 and 2048 with default
 settings; iterate_fixed_lambda at grid 512 for (3,2) at 0.9 and 1.1^2
 times the oracle lambda_1, the two sides of the paper's dichotomy; the
-certificate probes of an estimate, _iterate on each of its two probe
-lambdas seeking the supersolution and the growth certificate as the
-estimate runs them, on one shared solver, for (2,1), (3,2) and (5,3) at
-grids 512 and 2048; rayleigh_quotient, S_k included, on the 513- and
-2049-node eigenfunctions of (3,2) and (5,3); and holder_seminorm on
+witness check of an estimate, _witnesses on the estimate's own solver,
+last power-iteration vector and witness lambdas, its three solves, for
+(2,1), (3,2) and (5,3) at grids 512 and 2048; rayleigh_quotient, S_k
+included, on the 513- and 2049-node eigenfunctions of (3,2) and (5,3);
+and holder_seminorm on
 the 2049-node eigenfunctions of (3,2) (alpha = 1/2), (4,3) (alpha =
 2/3) and (3,3) (alpha = 1) on the uniform grid, and of (3,3) on the
 graded grid.  Each bench records what it computed in extra_info (the
-bracket width and the error against the shooting oracle, the probe
-verdicts, step counts and certificates, the seminorm), so a timing is
-never read without the numbers it produced.
+bracket width and the error against the shooting oracle, the witness
+lambdas with c and q, the seminorm), so a timing is never read without
+the numbers it produced.
 """
 
 import pytest
 
-from khessian.dirichlet import SolverConfig, _FirstIntegral, holder_seminorm, make_grid
-from khessian.eigen import (IterationConfig, _iterate, estimate_lambda1, iterate_fixed_lambda,
-                            rayleigh_quotient)
+import khessian.eigen as eigen
+from khessian.dirichlet import SolverConfig, holder_seminorm
+from khessian.eigen import estimate_lambda1, iterate_fixed_lambda, rayleigh_quotient
 
 # lambda_1 of the unit ball from the solve_ivp shooting oracle (rtol 1e-12)
 ORACLE = {
@@ -46,7 +46,7 @@ def test_estimate_lambda1(benchmark, N, k, grid):
     benchmark.extra_info.update({
         "bracket_rel_width": (est.lambda_hi - est.lambda_lo) / lam,
         "oracle_rel_err": abs(est.lambda_best - lam) / lam,
-        "probes": [(p["reason"], p["n_iter"]) for p in est.diagnostics["probes"]],
+        "probes": est.diagnostics["probes"],
         "holder": est.holder,
     })
 
@@ -60,21 +60,17 @@ def test_iterate_fixed_lambda(benchmark, factor):
 
 @pytest.mark.parametrize("grid", [512, 2048])
 @pytest.mark.parametrize("N, k", [(2, 1), (3, 2), (5, 3)])
-def test_certificate_probes(benchmark, N, k, grid):
-    cfg = IterationConfig()
-    est = estimate_lambda1(1.0, N, k, cfg, SolverConfig(grid_size=grid))
-    lams = [p["lam"] for p in est.diagnostics["probes"]]
-    solver = _FirstIntegral(make_grid(1.0, grid), N, k, "trapezoid")
-
-    def probes():
-        return [_iterate(lam, solver, cfg.n_max, seek)
-                for lam, seek in zip(lams, ("supersolution", "growth"))]
-
-    runs = benchmark(probes)
-    benchmark.extra_info.update({
-        "lams": lams,
-        "probes": [(res.reason, res.n_iter, res.certificate) for res in runs],
-    })
+def test_certificate_probes(benchmark, monkeypatch, N, k, grid):
+    # the arguments the estimate passes its witness check, caught once
+    calls = []
+    witnesses = eigen._witnesses
+    monkeypatch.setattr(eigen, "_witnesses", lambda *args: calls.append(args) or witnesses(*args))
+    estimate_lambda1(1.0, N, k, solver_cfg=SolverConfig(grid_size=grid))
+    monkeypatch.undo()
+    probes, failed = benchmark(eigen._witnesses, *calls[0])
+    assert not failed
+    benchmark.extra_info.update({"lam": [p["lam"] for p in probes], "c": probes[0]["c"],
+                                 "q": probes[1]["q"]})
 
 
 @pytest.mark.parametrize("grid", [512, 2048])

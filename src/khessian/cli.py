@@ -79,8 +79,8 @@ def _config_keys(cls) -> dict:
 
 _SOLVER_FIELDS = _config_keys(SolverConfig)
 _ITER_FIELDS = _config_keys(IterationConfig)
-# the eigen engine reads the grid and the IterationConfig keys, a solve the SolverConfig keys
-_ENGINE_KEYS = ("grid_size", "graded", *_ITER_FIELDS)
+# the eigen engine reads the grid and the bracket width, a solve the SolverConfig keys
+_ENGINE_KEYS = ("grid_size", "graded", "bisect_tol")
 _SOLVE_KEYS = tuple(_SOLVER_FIELDS)
 
 

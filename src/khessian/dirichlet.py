@@ -151,10 +151,12 @@ def make_grid(R: float, grid_size: int, graded: bool = False,
     times the first, so neighbouring widths differ by the factor
     1e-2^(1/(grid_size-1)) and the grading stays bounded as the grid is
     refined.  That resolves the boundary layer Holder studies care about.
+    The nodes are float64 whatever the type of R, as every rounding allowance is.
     """
     check_real("radius R", R, 0, math.inf, "()")
     check_real("inner radius r_inner", r_inner, 0, R, "[)")
     check_int("grid_size", grid_size, 2)
+    R, r_inner = float(R), float(r_inner)
     if not graded:
         return np.linspace(r_inner, R, grid_size + 1)
     widths = np.geomspace(1.0, _GRADED_WIDTH_RATIO, grid_size)

@@ -11,11 +11,10 @@ iteration v <- A(v) / max A(v) closes that bracket geometrically.
 The paper's own characterisation is kept as an independent, certified
 cross-check: the monotone scheme S_k(D^2 u_n) = 1 + lam |u_{n-1}|^k with
 zero boundary data, started from u_0 = 0, stays bounded below lambda_1
-and blows up above it.  A probe just below the bracket ends once an
-iterate yields a positive supersolution that bounds every later iterate,
-and a probe just above it once an iterate is a Collatz-Wielandt growth
-witness.  Rayleigh, residual and minimum-principle diagnostics close the
-loop.
+and blows up above it.  Two witnesses on the power iteration's last v
+certify both sides just outside the bracket: a supersolution c v that
+bounds every iterate below it, and a growth ratio q > 1 above it.
+Rayleigh, residual and minimum-principle diagnostics close the loop.
 """
 
 from __future__ import annotations
@@ -68,8 +67,8 @@ class IterationConfig:
     1e-10 times its upper end.  Rounding floors that width at about
     2 k (2 size + 16) eps lambda_1 on a grid of size nodes, so a width
     below it raises DomainError, and fine grids need a larger
-    bisect_tol (see estimate_lambda1).  A run or probe that reaches n_max
-    undecided ends n-max.
+    bisect_tol (see estimate_lambda1).  An iterate_fixed_lambda run that
+    reaches n_max undecided ends n-max; estimate_lambda1 reads no n_max.
     """
 
     n_max: int = 500
@@ -84,19 +83,14 @@ class IterationConfig:
 @dataclass
 class IterationResult:
     """One fixed-lambda run: converged is true when the iterates settled
-    (fixed-point) or are certified bounded (supersolution); certificate
-    holds c or q of a certified verdict, else it is empty.  profile is
-    the last iterate of iterate_fixed_lambda; a certificate run (a probe
-    of estimate_lambda1) returns its verdict only, and its profile is
-    None."""
+    (fixed-point), and profile is the last iterate."""
 
     converged: bool
     reason: str
     n_iter: int
     sup_trace: list
-    profile: Optional[RadialProfile]
+    profile: RadialProfile
     lam: float
-    certificate: dict = field(default_factory=dict)
 
 
 def default_sup_cap(N: int, k: int, R: float) -> float:
@@ -105,9 +99,9 @@ def default_sup_cap(N: int, k: int, R: float) -> float:
     return 1e6 * 0.5 * a * float(R) ** 2
 
 
-# A run without a certificate to seek settles once no node moves by more
-# than this times R^2: iterates scale as R^2, so the test, and with it
-# every step count, is the same on every ball.
+# A run settles once no node moves by more than this times R^2: iterates
+# scale as R^2, so the test, and with it every step count, is the same on
+# every ball.
 _FIXED_POINT_TOL = 1e-8
 
 
@@ -152,13 +146,7 @@ def _scheme_source(rest: np.ndarray, lam: float, k: int, out: np.ndarray,
     out += one
 
 
-# The supersolution the probe below lambda_1 seeks is w = 2 rest_n: a
-# power of two, so w is exact.
-_SUPERSOLUTION_C = 2.0
-
-
-def _iterate(lam: float, solver: _FirstIntegral, n_max: int,
-             seek: Optional[str] = None) -> IterationResult:
+def _iterate(lam: float, solver: _FirstIntegral, n_max: int) -> IterationResult:
     """The monotone scheme at lam on the solver's grid, one solve a step.
 
     Each step solves in place on buffers allocated once and swapped.  It
@@ -169,32 +157,17 @@ def _iterate(lam: float, solver: _FirstIntegral, n_max: int,
     maximum is the fixed-point step.  rest never increases along r, so the
     sup norm is rest[0], and as the sup trace ends in rest_prev[0], node 0
     checks that the sup norms never fall.  solver is a trapezoid
-    _FirstIntegral; the grid r, N and k are its own.
-
-    Without seek the run ends at fixed-point (the step is at most
-    _FIXED_POINT_TOL R^2), sup-cap or n-max.  With seek it ends once it
-    holds that certificate, or at n-max; each step then adds one
-    certificate solve.  Write A for the solve, so rest_n = A(1 + lam
-    rest_(n-1)^k): A is exactly order-preserving in floating point, and
-    homogeneous of degree 1/k up to rounding.
-    - supersolution: w = 2 rest_n has A(1 + lam w^k) <= w at every node.
-      That source is built by the step's own operations, so by induction
-      on the floating-point map every later iterate stays <= w.
-    - growth: q = min over the interior nodes of A(lam rest_n^k) / rest_n
-      exceeds 1 + the power iteration's rounding allowance, so the
-      iterates grow at least like q^m.
-    The certificate records c = 2 or q.  A run with seek returns only its
-    verdict, profile None; without seek h'' is recovered once, for the
-    returned profile.
+    _FirstIntegral; the grid r, N and k are its own.  The run ends at
+    fixed-point (the step is at most _FIXED_POINT_TOL R^2), sup-cap or
+    n-max, and h'' is recovered once, for the returned profile.
     """
     r, N, k = solver.r, solver.N, solver.k
     R = float(r[-1])
     tol = _FIXED_POINT_TOL * R**2
     sup_cap = default_sup_cap(N, k, R)
-    q_min = 1.0 + _rounding(k, r.size)
     sup_trace: list = []
     rest_prev = np.zeros(r.size)
-    f_nodes, hp, rest, d, w, cert_f, cert_hp, cert_a = (np.empty(r.size) for _ in range(8))
+    f_nodes, hp, rest, d = (np.empty(r.size) for _ in range(4))
     for n in range(1, n_max + 1):
         _scheme_source(rest_prev, lam, k, f_nodes)
         solver.solve_into(f_nodes, hp, rest)
@@ -206,33 +179,15 @@ def _iterate(lam: float, solver: _FirstIntegral, n_max: int,
                 trace={"lam": lam, "n": n, "sup_trace": sup_trace},
             )
         sup_trace.append(float(rest[0]))
-        reason, certificate = None, {}
-        if seek is None:
-            if d.max() <= tol:
-                reason = "fixed-point"
-            elif sup_trace[-1] > sup_cap:
-                reason = "sup-cap"
-        elif seek == "supersolution":
-            np.multiply(rest, _SUPERSOLUTION_C, out=w)
-            _scheme_source(w, lam, k, cert_f)
-            solver.solve_into(cert_f, cert_hp, cert_a)
-            if np.all(cert_a <= w):
-                reason, certificate = seek, {"c": _SUPERSOLUTION_C}
-        else:
-            _scheme_source(rest, lam, k, cert_f, 0.0)
-            solver.solve_into(cert_f, cert_hp, cert_a)
-            q = float(np.min(cert_a[:-1] / rest[:-1]))
-            if q > q_min:
-                reason, certificate = seek, {"q": q}
+        reason = ("fixed-point" if d.max() <= tol
+                  else "sup-cap" if sup_trace[-1] > sup_cap else None)
         if reason is not None or n == n_max:
             break
         rest_prev, rest = rest, rest_prev
-    profile = None
-    if seek is None:
-        profile = RadialProfile(N=N, k=k, r=r, h=-rest, hp=hp,
-                                hpp=solver.hpp(hp, f_nodes), k_convex=True)
-    return IterationResult(reason in ("fixed-point", "supersolution"), reason or "n-max",
-                           n, sup_trace, profile, lam, certificate)
+    profile = RadialProfile(N=N, k=k, r=r, h=-rest, hp=hp,
+                            hpp=solver.hpp(hp, f_nodes), k_convex=True)
+    return IterationResult(reason == "fixed-point", reason or "n-max", n, sup_trace,
+                           profile, lam)
 
 
 @dataclass
@@ -244,11 +199,12 @@ class SpectralEstimate:
     the PDE's lambda_1, so the PDE value can lie outside it.  lambda_best
     is its midpoint.  bounds holds the lower bound and the quartic's upper
     bound on the PDE's lambda_1, the upper one not certified for N >= 3
-    (see upper_bound).  diagnostics records the two cross-check probes
-    (lam, reason, n_iter, and c below or q above lambda_1), the
+    (see upper_bound).  diagnostics records the two witnesses of the
+    dichotomy as probes (lam, reason and c of the supersolution below
+    the bracket, lam, reason and q of the growth above it), the
     power-iteration solve count and the final bracket width; all are
-    deterministic, so two identical runs give
-    byte-identical JSON, and timings never go here.
+    deterministic, so two identical runs give byte-identical JSON, and
+    timings never go here.
     """
 
     N: int
@@ -290,11 +246,6 @@ _POWER_MAX_SOLVES = 200
 # (see estimate_lambda1); 1.9 rather than 2 leaves room for the rounding
 # of the bracket ends themselves.
 _FLOOR = 1.9
-# Cross-check probes sit at lambda_lo (1 - eps) and lambda_hi (1 + eps)^k,
-# on either side of the certified bracket however wide it is: the blow-up
-# rate per iteration is about (lam / lambda_1)^(1/k), so the k-th power
-# keeps the divergent probe's length independent of k.
-_PROBE_EPS = 0.1
 
 
 def estimate_lambda1(R: float, N: int, k: int,
@@ -319,15 +270,13 @@ def estimate_lambda1(R: float, N: int, k: int,
     lambda_1 of the discretized problem, not the PDE's: at 512 intervals
     the PDE value lies about 2e-6 to 5e-6 (relative) below it.
     lambda_best is its midpoint and the eigenfunction is the last solve
-    normalized to minimum value -1.  Two fixed-lambda probes then certify
-    the paper's dichotomy around the bracket: the scheme at
-    lambda_lo (1 - 0.1) ends on a supersolution 2 rest_n that bounds
-    every later iterate, and at lambda_hi (1 + 0.1)^k on a growth
-    witness whose ratio q > 1 makes the iterates grow at least like q^m.
-    Each probe is one run of the scheme, a step and a certificate solve
-    per step.  Any verdict pair other than
-    (supersolution, growth) within n_max raises InconsistencyError with
-    the probe log.  When 2k > N, holder is the exact
+    normalized to minimum value -1.  Two witnesses built from the last v
+    then certify the paper's dichotomy at lambda_lo (1 - delta) and
+    lambda_hi (1 + delta), delta = 64 k rho, in three solves (see
+    _witnesses): the scheme from u_0 = 0 stays under a supersolution
+    c v below the bracket and grows at least like q^m above it.  A
+    witness that fails raises InconsistencyError with both witnesses in
+    its trace.  When 2k > N, holder is the exact
     (2 - N/k)-Holder seminorm of the eigenfunction on the grid nodes.
     A run in which r^(N-1), r^((k-N)/k) or lambda_1 leaves the float
     range raises DomainError.
@@ -375,16 +324,14 @@ def _estimate(R: float, N: int, k: int, cfg: IterationConfig,
         )
     lam_best = 0.5 * (lo + hi)
 
-    probes = []
-    for lam, seek in ((lo * (1.0 - _PROBE_EPS), "supersolution"),
-                      (hi * (1.0 + _PROBE_EPS) ** k, "growth")):
-        res = _iterate(lam, solver, cfg.n_max, seek)
-        probes.append({"lam": lam, "reason": res.reason, "n_iter": res.n_iter,
-                       **res.certificate})
-    if [p["reason"] for p in probes] != ["supersolution", "growth"]:
+    # q - 1 is about delta / k = 64 rho, clear of the growth test's rho
+    delta = 64 * k * rounding
+    probes, failed = _witnesses(solver, v, lo * (1.0 - delta), hi * (1.0 + delta), delta)
+    if failed:
         raise InconsistencyError(
-            "fixed-lambda iteration disagrees with the power-iteration bracket",
-            trace={"lambda_lo": lo, "lambda_hi": hi, "probes": probes},
+            f"the {' and '.join(failed)} witness of the dichotomy fails at the "
+            "power-iteration bracket",
+            trace={"lambda_lo": lo, "lambda_hi": hi, "probes": probes, "failed": failed},
         )
 
     hpp = solver.hpp(hp, source)
@@ -416,6 +363,50 @@ def _estimate(R: float, N: int, k: int, cfg: IterationConfig,
             "effective_bisect_tol": hi - lo,
         },
     )
+
+
+def _witnesses(solver: _FirstIntegral, v: np.ndarray, lam_below: float,
+               lam_above: float, delta: float) -> tuple:
+    """The two witnesses of the dichotomy, in three solves, from v > 0.
+
+    A is _scheme_source then solver.solve_into, the step's own map, so the
+    scheme from u_0 = 0 is u_n = A(1 + lam u_(n-1)^k).  A is exactly
+    order-preserving in floating point (see _FirstIntegral), and to within
+    the factor 1 + rho of _rounding homogeneous, A(t f) = t^(1/k) A(f), as
+    the moment is linear in f, and subadditive, A(f + g) <= A(f) + A(g), as
+    x^(1/k) is.  Ratios to v run over the interior nodes.
+    - below: c is the least power of two above 4 k max(A(1)/v) / delta,
+      so w = c v is exact; the witness holds when A(1 + lam_below w^k)
+      <= w at every node, and then by induction every u_n <= w exactly.
+      At lam_below = lambda_lo (1 - delta), lambda_lo <= min (v/A(v^k))^k
+      gives A(1 + lam_below w^k) <= A(1) + c (1 - delta)^(1/k) v
+      <= c (1 - 3 delta / (4k)) v, a margin of 48 rho over the rounding.
+    - above: the witness holds when eps = min A(1)/v > 0 and
+      q = min A(lam_above v^k)/v > 1 + rho.  Then u_1 >= eps v, and
+      u_n >= t v gives u_(n+1) >= A(lam_above t^k v^k) >= t q v / (1 + rho),
+      so the iterates blow up at least like (q / (1 + rho))^n.  At
+      lam_above = lambda_hi (1 + delta), q is about (1 + delta)^(1/k).
+    Returns the probes [{lam, reason "supersolution", c},
+    {lam, reason "growth", q}] and the reasons of the witnesses that fail.
+    """
+    k = solver.k
+    one, source, hp, rest = (np.empty(v.size) for _ in range(4))
+    source.fill(1.0)
+    solver.solve_into(source, hp, one)
+    spread = one[:-1] / v[:-1]
+    # numpy's frexp and ldexp, so a c past the float range is a DomainError
+    c = float(np.ldexp(1.0, np.frexp(4 * k * spread.max() / delta)[1]))
+    w = c * v
+    _scheme_source(w, lam_below, k, source)
+    solver.solve_into(source, hp, rest)
+    below = bool(np.all(rest <= w))
+    _scheme_source(v, lam_above, k, source, 0.0)
+    solver.solve_into(source, hp, rest)
+    q = float(np.min(rest[:-1] / v[:-1]))
+    above = spread.min() > 0 and q > 1.0 + _rounding(k, v.size)
+    probes = [{"lam": lam_below, "reason": "supersolution", "c": c},
+              {"lam": lam_above, "reason": "growth", "q": q}]
+    return probes, [p["reason"] for p, ok in zip(probes, (below, above)) if not ok]
 
 
 def sphere_area(N: int) -> float:

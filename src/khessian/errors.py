@@ -96,6 +96,6 @@ class SearchError(_TracedError):
 class InconsistencyError(_TracedError):
     """Computed quantities contradict a structural guarantee.
 
-    Raised e.g. when the fixed-point iteration loses monotonicity or its
-    verdict contradicts the eigenvalue bracket.
+    Raised e.g. when the fixed-point iteration loses monotonicity or a
+    witness of the dichotomy fails at the eigenvalue bracket.
     """

@@ -124,39 +124,54 @@ def iterate_fixed_lambda_full_solves(lam, R, N, k, cfg, solver_cfg) -> Iteration
     return IterationResult(False, "n-max", cfg.n_max, sup_trace, profile, lam)
 
 
-def certificate_probe_full_solves(lam, R, N, k, cfg, solver_cfg, seek) -> IterationResult:
-    """The paper's monotone scheme at one lam, one full first_integral_solve
-    (h, h', h'') per step, ending once the iterate rest_n = -h_n holds the
-    certificate seek, each checked by one more full solve:
-    - supersolution: w = 2 rest_n gives -h(1 + lam w^k) <= w at every node;
-    - growth: q = min over the interior nodes of -h(lam rest_n^k) / rest_n
-      exceeds 1 + k (2 nodes + 16) eps.
-    A run that holds neither by n_max ends n-max."""
+def witnesses_full_solves(R, N, k, cfg, solver_cfg) -> dict:
+    """The estimate's power iteration and its two witnesses of the
+    dichotomy, one full first_integral_solve (h, h', h'') per solve, and
+    A(f) = -h of the solve of f.
+
+    From v = R^2 - r^2, each a = A(v^k) gives the Collatz-Wielandt bracket
+    [min, max] of (v/a)^k over the interior nodes, widened by the factors
+    1 -/+ rho, rho = k (2 nodes + 16) eps, and v <- a / a[0] until the
+    bracket is no wider than bisect_tol (default 1e-10 times its top).  At
+    that last v, with delta = 64 k rho:
+    - supersolution at lam = lambda_lo (1 - delta): c is the least power
+      of two above 4 k max(A(1)/v) / delta, and the witness holds when
+      A(1 + lam (c v)^k) <= c v at every node;
+    - growth at lam = lambda_hi (1 + delta): q = min A(lam v^k) / v, and
+      the witness holds when min A(1)/v > 0 and q > 1 + rho.
+    Returns lambda_lo, lambda_hi, v, one = A(1), delta, rho, the probes
+    [{lam, reason, c}, {lam, reason, q}] and holds, a bool per witness."""
+
+    def solve(f_nodes):
+        return -first_integral_solve(f_nodes, r, N, k, scheme="trapezoid")[0]
+
     r = make_grid(R, solver_cfg.grid_size, graded=solver_cfg.graded)
-    q_min = 1.0 + k * (2 * r.size + 16) * float(np.finfo(float).eps)
-    h_prev = np.zeros_like(r)
-    sup_trace = []
-    for n in range(1, cfg.n_max + 1):
-        f_nodes = 1.0 + lam * np.abs(h_prev) ** k
-        h, hp, hpp = first_integral_solve(f_nodes, r, N, k, scheme="trapezoid")
-        if np.any(h > h_prev):
-            raise InconsistencyError("iterate increased",
-                                     trace={"lam": lam, "n": n, "sup_trace": sup_trace})
-        sup_trace.append(float(np.max(np.abs(h))))
-        h_prev = h
-        profile = RadialProfile(N=N, k=k, r=r, h=h, hp=hp, hpp=hpp, k_convex=True)
-        rest = -h
-        if seek == "supersolution":
-            w = 2.0 * rest
-            bound = -first_integral_solve(1.0 + lam * w**k, r, N, k, scheme="trapezoid")[0]
-            if np.all(bound <= w):
-                return IterationResult(True, seek, n, sup_trace, profile, lam, {"c": 2.0})
-        else:
-            grown = -first_integral_solve(lam * rest**k, r, N, k, scheme="trapezoid")[0]
-            q = float(np.min(grown[:-1] / rest[:-1]))
-            if q > q_min:
-                return IterationResult(False, seek, n, sup_trace, profile, lam, {"q": q})
-    return IterationResult(False, "n-max", cfg.n_max, sup_trace, profile, lam)
+    rho = k * (2 * r.size + 16) * float(np.finfo(float).eps)
+    v = float(R) ** 2 - r**2
+    for _ in range(200):
+        a = solve(v**k)
+        ratio = (v[:-1] / a[:-1]) ** k
+        lo = float(np.min(ratio)) * (1.0 - rho)
+        hi = float(np.max(ratio)) * (1.0 + rho)
+        tol = cfg.bisect_tol if cfg.bisect_tol is not None else 1e-10 * hi
+        if hi - lo <= tol:
+            break
+        v = a / a[0]
+    else:
+        raise InconsistencyError("bracket did not close", trace={"lo": lo, "hi": hi})
+    delta = 64 * k * rho
+    lam_below, lam_above = lo * (1.0 - delta), hi * (1.0 + delta)
+    one = solve(np.ones_like(r))
+    c = math.ldexp(1.0, math.frexp(4 * k * float(np.max(one[:-1] / v[:-1])) / delta)[1])
+    w = c * v
+    q = float(np.min(solve(lam_above * v**k)[:-1] / v[:-1]))
+    return {
+        "lambda_lo": lo, "lambda_hi": hi, "v": v, "one": one, "delta": delta, "rho": rho,
+        "probes": [{"lam": lam_below, "reason": "supersolution", "c": c},
+                   {"lam": lam_above, "reason": "growth", "q": q}],
+        "holds": [bool(np.all(solve(1.0 + lam_below * w**k) <= w)),
+                  bool(np.min(one[:-1] / v[:-1]) > 0 and q > 1.0 + rho)],
+    }
 
 
 def trapezoid_solve_scipy(f_nodes, r, N: int, k: int) -> tuple:

@@ -179,17 +179,16 @@ def test_eigen_determinism(tmp_path):
 
 @pytest.mark.parametrize("radius", ["1e-4", "1e-5"])
 def test_eigen_on_a_small_ball(radius, tmp_path):
-    # the probes' certificates compare iterates that scale as R^2; an
-    # absolute fixed-point test once stopped both probes at step 1 and
-    # exited 2
+    # the witnesses compare solves that scale as R^2 with each other; an
+    # absolute fixed-point test once stopped both cross-checks at step 1
+    # and exited 2
     out = tmp_path / "small"
     assert run(["eigen", "--dim", "2", "--order", "1", "--radius", radius,
                 "--out", out]) == 0
     unit = estimate_lambda1(1.0, 2, 1).diagnostics["probes"]
     diag = json.loads((out / "estimate.json").read_text())["diagnostics"]
-    assert [(p["reason"], p["n_iter"]) for p in diag["probes"]] == [
-        (p["reason"], p["n_iter"]) for p in unit]
-    assert [p["reason"] for p in unit] == ["supersolution", "growth"]
+    assert [p["reason"] for p in diag["probes"]] == ["supersolution", "growth"]
+    assert diag["probes"][1]["q"] - 1.0 == pytest.approx(unit[1]["q"] - 1.0, rel=1e-2)
 
 
 def test_eigen_with_a_loose_bisect_tol(tmp_path, capsys):
@@ -680,7 +679,7 @@ CONFIG_VALUES = {
 
 
 # the --config keys each command reads; it refuses the others
-ENGINE_KEYS = {"grid_size", "graded", "bisect_tol", "n_max"}
+ENGINE_KEYS = {"grid_size", "graded", "bisect_tol"}
 SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 READS = {
     "eigen": ENGINE_KEYS,
@@ -753,7 +752,15 @@ def test_config_keys_a_command_reads_are_recorded_as_flags_are(tmp_path, capsys)
         mans.append(json.loads((tmp_path / out / "manifest.json").read_text()))
     assert mans[0]["config"] == mans[1]["config"]
     assert mans[0]["config"] == {"solver": {"grid_size": 64, "graded": False},
-                                 "iteration": {"n_max": 500, "bisect_tol": 0.1}}
+                                 "iteration": {"bisect_tol": 0.1}}
+
+
+def test_eigen_refuses_n_max(tmp_path, capsys):
+    # the estimate runs no fixed-lambda scheme, so no command reads n_max
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_max = 400\n")
+    assert run(["eigen", *PROBLEM["eigen"], "--config", cfg, "--out", tmp_path / "o"]) == 1
+    assert "config key 'n_max' is not read by khess eigen" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

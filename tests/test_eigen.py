@@ -31,8 +31,8 @@ from khessian.eigen import (
 )
 from khessian.errors import DomainError, InconsistencyError
 from khessian.radial import RadialProfile, quartic_test_profile
-from reference import (certificate_probe_full_solves, iterate_fixed_lambda_full_solves,
-                       rayleigh_quotient_scipy, s_k_op)
+from reference import (iterate_fixed_lambda_full_solves, rayleigh_quotient_scipy, s_k_op,
+                       witnesses_full_solves)
 
 # h'' + h'/r = lambda |h| on (0,1), h'(0) = 0, h(1) = 0: the first
 # eigenvalue is the squared Bessel zero j_{0,1}^2, reproduced to 2e-12
@@ -203,6 +203,16 @@ def test_dilation_covariance():
     assert est_half.lambda_best * 2.0**4 == pytest.approx(
         est_unit.lambda_best, rel=1e-12
     )
+
+
+def test_a_float32_radius_runs_in_float64():
+    # a float32 radius once gave a float32 grid, whose solves round at
+    # float32 precision under the float64 rounding allowance: the default
+    # bracket never closed, and a loose one failed the growth witness
+    R = np.float32(0.9)
+    assert make_grid(R, 64).dtype == np.float64
+    est, ref = estimate_lambda1(R, 2, 1), estimate_lambda1(float(R), 2, 1)
+    assert (est.lambda_lo, est.lambda_hi) == (ref.lambda_lo, ref.lambda_hi)
 
 
 def test_holder_seminorm_emitted_only_when_subcritical(est21, est22):
@@ -458,13 +468,25 @@ def test_bracket_width_above_the_rounding_floor_still_closes():
     assert est.lambda_hi - est.lambda_lo <= 1e-6
 
 
-def test_n_max_is_undecided_and_fails_the_cross_check():
+def test_n_max_is_undecided_and_fails_the_cross_check(monkeypatch):
     res = iterate_fixed_lambda(5.0, 1.0, 2, 1, IterationConfig(n_max=10))
     assert not res.converged and res.reason == "n-max" and res.n_iter == 10
-    # (6, 1) is the pair whose subcritical probe needs more than ten steps
-    with pytest.raises(InconsistencyError) as info:
-        estimate_lambda1(1.0, 6, 1, IterationConfig(n_max=10))
-    assert [p["reason"] for p in info.value.trace["probes"]] == ["n-max", "growth"]
+    # a witness source built at twice its lam below the bracket, or half
+    # of it above: that witness fails, and the error carries both
+    scheme_source = eigen._scheme_source
+    for failing, factor in (("supersolution", (2.0, 1.0)), ("growth", (1.0, 0.5))):
+        monkeypatch.setattr(
+            eigen, "_scheme_source",
+            lambda rest, lam, k, out, one=1.0: scheme_source(
+                rest, lam * factor[0 if one else 1], k, out, one))
+        with pytest.raises(InconsistencyError, match=f"the {failing} witness") as info:
+            estimate_lambda1(1.0, 6, 1)
+        trace = info.value.trace
+        assert trace["failed"] == [failing]
+        assert [set(p) for p in trace["probes"]] == [{"lam", "reason", "c"},
+                                                     {"lam", "reason", "q"}]
+        assert trace["probes"][0]["lam"] < trace["lambda_lo"]
+        assert trace["probes"][1]["lam"] > trace["lambda_hi"]
 
 
 # the nine (N, k) pairs of the shooting-oracle table
@@ -487,14 +509,9 @@ def _trapezoid_solver(R, N, k, solver_cfg):
     return _FirstIntegral(r, N, k, "trapezoid")
 
 
-def _assert_same_verdict(a, b):
+def _assert_same_iteration(a, b):
     assert (a.reason, a.n_iter, a.converged, a.lam) == (b.reason, b.n_iter, b.converged, b.lam)
     assert a.sup_trace == b.sup_trace
-    assert a.certificate == b.certificate
-
-
-def _assert_same_iteration(a, b):
-    _assert_same_verdict(a, b)
     for name in ("r", "h", "hp", "hpp"):
         assert np.array_equal(getattr(a.profile, name), getattr(b.profile, name)), name
 
@@ -503,25 +520,29 @@ def _assert_same_iteration(a, b):
                          ids=[f"{N}{k}-{c.grid_size}{'g' if c.graded else ''}"
                               + ("" if R == 1.0 else f"-R{R}") for N, k, R, c in PROBE_CASES])
 def test_lockstep_probes_match_separate_calls(N, k, R, solver_cfg):
-    # each certificate probe, run as the estimate runs it, reaches the
-    # verdict of the paper's scheme written out one full solve per step,
-    # certificates included, bitwise; run to a fixed point or the cap
-    # instead, each probe lam is bitwise that scheme, profile too
+    # both witnesses, lam, c and q, are bitwise those of the power
+    # iteration and the witnesses written out one full solve per solve,
+    # and both hold.  The scheme at each probe lam is bitwise that scheme
+    # written out, profile too; so close to lambda_1 it stays undecided,
+    # under c v below the bracket and above eps q^(n-1) v over it
     cfg = IterationConfig()
     est = estimate_lambda1(R, N, k, cfg, solver_cfg)
-    probes = est.diagnostics["probes"]
-    solver = _trapezoid_solver(R, N, k, solver_cfg)
-    for probe, seek in zip(probes, ("supersolution", "growth")):
-        res = eigen._iterate(probe["lam"], solver, cfg.n_max, seek)
-        assert probe == {"lam": res.lam, "reason": seek, "n_iter": res.n_iter,
-                         **res.certificate}
-        _assert_same_verdict(
-            res, certificate_probe_full_solves(res.lam, R, N, k, cfg, solver_cfg, seek))
-    for probe, reason in zip(probes, ("fixed-point", "sup-cap")):
-        res = iterate_fixed_lambda(probe["lam"], R, N, k, cfg, solver_cfg)
-        assert res.reason == reason
+    ref = witnesses_full_solves(R, N, k, cfg, solver_cfg)
+    assert (est.lambda_lo, est.lambda_hi) == (ref["lambda_lo"], ref["lambda_hi"])
+    # == is bitwise on these finite, positive floats
+    assert est.diagnostics["probes"] == ref["probes"]
+    assert ref["holds"] == [True, True]
+    cfg = IterationConfig(n_max=50)
+    below, above = (iterate_fixed_lambda(p["lam"], R, N, k, cfg, solver_cfg)
+                    for p in est.diagnostics["probes"])
+    for res in (below, above):
+        assert res.reason == "n-max"
         _assert_same_iteration(
             res, iterate_fixed_lambda_full_solves(res.lam, R, N, k, cfg, solver_cfg))
+    v, one = ref["v"], ref["one"]
+    assert np.all(-below.profile.h <= ref["probes"][0]["c"] * v)
+    growth = (ref["probes"][1]["q"] / (1.0 + ref["rho"])) ** (cfg.n_max - 1)
+    assert np.all(-above.profile.h[:-1] >= np.min(one[:-1] / v[:-1]) * growth * v[:-1])
 
 
 def _assert_runs_as_full_solves(lams, reasons, R, N, k, cfg, solver_cfg) -> list:
@@ -557,14 +578,16 @@ def test_runs_end_in_each_reason(N, k, R, solver_cfg):
 
 @pytest.mark.parametrize("N, k", [(2, 1), (3, 2), (5, 3), (6, 1)])
 def test_probe_counts_do_not_depend_on_the_radius(N, k):
-    # both certificates compare iterates that scale as R^2 with each other,
-    # so they are issued at the same step on every ball
-    counts = {R: [(p["reason"], p["n_iter"])
-                  for p in estimate_lambda1(R, N, k).diagnostics["probes"]]
+    # both witnesses compare solves that scale as R^2 with v, so both hold
+    # on every ball, q is the same up to rounding and c follows R^2 up to
+    # its power-of-two step
+    probes = {R: estimate_lambda1(R, N, k).diagnostics["probes"]
               for R in (1.0, 1e-5, 1e-4, 1e3)}
-    assert counts[1.0][0][0] == "supersolution" and counts[1.0][1][0] == "growth"
-    for R in (1e-5, 1e-4, 1e3):
-        assert counts[R] == counts[1.0], R
+    unit_below, unit_above = probes[1.0]
+    for R, (below, above) in probes.items():
+        assert (below["reason"], above["reason"]) == ("supersolution", "growth")
+        assert 0.5 <= below["c"] / (R**2 * unit_below["c"]) <= 2.0, R
+        assert above["q"] - 1.0 == pytest.approx(unit_above["q"] - 1.0, rel=1e-2), R
 
 
 def test_runs_end_at_their_own_steps():
@@ -624,8 +647,12 @@ def test_estimate_json_diagnostics(est21):
                  "effective_bisect_tol": est21.diagnostics["effective_bisect_tol"]}
     assert [p["reason"] for p in d["probes"]] == ["supersolution", "growth"]
     below, above = d["probes"]
-    assert set(below) == {"lam", "reason", "n_iter", "c"} and below["c"] == 2.0
-    assert set(above) == {"lam", "reason", "n_iter", "q"} and above["q"] > 1.0
+    rho = eigen._rounding(1, est21.eigenfunction.r.size)
+    delta = 64 * rho
+    assert set(below) == {"lam", "reason", "c"} and math.frexp(below["c"])[0] == 0.5
+    assert below["lam"] == est21.lambda_lo * (1.0 - delta)
+    assert set(above) == {"lam", "reason", "q"} and above["q"] > 1.0 + rho
+    assert above["lam"] == est21.lambda_hi * (1.0 + delta)
 
 
 def _certificate_solve(f_nodes, r, N, k):
@@ -635,75 +662,67 @@ def _certificate_solve(f_nodes, r, N, k):
 
 @pytest.mark.parametrize("N, k", ORACLE_PAIRS)
 def test_certificates_hold_on_the_oracle_pairs(N, k):
-    # each probe's last iterate, from the full-solve scheme that reaches the
-    # probe's verdict bitwise, checked again by an independent full solve
+    # both witnesses, from the full-solve reference that matches the
+    # estimate's probes bitwise, checked again by an independent full
+    # solve, and their claims run out for 30 steps of the scheme
     est = estimate_lambda1(1.0, N, k)
     r = est.eigenfunction.r
-    below, above = est.diagnostics["probes"]
-    assert (below["reason"], above["reason"]) == ("supersolution", "growth")
-    assert below["n_iter"] < 20 and above["n_iter"] < 20
-    cfg, solver_cfg = IterationConfig(), SolverConfig()
-    rows = []
-    for p in (below, above):
-        ref = certificate_probe_full_solves(p["lam"], 1.0, N, k, cfg, solver_cfg, p["reason"])
-        _assert_same_verdict(eigen._iterate(p["lam"], _trapezoid_solver(1.0, N, k, solver_cfg),
-                                            cfg.n_max, p["reason"]), ref)
-        rows.append(ref)
-    # below: A(1 + lam w^k) <= w for w = 2 rest_n, so every later iterate
-    # of the scheme stays under w, and lam lies under the bracket's top
-    w = 2.0 * -rows[0].profile.h
+    ref = witnesses_full_solves(1.0, N, k, IterationConfig(), SolverConfig())
+    assert est.diagnostics["probes"] == ref["probes"]
+    below, above = ref["probes"]
+    v, rho = ref["v"], ref["rho"]
+    # below: A(1 + lam w^k) <= w for w = c v, so every iterate of the
+    # scheme from u_0 = 0 stays under w, and lam lies under the bracket
+    w = below["c"] * v
     assert np.all(_certificate_solve(1.0 + below["lam"] * w**k, r, N, k) <= w)
-    assert below["lam"] <= est.lambda_hi
-    rest = -rows[0].profile.h
+    assert below["lam"] < est.lambda_lo
+    rest = np.zeros_like(r)
     for _ in range(30):
         rest = _certificate_solve(1.0 + below["lam"] * rest**k, r, N, k)
         assert np.all(rest <= w)
-    # above: q is recomputed exactly, and the iterates outgrow q^m
-    rest = -rows[1].profile.h
-    q = float(np.min(_certificate_solve(above["lam"] * rest**k, r, N, k)[:-1] / rest[:-1]))
-    assert q == above["q"] > 1.0 + eigen._rounding(k, r.size)
-    grown = rest
+    # above: q is recomputed exactly, and the iterates from u_0 = 0
+    # outgrow eps (q / (1 + rho))^(m-1) v, eps = min A(1)/v
+    q = float(np.min(_certificate_solve(above["lam"] * v**k, r, N, k)[:-1] / v[:-1]))
+    assert q == above["q"] > 1.0 + rho
+    assert above["lam"] > est.lambda_hi
+    eps = float(np.min(_certificate_solve(np.ones_like(r), r, N, k)[:-1] / v[:-1]))
+    assert eps > 0
+    grown = np.zeros_like(r)
     for m in range(1, 31):
         grown = _certificate_solve(1.0 + above["lam"] * grown**k, r, N, k)
-        assert np.all(grown[:-1] >= q**m * rest[:-1] * (1.0 - 1e-12))
+        bound = eps * (q / (1.0 + rho)) ** (m - 1) / (1.0 + rho)
+        assert np.all(grown[:-1] >= bound * v[:-1])
 
 
 @pytest.mark.parametrize("bisect_tol", [5.0, 50.0, math.inf])
 def test_probes_sit_outside_a_loose_bracket(bisect_tol):
-    # probes placed around the midpoint of a loose bracket once sat above
-    # lambda_1 and ran to n-max: (2,1) at 5, (3,3) and (6,1) at 50, (5,3)
-    # at inf; placed from the bracket's ends they certify either side
+    # probes once placed around the midpoint of a loose bracket sat above
+    # lambda_1; the witnesses sit just outside its ends, and both hold
+    # however loose it is, since any v gives a Collatz-Wielandt bracket
     cfg = IterationConfig(bisect_tol=bisect_tol)
     for N, k in ORACLE_PAIRS + [(6, 1), (5, 4)]:
         est = estimate_lambda1(1.0, N, k, cfg)
         below, above = est.diagnostics["probes"]
         assert (below["reason"], above["reason"]) == ("supersolution", "growth"), (N, k)
-        assert below["lam"] == est.lambda_lo * 0.9
-        assert above["lam"] == est.lambda_hi * 1.1**k
+        delta = 64 * k * eigen._rounding(k, est.eigenfunction.r.size)
+        assert below["lam"] == est.lambda_lo * (1.0 - delta)
+        assert above["lam"] == est.lambda_hi * (1.0 + delta)
 
 
 @pytest.mark.parametrize("N, k", ORACLE_PAIRS)
 def test_certificates_are_never_issued_on_the_wrong_side(N, k):
-    # just above the bracket no supersolution, just below it no growth
-    # witness, in n_max steps of the scheme
-    est = estimate_lambda1(1.0, N, k)
-    cfg = IterationConfig()
-    lams = [est.lambda_hi * (1 + 1e-6), est.lambda_lo * (1 - 1e-6)]
+    # each mutation of the witness check fails: the supersolution witness
+    # at lambda_hi (1 + delta), the growth witness at lambda_lo (1 - delta),
+    # and both at their own lams with v replaced by the start vector
+    # R^2 - r^2, whose Collatz-Wielandt bracket is wider than the estimate's
+    ref = witnesses_full_solves(1.0, N, k, IterationConfig(), SolverConfig())
     solver = _trapezoid_solver(1.0, N, k, SolverConfig())
-    rows = [eigen._iterate(lam, solver, cfg.n_max, seek)
-            for lam, seek in zip(lams, ("supersolution", "growth"))]
-    assert [(row.reason, row.n_iter) for row in rows] == [("n-max", cfg.n_max)] * 2
-
-
-@pytest.mark.parametrize("seek, factor", [("supersolution", 0.9), ("growth", 1.1**2),
-                                          ("supersolution", 1.1**2)],
-                         ids=["supersolution", "growth", "n-max"])
-def test_certificate_runs_return_no_profile(seek, factor):
-    # a certificate run returns its verdict, never an iterate, whether or
-    # not it holds the certificate; a run to a fixed point returns both.
-    # lambda_1 of (3,2) on the unit ball is 28.14
-    solver = _trapezoid_solver(1.0, 3, 2, SolverConfig(grid_size=64))
-    res = eigen._iterate(factor * 28.1, solver, 20, seek)
-    assert res.reason == (seek if factor < 1 or seek == "growth" else "n-max")
-    assert res.profile is None
-    assert eigen._iterate(0.9 * 28.1, solver, 500).profile.h.shape == solver.r.shape
+    (below, above), delta = ref["probes"], ref["delta"]
+    assert eigen._witnesses(solver, ref["v"], below["lam"], above["lam"], delta) == (
+        ref["probes"], [])
+    both = ["supersolution", "growth"]
+    lo, hi = ref["lambda_lo"], ref["lambda_hi"]
+    swapped = eigen._witnesses(solver, ref["v"], hi * (1.0 + delta), lo * (1.0 - delta), delta)
+    assert swapped[1] == both
+    start = eigen._witnesses(solver, 1.0 - solver.r**2, below["lam"], above["lam"], delta)
+    assert start[1] == both
